@@ -13,8 +13,7 @@ Table: benchmarks/results/ablation_cache.txt.
 
 import pytest
 
-from repro import semi_lazy_update
-from repro.storage import BlockDevice
+from repro import EngineConfig, semi_lazy_update
 
 from conftest import BenchReport
 
@@ -33,8 +32,8 @@ def test_pool_size_sweep(benchmark, graphs, cache_blocks):
     outcome = {}
 
     def run():
-        device = BlockDevice(block_size=4096, cache_blocks=cache_blocks)
-        outcome["result"] = semi_lazy_update(graph, device=device)
+        config = EngineConfig(block_size=4096, cache_blocks=cache_blocks)
+        outcome["result"] = semi_lazy_update(graph, context=config)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     result = outcome["result"]
@@ -49,8 +48,8 @@ def test_policy_sweep(benchmark, graphs, policy):
     outcome = {}
 
     def run():
-        device = BlockDevice(block_size=4096, cache_blocks=16, policy=policy)
-        outcome["result"] = semi_lazy_update(graph, device=device)
+        config = EngineConfig(block_size=4096, cache_blocks=16, cache_policy=policy)
+        outcome["result"] = semi_lazy_update(graph, context=config)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     result = outcome["result"]
@@ -66,12 +65,12 @@ def test_cache_shape(benchmark, graphs):
     def run():
         ios = {}
         for blocks in (8, 4096):
-            device = BlockDevice(block_size=4096, cache_blocks=blocks)
-            ios[blocks] = semi_lazy_update(graph, device=device).io.total_ios
+            config = EngineConfig(block_size=4096, cache_blocks=blocks)
+            ios[blocks] = semi_lazy_update(graph, context=config).io.total_ios
         for policy in ("lru", "fifo"):
-            device = BlockDevice(block_size=4096, cache_blocks=16,
-                                 policy=policy)
-            ios[policy] = semi_lazy_update(graph, device=device).io.total_ios
+            config = EngineConfig(block_size=4096, cache_blocks=16,
+                                  cache_policy=policy)
+            ios[policy] = semi_lazy_update(graph, context=config).io.total_ios
         outcome["ios"] = ios
 
     benchmark.pedantic(run, rounds=1, iterations=1)

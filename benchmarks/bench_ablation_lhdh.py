@@ -16,7 +16,7 @@ Table: benchmarks/results/ablation_lhdh.txt.
 
 import pytest
 
-from repro import semi_lazy_update
+from repro import EngineConfig, semi_lazy_update
 from repro.core.peeling import make_lhdh_heap, make_plain_heap, peel_below
 from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import gnp_random
@@ -41,8 +41,7 @@ def test_capacity_sweep(benchmark, graphs, capacity):
     outcome = {}
 
     def run():
-        device = BlockDevice.for_semi_external(graph.n)
-        outcome["result"] = semi_lazy_update(graph, device=device,
+        outcome["result"] = semi_lazy_update(graph, context=EngineConfig(),
                                              capacity=capacity)
 
     benchmark.pedantic(run, rounds=1, iterations=1)

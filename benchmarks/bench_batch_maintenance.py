@@ -12,8 +12,8 @@ import time
 
 import pytest
 
+from repro import EngineConfig, ExecutionContext
 from repro.dynamic import DynamicMaxTruss, apply_batch
-from repro.storage import BlockDevice
 
 from conftest import BenchReport
 
@@ -41,8 +41,8 @@ def test_batch_vs_sequential(benchmark, graphs, dataset, mode):
     outcome = {}
 
     def run():
-        device = BlockDevice.for_semi_external(graph.n)
-        state = DynamicMaxTruss(graph, device=device)
+        state = DynamicMaxTruss(graph, context=ExecutionContext(EngineConfig()))
+        device = state.context.device
         io_start = device.stats.snapshot()
         start = time.perf_counter()
         if mode == "sequential":
@@ -69,14 +69,10 @@ def test_modes_agree(benchmark, graphs):
     outcome = {}
 
     def run():
-        sequential = DynamicMaxTruss(
-            graph, device=BlockDevice.for_semi_external(graph.n)
-        )
+        sequential = DynamicMaxTruss(graph, context=EngineConfig())
         for u, v in deletions:
             sequential.delete(u, v)
-        batched = DynamicMaxTruss(
-            graph, device=BlockDevice.for_semi_external(graph.n)
-        )
+        batched = DynamicMaxTruss(graph, context=EngineConfig())
         apply_batch(batched, [("delete", u, v) for u, v in deletions])
         outcome["match"] = (
             sequential.k_max == batched.k_max

@@ -12,10 +12,10 @@ Table: benchmarks/results/decomposition_variants.txt.
 import numpy as np
 import pytest
 
+from repro import EngineConfig, ExecutionContext
 from repro.baselines import bottom_up
 from repro.semiexternal.estimation import estimate_triangles
 from repro.semiexternal.truss_decomp import h_index_truss_decomposition
-from repro.storage import BlockDevice
 
 from conftest import BenchReport
 
@@ -33,8 +33,7 @@ def test_peeling_decomposition(benchmark, graphs, dataset):
     outcome = {}
 
     def run():
-        device = BlockDevice.for_semi_external(graph.n)
-        outcome["result"] = bottom_up(graph, device=device)
+        outcome["result"] = bottom_up(graph, context=EngineConfig())
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     result = outcome["result"]
@@ -49,9 +48,9 @@ def test_hindex_decomposition(benchmark, graphs, dataset):
     outcome = {}
 
     def run():
-        device = BlockDevice.for_semi_external(graph.n)
-        outcome["result"] = h_index_truss_decomposition(graph, device=device)
-        outcome["io"] = device.stats.total_ios
+        context = ExecutionContext(EngineConfig())
+        outcome["result"] = h_index_truss_decomposition(graph, context=context)
+        outcome["io"] = context.device.stats.total_ios
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     result = outcome["result"]
@@ -89,11 +88,11 @@ def test_triangle_estimator_accuracy(benchmark, graphs):
     outcome = {}
 
     def run():
-        device = BlockDevice.for_semi_external(graph.n)
+        context = ExecutionContext(EngineConfig())
         estimate = estimate_triangles(graph, samples=3000, seed=0,
-                                      device=device)
+                                      context=context)
         outcome["estimate"] = estimate
-        outcome["io"] = device.stats.total_ios
+        outcome["io"] = context.device.stats.total_ios
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     exact = graph.triangle_count()

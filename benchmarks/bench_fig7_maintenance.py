@@ -17,8 +17,8 @@ import time
 
 import pytest
 
+from repro import EngineConfig
 from repro.dynamic import DynamicMaxTruss, YLJMaintenance
-from repro.storage import BlockDevice
 
 from conftest import BenchReport
 
@@ -70,11 +70,10 @@ def test_fig7(benchmark, graphs, dataset, op, algo):
     outcome = {}
 
     def run():
-        device = BlockDevice.for_semi_external(graph.n)
         state = (
-            DynamicMaxTruss(graph, device=device)
+            DynamicMaxTruss(graph, context=EngineConfig())
             if algo == "ours"
-            else YLJMaintenance(graph, device=device)
+            else YLJMaintenance(graph, context=EngineConfig())
         )
         outcome["value"] = _drive(state, updates, op)
 
@@ -98,12 +97,8 @@ def test_fig7_shape(benchmark, graphs):
     outcome = {}
 
     def run():
-        ours = DynamicMaxTruss(
-            graph, device=BlockDevice.for_semi_external(graph.n)
-        )
-        theirs = YLJMaintenance(
-            graph, device=BlockDevice.for_semi_external(graph.n)
-        )
+        ours = DynamicMaxTruss(graph, context=EngineConfig())
+        theirs = YLJMaintenance(graph, context=EngineConfig())
         ours_avg = _drive(ours, inserts, "insert")
         # fresh edge set for the baseline: rebuild from scratch
         theirs_avg = _drive(theirs, inserts[:4], "insert")

@@ -8,8 +8,8 @@ capture and feed EXPERIMENTS.md.
 
 Conventions:
 
-* every algorithm run uses a fresh ``BlockDevice.for_semi_external`` so the
-  buffer pool honours the semi-external model;
+* every algorithm run gets a fresh default ``EngineConfig()`` context, whose
+  ``BlockDevice.for_semi_external`` pool honours the semi-external model;
 * the paper's 48-hour "INF" timeout is emulated with a
   :class:`~repro._util.WorkBudget`; algorithms that blow the cap are
   reported as ``INF``;
@@ -26,10 +26,10 @@ import pytest
 
 from repro._util import WorkBudget
 from repro.core.api import max_truss
+from repro.engine import EngineConfig
 from repro.errors import WorkLimitExceeded
 from repro.graph.datasets import load_dataset
 from repro.graph.memgraph import Graph
-from repro.storage import BlockDevice
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
@@ -99,12 +99,11 @@ def run_method(
     Returns ``(result_or_None, elapsed_seconds, io_total, peak_mem)``;
     a tripped work budget yields ``(None, elapsed, "INF", "INF")``.
     """
-    device = BlockDevice.for_semi_external(graph.n)
     budget = WorkBudget(limit=work_limit) if work_limit else None
     start = time.perf_counter()
     try:
-        result = max_truss(graph, method=method, device=device, budget=budget,
-                           **kwargs)
+        result = max_truss(graph, method=method, context=EngineConfig(),
+                           budget=budget, **kwargs)
     except WorkLimitExceeded:
         return None, time.perf_counter() - start, "INF", "INF"
     elapsed = time.perf_counter() - start

@@ -8,9 +8,8 @@ knob (memory vs. spill-I/O trade-off).
 Run:  python examples/external_memory_demo.py
 """
 
-from repro import max_truss, semi_lazy_update
+from repro import EngineConfig, max_truss, semi_lazy_update
 from repro.graph.datasets import load_dataset_with_spec
-from repro.storage import BlockDevice
 
 
 def main() -> None:
@@ -25,16 +24,14 @@ def main() -> None:
     print("-" * len(header))
     for method in ("top-down", "semi-binary", "semi-greedy-core",
                    "semi-lazy-update"):
-        device = BlockDevice.for_semi_external(graph.n)
-        result = max_truss(graph, method=method, device=device)
+        result = max_truss(graph, method=method, context=EngineConfig())
         print(f"{result.algorithm:>18} {result.k_max:>6} "
               f"{result.io.read_ios:>8} {result.io.write_ios:>8} "
               f"{result.peak_memory_bytes:>9} {result.elapsed_seconds:>8.2f}")
 
     print("\nLHDH dynamic-heap capacity sweep (memory vs. spill I/O):")
     for capacity in (4, 64, 1024, graph.n):
-        device = BlockDevice.for_semi_external(graph.n)
-        result = semi_lazy_update(graph, device=device, capacity=capacity)
+        result = semi_lazy_update(graph, context=EngineConfig(), capacity=capacity)
         print(f"  capacity={capacity:>5}: io={result.io.total_ios:>7} "
               f"peak_mem={result.peak_memory_bytes:>8}B k_max={result.k_max}")
 

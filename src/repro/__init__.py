@@ -33,7 +33,7 @@ from .core import (
     semi_greedy_core,
     semi_lazy_update,
 )
-from .engine import EngineConfig, ExecutionContext, available_backends
+from .engine import EngineConfig, ExecutionContext, list_backends
 from .errors import ReproError
 from .graph import Graph, MutableGraph, DiskGraph
 from .observability import MetricsRegistry, Tracer, TraceWriter, read_trace
@@ -51,7 +51,7 @@ __all__ = [
     "MemoryMeter",
     "EngineConfig",
     "ExecutionContext",
-    "available_backends",
+    "list_backends",
     "WorkBudget",
     "MaxTrussResult",
     "MaintenanceResult",

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..engine.context import ContextLike
 from ..graph.memgraph import Graph
-from ..storage import BlockDevice
 from ..dynamic.state import DynamicMaxTruss
 
 EdgePair = Tuple[int, int]
@@ -72,7 +71,6 @@ def edge_deletion_attack(
     deletions: int,
     strategy: str = "random",
     seed: Optional[int] = None,
-    device: Optional[BlockDevice] = None,
     context: Optional[ContextLike] = None,
 ) -> AttackTrace:
     """Delete *deletions* edges and trace the ``k_max`` decay.
@@ -89,7 +87,7 @@ def edge_deletion_attack(
     if deletions < 0:
         raise ValueError("deletions must be non-negative")
     rng = np.random.default_rng(seed)
-    state = DynamicMaxTruss(graph, device=device, context=context)
+    state = DynamicMaxTruss(graph, context=context)
     trace = AttackTrace(strategy)
     trace.k_max_history.append(state.k_max)
     trace.class_sizes.append(state.truss_edge_count())

@@ -22,12 +22,11 @@ from ..core.result import MaxTrussResult
 from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph
 from ..semiexternal.support import compute_supports
-from ..storage import BlockDevice, DiskArray
+from ..storage import DiskArray
 
 
 def truss_decomposition_semi_external(
     graph: Graph,
-    device: Optional[BlockDevice] = None,
     budget: Optional[WorkBudget] = None,
     context: Optional[ContextLike] = None,
 ) -> np.ndarray:
@@ -37,14 +36,13 @@ def truss_decomposition_semi_external(
     edge's trussness to a disk array; this returns it as a numpy array
     indexed by the graph's edge ids.
     """
-    return bottom_up(graph, device=device, budget=budget, context=context).extras.get(
+    return bottom_up(graph, budget=budget, context=context).extras.get(
         "trussness", np.zeros(graph.m, dtype=np.int64)
     )
 
 
 def bottom_up(
     graph: Graph,
-    device: Optional[BlockDevice] = None,
     budget: Optional[WorkBudget] = None,
     context: Optional[ContextLike] = None,
 ) -> MaxTrussResult:
@@ -54,7 +52,7 @@ def bottom_up(
     (``extras["trussness"]`` exposes it for tests).
     """
     watch = Stopwatch()
-    ctx = resolve_context(context, device)
+    ctx = resolve_context(context)
     device = ctx.device_for(graph.n)
     memory = ctx.memory
     budget = ctx.new_budget(budget)

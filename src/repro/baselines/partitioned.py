@@ -38,7 +38,6 @@ from ..core.result import MaxTrussResult
 from ..engine.context import ContextLike, resolve_context
 from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph
-from ..storage import BlockDevice
 from .inmemory import truss_decomposition
 
 
@@ -52,7 +51,6 @@ def _partition_bounds(n: int, partitions: int) -> List[range]:
 def partitioned_truss_decomposition(
     graph: Graph,
     partitions: int = 4,
-    device: Optional[BlockDevice] = None,
     budget: Optional[WorkBudget] = None,
     context: Optional[ContextLike] = None,
 ) -> MaxTrussResult:
@@ -63,7 +61,7 @@ def partitioned_truss_decomposition(
     in-memory lower bounds plus a residual exact pass.
     """
     watch = Stopwatch()
-    ctx = resolve_context(context, device)
+    ctx = resolve_context(context)
     device = ctx.device_for(graph.n)
     memory = ctx.memory
     budget = ctx.new_budget(budget)

@@ -33,7 +33,7 @@ from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph
 from ..semiexternal.core_decomp import h_index
 from ..semiexternal.support import compute_supports
-from ..storage import BlockDevice, DiskArray
+from ..storage import DiskArray
 from .inmemory import truss_decomposition
 
 
@@ -96,14 +96,13 @@ def _refine_upper_bounds(
 
 def top_down(
     graph: Graph,
-    device: Optional[BlockDevice] = None,
     budget: Optional[WorkBudget] = None,
     refine_rounds: int = 2,
     context: Optional[ContextLike] = None,
 ) -> MaxTrussResult:
     """Compute the ``k_max``-truss with the Top-Down baseline."""
     watch = Stopwatch()
-    ctx = resolve_context(context, device)
+    ctx = resolve_context(context)
     device = ctx.device_for(graph.n)
     memory = ctx.memory
     budget = ctx.new_budget(budget)

@@ -8,7 +8,6 @@ from .._util import WorkBudget
 from ..engine.context import ContextLike, resolve_context
 from ..errors import UnknownMethodError
 from ..graph.memgraph import Graph
-from ..storage import BlockDevice
 from .result import MaxTrussResult
 from .semi_binary import semi_binary
 from .semi_greedy_core import semi_greedy_core
@@ -39,7 +38,6 @@ def available_methods() -> list:
 def max_truss(
     graph: Graph,
     method: str = "semi-lazy-update",
-    device: Optional[BlockDevice] = None,
     budget: Optional[WorkBudget] = None,
     context: Optional[ContextLike] = None,
     **kwargs,
@@ -58,9 +56,6 @@ def max_truss(
         :class:`~repro.engine.EngineConfig`) selecting the storage backend
         and aggregating I/O/memory across runs. The ``in-memory`` method
         charges no I/O regardless of the context's backend.
-    device:
-        Deprecated adapter shim: a caller-built device. Rejected for the
-        ``in-memory`` method, which cannot honour it.
     budget / kwargs:
         Forwarded to the selected algorithm.
 
@@ -78,13 +73,7 @@ def max_truss(
             f"unknown method {method!r}; available: {', '.join(sorted(table))}"
         ) from None
     if method == "in-memory":
-        if device is not None:
-            raise ValueError(
-                "method 'in-memory' performs no charged I/O and cannot use "
-                "the given device; drop device= or select "
-                "context=EngineConfig(backend='inmemory')"
-            )
         return implementation(graph, **kwargs)
-    ctx = resolve_context(context, device)
+    ctx = resolve_context(context)
     with ctx.phase(method):
         return implementation(graph, budget=budget, context=ctx, **kwargs)

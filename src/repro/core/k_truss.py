@@ -21,7 +21,7 @@ from ..engine.context import ContextLike, resolve_context
 from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph
 from ..semiexternal.support import compute_supports
-from ..storage import BlockDevice, IOStats
+from ..storage import IOStats
 from .peeling import make_lhdh_heap, make_plain_heap
 from .semi_binary import build_sorted_edge_file, materialise_truss
 
@@ -55,7 +55,6 @@ class KTrussResult:
 def k_truss_semi_external(
     graph: Graph,
     k: int,
-    device: Optional[BlockDevice] = None,
     budget: Optional[WorkBudget] = None,
     lazy: bool = True,
     context: Optional[ContextLike] = None,
@@ -78,7 +77,7 @@ def k_truss_semi_external(
     if k < 2:
         raise ValueError("k must be at least 2")
     watch = Stopwatch()
-    ctx = resolve_context(context, device)
+    ctx = resolve_context(context)
     device = ctx.device_for(graph.n)
     budget = ctx.new_budget(budget)
     io_start = device.stats.snapshot()

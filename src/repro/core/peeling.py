@@ -7,18 +7,15 @@ triangle with it* (Alg 1 lines 11–18, Alg 2 lines 15–22, Alg 4).
 
 The kernel here is written once against a duck-typed **peel-heap protocol**:
 
-``__len__``, ``min_key()``, ``pop_min()``, ``collect_min_class()``,
-``pop_edge(eid)``, ``key_if_alive(eid)``, ``decrement_edge(eid, level)``,
+``__len__``, ``min_key()``, ``collect_min_class()``, ``pop_edge(eid)``,
+``probe_keys(eids)``, ``decrement_edges(eids, keys, level)``,
 ``after_kernel()``, ``live_items()``, ``release()``
 
 :func:`peel_below` drains the heap in *waves*: one wave is the entire
 minimum support class, processed in ascending edge-id order. Because a
 decrement never moves a key at-or-below the wave's level, wave membership
 is fixed at collection time — which makes the peel order fully
-deterministic (independent of heap insertion history) and lets the wave's
-triangle-partner tables be precomputed in parallel
-(:mod:`repro.parallel.peel`) while the parent keeps every heap mutation
-and every charged I/O to itself.
+deterministic (independent of heap insertion history).
 
 Two implementations exist:
 
@@ -95,16 +92,6 @@ class PlainDiskHeap:
         """Remove a specific (alive) edge; returns its key."""
         return self.lheap.remove(eid)
 
-    def key_if_alive(self, eid: int) -> Optional[int]:
-        if not self.lheap.contains(eid):
-            return None
-        return self.lheap.key_of(eid)
-
-    def decrement_edge(self, eid: int, level: int) -> None:
-        key = self.lheap.key_of(eid)
-        if key > level:
-            self.lheap.update_key(eid, key - 1)
-
     def probe_keys(self, eids: np.ndarray) -> np.ndarray:
         """Batched aliveness/key probe (``-1`` marks a dead edge)."""
         return self.lheap.probe_keys(eids)
@@ -171,15 +158,29 @@ class PeelStats:
         self.kernel_calls += other.kernel_calls
 
 
-def _apply_triangle_updates(heap, f_ids, g_ids, level: int) -> int:
-    """Probe/decrement the aligned triangle partners of one popped edge.
+def delete_edge_kernel(heap, subgraph: DiskGraph, eid: int, level: int) -> int:
+    """Process the triangles of a just-popped edge (Algorithm 4 core).
 
-    Batched round: all triangle partners of the popped edge are distinct
+    Returns the number of still-alive triangles destroyed. ``level`` is the
+    popped edge's support: neighbouring edges with key above it are
+    decremented; edges at or below it are pending deletion themselves.
+
+    All triangle partners of the popped edge are distinct
     (``f_i = (u, w_i)``, ``g_i = (v, w_i)`` with ``w_i != u, v``), so
-    probing them together — and decrementing with the probed keys — is
-    exactly equivalent to the interleaved scalar loop. Returns the number
-    of still-alive triangles destroyed.
+    probing them in one batch — and decrementing with the probed keys — is
+    exactly equivalent to probing and decrementing them one triangle at a
+    time.
     """
+    u, v = subgraph.load_endpoints(eid)
+    nbrs_u, eids_u = subgraph.load_neighbors_with_eids(u)
+    nbrs_v, eids_v = subgraph.load_neighbors_with_eids(v)
+    common, index_u, index_v = np.intersect1d(
+        nbrs_u, nbrs_v, assume_unique=True, return_indices=True
+    )
+    if len(common) == 0:
+        return 0
+    f_ids = eids_u[index_u]
+    g_ids = eids_v[index_v]
     f_keys = heap.probe_keys(f_ids)
     g_keys = heap.probe_keys(g_ids)
     alive = (f_keys >= 0) & (g_keys >= 0)
@@ -194,80 +195,6 @@ def _apply_triangle_updates(heap, f_ids, g_ids, level: int) -> int:
             # triangle by triangle.
             heap.decrement_edges(pair_eids[above], pair_keys[above], level)
     return destroyed
-
-
-def delete_edge_kernel(heap, subgraph: DiskGraph, eid: int, level: int) -> int:
-    """Process the triangles of a just-popped edge (Algorithm 4 core).
-
-    Returns the number of still-alive triangles destroyed. ``level`` is the
-    popped edge's support: neighbouring edges with key above it are
-    decremented; edges at or below it are pending deletion themselves.
-    """
-    u, v = subgraph.load_endpoints(eid)
-    nbrs_u, eids_u = subgraph.load_neighbors_with_eids(u)
-    nbrs_v, eids_v = subgraph.load_neighbors_with_eids(v)
-    common, index_u, index_v = np.intersect1d(
-        nbrs_u, nbrs_v, assume_unique=True, return_indices=True
-    )
-    if len(common) == 0:
-        return 0
-    if hasattr(heap, "probe_keys"):
-        return _apply_triangle_updates(
-            heap, eids_u[index_u], eids_v[index_v], level
-        )
-    destroyed = 0
-    for position in range(len(common)):
-        f = int(eids_u[index_u[position]])
-        g = int(eids_v[index_v[position]])
-        f_key = heap.key_if_alive(f)
-        if f_key is None:
-            continue
-        g_key = heap.key_if_alive(g)
-        if g_key is None:
-            continue
-        destroyed += 1
-        if f_key > level:
-            heap.decrement_edge(f, level)
-        if g_key > level:
-            heap.decrement_edge(g, level)
-    return destroyed
-
-
-def delete_edge_kernel_precomputed(
-    heap,
-    subgraph: DiskGraph,
-    eid: int,
-    level: int,
-    u: int,
-    v: int,
-    f_ids: np.ndarray,
-    g_ids: np.ndarray,
-) -> int:
-    """:func:`delete_edge_kernel` with the triangle partners precomputed.
-
-    The parallel wave precompute (:mod:`repro.parallel.peel`) already
-    intersected ``N(u)`` / ``N(v)`` from the shared image, so the parent
-    skips the CPU work — but still charges the kernel's graph loads
-    (endpoint pair, both adjacency+edge-id slices) through the device's
-    charge-only touch path, offset for offset what the serial kernel's
-    reads issue. The probe/decrement sequence against the live heap is
-    the shared :func:`_apply_triangle_updates`.
-    """
-    device = subgraph.device
-    itemsize = subgraph.edge_endpoints.itemsize
-    device.touch_read(
-        subgraph.edge_endpoints.extent, 2 * eid * itemsize, 2 * itemsize
-    )
-    offsets = subgraph.offsets
-    for w in (u, v):
-        start = int(offsets[w])
-        nbytes = (int(offsets[w + 1]) - start) * itemsize
-        if nbytes:
-            device.touch_read(subgraph.adj.extent, start * itemsize, nbytes)
-            device.touch_read(subgraph.adj_eids.extent, start * itemsize, nbytes)
-    if len(f_ids) == 0:
-        return 0
-    return _apply_triangle_updates(heap, f_ids, g_ids, level)
 
 
 def peel_below(
@@ -287,13 +214,8 @@ def peel_below(
     A decrement never moves a key to or below the wave's level, so no
     member's key changes mid-wave and edges demoted into the class simply
     form the next wave — the peel order depends only on (key, edge id),
-    never on heap insertion history. When an ambient parallel executor is
-    active and the wave is wide enough, the wave's triangle-partner tables
-    are precomputed on the worker pool; every heap mutation and every
-    charged I/O still happens here, in the same per-edge order.
+    never on heap insertion history.
     """
-    from ..parallel.executor import active_executor
-
     stats = PeelStats()
     with trace_span("peel", kind="kernel", threshold=support_threshold):
         while len(heap):
@@ -301,27 +223,11 @@ def peel_below(
             if current_min is None or current_min >= support_threshold:
                 break
             level, wave = heap.collect_min_class()
-            partners = None
-            executor = active_executor()
-            if (
-                executor is not None
-                and executor.wants_wave(len(wave))
-                and hasattr(heap, "probe_keys")
-            ):
-                from ..parallel.peel import precompute_wave_partners
-
-                partners = precompute_wave_partners(executor, subgraph, wave)
             for eid in wave:
                 if budget is not None:
                     budget.spend()
                 heap.pop_edge(eid)
-                if partners is None:
-                    destroyed = delete_edge_kernel(heap, subgraph, eid, level)
-                else:
-                    u, v, f_ids, g_ids = partners[eid]
-                    destroyed = delete_edge_kernel_precomputed(
-                        heap, subgraph, eid, level, u, v, f_ids, g_ids
-                    )
+                destroyed = delete_edge_kernel(heap, subgraph, eid, level)
                 stats.destroyed_triangles += destroyed
                 heap.after_kernel()
                 stats.removed_edges += 1

@@ -36,7 +36,7 @@ from ..semiexternal.support import (
     prefix_positions,
     support_histogram,
 )
-from ..storage import BlockDevice, DiskArray, MemoryMeter
+from ..storage import DiskArray, MemoryMeter
 from ..storage.external_sort import external_argsort_by_key
 from . import bounds
 from .peeling import (
@@ -427,7 +427,6 @@ def _widen_upward(
 
 def semi_binary(
     graph: Graph,
-    device: Optional[BlockDevice] = None,
     budget: Optional[WorkBudget] = None,
     sort_memory_elems: int = 1 << 16,
     context: Optional[ContextLike] = None,
@@ -440,9 +439,6 @@ def semi_binary(
     graph:
         The input graph (materialised onto the context's device before
         timing-relevant work, mirroring the paper's excluded preprocessing).
-    device:
-        Deprecated adapter shim: a caller-built simulated disk. Prefer
-        *context*.
     budget:
         Optional work cap (the "INF" emulation for benchmarks); defaults
         to the context's ``work_limit``.
@@ -463,13 +459,13 @@ def semi_binary(
         device, so the run's bill stays honest.
     """
     watch = Stopwatch()
-    ctx = resolve_context(context, device)
+    ctx = resolve_context(context)
     device = ctx.device_for(graph.n)
     memory = ctx.memory
     budget = ctx.new_budget(budget)
-    # Sharding-aware kernels (support scans — including every binary-search
-    # probe's — and the peel waves) dispatch onto the context's worker pool
-    # inside this scope; a serial config makes it a free no-op.
+    # Sharding-aware support scans — including every binary-search probe's —
+    # dispatch onto the context's worker pool inside this scope; a serial
+    # config makes it a free no-op.
     with ctx.parallel_kernels():
         disk_graph = DiskGraph(graph, device, memory, name="G")
         io_start = device.stats.snapshot()

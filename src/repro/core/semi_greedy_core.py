@@ -28,7 +28,7 @@ from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph
 from ..semiexternal.core_decomp import semi_external_core_decomposition
 from ..semiexternal.support import compute_supports
-from ..storage import BlockDevice, MemoryMeter
+from ..storage import MemoryMeter
 from . import bounds
 from .peeling import (
     extract_truss_pairs,
@@ -89,7 +89,6 @@ def greedy_core_flow(
     graph: Graph,
     algorithm: str,
     heap_factory: HeapFactory,
-    device: Optional[BlockDevice] = None,
     budget: Optional[WorkBudget] = None,
     capacity: Optional[int] = None,
     sort_memory_elems: int = 1 << 16,
@@ -99,14 +98,14 @@ def greedy_core_flow(
 
     ``heap_factory`` selects the peel structure: eager ``A_disk``
     (:func:`make_plain_heap`, Algorithm 2) or lazy LHDH
-    (:func:`make_lhdh_heap`, Algorithm 3). Storage comes from *context*
-    (or the deprecated *device* shim). The whole flow runs inside the
-    context's :meth:`~repro.engine.ExecutionContext.parallel_kernels`
-    scope, so the support scans and peel waves shard onto the worker pool
-    when the config asks for workers (serial configs: free no-op).
+    (:func:`make_lhdh_heap`, Algorithm 3). Storage comes from *context*.
+    The whole flow runs inside the context's
+    :meth:`~repro.engine.ExecutionContext.parallel_kernels` scope, so the
+    support scans shard onto the worker pool when the config asks for
+    workers (serial configs: free no-op).
     """
     watch = Stopwatch()
-    ctx = resolve_context(context, device)
+    ctx = resolve_context(context)
     with ctx.parallel_kernels():
         return _greedy_core_flow_impl(
             graph, algorithm, heap_factory, ctx, budget, capacity,
@@ -227,7 +226,6 @@ def _greedy_core_flow_impl(
 
 def semi_greedy_core(
     graph: Graph,
-    device: Optional[BlockDevice] = None,
     budget: Optional[WorkBudget] = None,
     sort_memory_elems: int = 1 << 16,
     context: Optional[ContextLike] = None,
@@ -237,7 +235,6 @@ def semi_greedy_core(
         graph,
         "SemiGreedyCore",
         make_plain_heap,
-        device=device,
         budget=budget,
         sort_memory_elems=sort_memory_elems,
         context=context,

@@ -18,7 +18,6 @@ from typing import Optional
 from .._util import WorkBudget
 from ..engine.context import ContextLike
 from ..graph.memgraph import Graph
-from ..storage import BlockDevice
 from .peeling import make_lhdh_heap
 from .result import MaxTrussResult
 from .semi_greedy_core import greedy_core_flow
@@ -26,7 +25,6 @@ from .semi_greedy_core import greedy_core_flow
 
 def semi_lazy_update(
     graph: Graph,
-    device: Optional[BlockDevice] = None,
     budget: Optional[WorkBudget] = None,
     capacity: Optional[int] = None,
     sort_memory_elems: int = 1 << 16,
@@ -48,7 +46,6 @@ def semi_lazy_update(
         graph,
         "SemiLazyUpdate",
         factory,
-        device=device,
         budget=budget,
         capacity=capacity,
         sort_memory_elems=sort_memory_elems,

@@ -45,7 +45,6 @@ from ..errors import GraphFormatError
 from ..graph.memgraph import Graph
 from ..observability.metrics import global_metrics
 from ..observability.tracer import trace_span
-from ..storage import BlockDevice
 from .state import DynamicMaxTruss
 
 PathLike = Union[str, Path]
@@ -209,24 +208,22 @@ def read_checkpoint_image(path: PathLike) -> CheckpointImage:
 
 def load_checkpoint(
     path: PathLike,
-    device: Optional[BlockDevice] = None,
     context: Optional[ContextLike] = None,
 ) -> DynamicMaxTruss:
     """Restore a :class:`DynamicMaxTruss` from *path*.
 
     The restored state is behaviourally identical to the saved one (same
     answers, same stable edge ids); the storage context starts fresh
-    unless an existing *context* (or deprecated *device*) is supplied.
+    unless an existing *context* is supplied.
     The WAL sequence recorded at save time is exposed as
     ``state.recovered_wal_seq`` (0 for version-1 checkpoints).
     """
     with trace_span("checkpoint.load", kind="device"):
-        return _load_checkpoint_impl(path, device, context)
+        return _load_checkpoint_impl(path, context)
 
 
 def _load_checkpoint_impl(
     path: PathLike,
-    device: Optional[BlockDevice],
     context: Optional[ContextLike],
 ) -> DynamicMaxTruss:
     with open(path, "rb") as handle:
@@ -259,7 +256,7 @@ def _load_checkpoint_impl(
 
     # Rebuild through the normal constructor on an empty graph, then
     # overwrite the logical state (keeps file/memory charging coherent).
-    state = DynamicMaxTruss(Graph.empty(n), device=device, context=context)
+    state = DynamicMaxTruss(Graph.empty(n), context=context)
     for u, v, eid in edge_rows:
         state.graph._insert_with_eid(int(u), int(v), int(eid))
     state.adj_file.charge_rebuild(

@@ -32,7 +32,6 @@ from ..graph.memgraph import Graph, MutableGraph
 from ..observability.tracer import trace_span
 from ..semiexternal.core_decomp import core_decomposition_inmemory
 from ..semiexternal.support import compute_supports
-from ..storage import BlockDevice
 from .adjacency_file import AdjacencyFile
 
 EdgePair = Tuple[int, int]
@@ -50,9 +49,6 @@ class DynamicMaxTruss:
         :class:`~repro.engine.ExecutionContext` (or bare
         :class:`~repro.engine.EngineConfig`) providing the storage backend
         shared by the graph file, truss file and any global-phase scratch.
-    device:
-        Deprecated adapter shim: a caller-built simulated disk. Prefer
-        *context*.
     local_budget:
         Optional cap on local-cascade work; beyond it the update transitions
         to the global tier (the paper's two-tiered strategy). ``None``
@@ -72,11 +68,10 @@ class DynamicMaxTruss:
     def __init__(
         self,
         graph: Graph,
-        device: Optional[BlockDevice] = None,
         local_budget: Optional[int] = None,
         context: Optional[ContextLike] = None,
     ) -> None:
-        self.context = resolve_context(context, device)
+        self.context = resolve_context(context)
         self.device = self.context.device_for(graph.n)
         self.memory = self.context.memory
         if local_budget is None:

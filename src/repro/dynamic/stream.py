@@ -16,7 +16,6 @@ from typing import Deque, Iterable, Iterator, List, Optional, Tuple
 
 from ..engine.context import ContextLike
 from ..graph.memgraph import Graph
-from ..storage import BlockDevice
 from .state import DynamicMaxTruss
 
 EdgePair = Tuple[int, int]
@@ -134,7 +133,6 @@ class SlidingWindowTruss:
         self,
         window: int,
         batch_size: int = 1,
-        device: Optional[BlockDevice] = None,
         context: Optional[ContextLike] = None,
         history_capacity: int = DEFAULT_HISTORY_CAPACITY,
     ) -> None:
@@ -144,9 +142,7 @@ class SlidingWindowTruss:
             raise ValueError("batch_size must be at least 1")
         self.window = window
         self.batch_size = batch_size
-        self.state = DynamicMaxTruss(
-            Graph.empty(0), device=device, context=context
-        )
+        self.state = DynamicMaxTruss(Graph.empty(0), context=context)
         self._live: Deque[EdgePair] = deque()
         self._live_set: set = set()
         self._pending: List[Tuple[str, int, int]] = []

@@ -32,7 +32,6 @@ from ..core.result import MaintenanceResult
 from ..engine.context import ContextLike, resolve_context
 from ..errors import GraphFormatError
 from ..graph.memgraph import Graph, MutableGraph
-from ..storage import BlockDevice
 from .adjacency_file import AdjacencyFile
 
 EdgePair = Tuple[int, int]
@@ -44,10 +43,9 @@ class YLJMaintenance:
     def __init__(
         self,
         graph: Graph,
-        device: Optional[BlockDevice] = None,
         context: Optional[ContextLike] = None,
     ) -> None:
-        self.context = resolve_context(context, device)
+        self.context = resolve_context(context)
         self.device = self.context.device_for(graph.n)
         self.memory = self.context.memory
         self.graph: MutableGraph = graph.to_mutable()

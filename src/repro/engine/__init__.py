@@ -1,14 +1,14 @@
 """Engine layer: one execution context + pluggable storage backends.
 
-Centralises what used to be per-function ``device=None`` plumbing:
+The one way algorithms choose and share storage:
 
 * :class:`EngineConfig` — the declarative recipe (backend, block size,
-  cache size/policy, batch fast path, work budget, trace hooks);
+  cache size/policy, work budget, trace hooks);
 * :class:`ExecutionContext` — the live run state (device construction,
   I/O + memory aggregation, phases);
 * the **backend registry** — ``simulated`` / ``reference`` / ``inmemory``
-  built in, :func:`register_backend` for new ones (e.g. a future
-  mmap-file device).
+  built in, ``file`` / ``mmap`` from :mod:`repro.persistence`,
+  :func:`register_backend` for new ones.
 
 Typical use::
 
@@ -24,18 +24,12 @@ Typical use::
 from .config import EngineConfig, TraceHook
 from .backends import (
     BackendFactory,
-    available_backends,
     list_backends,
     make_device,
     register_backend,
     unregister_backend,
 )
-from .context import (
-    ContextLike,
-    ExecutionContext,
-    ensure_device,
-    resolve_context,
-)
+from .context import ContextLike, ExecutionContext, resolve_context
 
 __all__ = [
     "EngineConfig",
@@ -43,13 +37,11 @@ __all__ = [
     "ContextLike",
     "TraceHook",
     "BackendFactory",
-    "available_backends",
     "list_backends",
     "make_device",
     "register_backend",
     "unregister_backend",
     "resolve_context",
-    "ensure_device",
 ]
 
 # The "file" and "mmap" backends live in repro.persistence, which imports

@@ -4,28 +4,32 @@ Backends decouple *what an algorithm does* from *what storage it charges*.
 A backend factory receives the :class:`~repro.engine.config.EngineConfig`,
 the vertex count of the graph being materialised (for semi-external pool
 auto-sizing) and a shared :class:`~repro.storage.IOStats`, and returns a
-ready :class:`~repro.storage.BlockDevice`.
+ready :class:`~repro.storage.BlockDevice`. Every built-in factory goes
+through :func:`build_device`, so pool sizing is decided in one place.
 
 Built-ins
 ---------
 ``simulated``
-    Today's :class:`~repro.storage.BlockDevice` — the block-I/O simulator
-    with the vectorized batch accounting (or the scalar loop when the
-    config disables ``batch_fast_path``).
+    :class:`~repro.storage.BlockDevice` — the block-I/O simulator with the
+    vectorized batch accounting.
 ``reference``
     :class:`~repro.storage.ReferenceBlockDevice` — the executable scalar
     spec of the accounting contract; identical counts, no fast path.
 ``inmemory``
     :class:`~repro.storage.InMemoryBlockDevice` — null charging; for
     ground-truth answers and CI-speed runs.
+``file`` / ``mmap``
+    Registered by :mod:`repro.persistence` (real spill file / tiered
+    page-cache model; charged bill identical to ``simulated``).
 
 Third-party backends register through :func:`register_backend`; anything
-that builds a ``BlockDevice``-compatible object (e.g. a future mmap-file
-device that moves real bytes) slots in without touching the algorithms.
+that builds a ``BlockDevice``-compatible object slots in without touching
+the algorithms.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..errors import DeviceError
@@ -63,20 +67,15 @@ def unregister_backend(name: str) -> None:
     del _REGISTRY[name]
 
 
-def available_backends() -> List[str]:
-    """Sorted names accepted by :class:`EngineConfig.backend`."""
-    return sorted(_REGISTRY)
-
-
 def list_backends() -> List[str]:
     """Sorted registered backend names.
 
     The canonical enumeration surface: the CLI's ``--backend`` choices and
     help text, report stamps, and the unknown-backend error message all go
     through here, so a newly registered backend shows up everywhere at
-    once. (:func:`available_backends` is the original alias.)
+    once.
     """
-    return available_backends()
+    return sorted(_REGISTRY)
 
 
 def make_device(
@@ -96,38 +95,31 @@ def make_device(
     return factory(config, num_vertices, stats)
 
 
-def _build_simulated(
-    cls, config: EngineConfig, num_vertices: int, stats: Optional[IOStats]
+def build_device(
+    cls,
+    config: EngineConfig,
+    num_vertices: int,
+    stats: Optional[IOStats] = None,
+    **extras,
 ) -> BlockDevice:
+    """Build a *cls* device for *config*.
+
+    An explicit ``config.cache_blocks`` fixes the pool size; ``None``
+    keeps the semi-external auto-sizing of
+    :meth:`~repro.storage.BlockDevice.for_semi_external` for
+    *num_vertices*. *extras* are the backend's own constructor knobs.
+    """
     if config.cache_blocks is not None:
         return cls(
-            config.block_size,
-            config.cache_blocks,
-            stats=stats,
-            policy=config.cache_policy,
+            config.block_size, config.cache_blocks, stats=stats,
+            policy=config.cache_policy, **extras,
         )
     return cls.for_semi_external(
-        num_vertices,
-        block_size=config.block_size,
-        headroom=config.headroom,
-        stats=stats,
-        policy=config.cache_policy,
+        num_vertices, block_size=config.block_size, stats=stats,
+        policy=config.cache_policy, **extras,
     )
 
 
-def _simulated_backend(config, num_vertices, stats):
-    cls = BlockDevice if config.batch_fast_path else ReferenceBlockDevice
-    return _build_simulated(cls, config, num_vertices, stats)
-
-
-def _reference_backend(config, num_vertices, stats):
-    return _build_simulated(ReferenceBlockDevice, config, num_vertices, stats)
-
-
-def _inmemory_backend(config, num_vertices, stats):
-    return _build_simulated(InMemoryBlockDevice, config, num_vertices, stats)
-
-
-register_backend("simulated", _simulated_backend)
-register_backend("reference", _reference_backend)
-register_backend("inmemory", _inmemory_backend)
+register_backend("simulated", partial(build_device, BlockDevice))
+register_backend("reference", partial(build_device, ReferenceBlockDevice))
+register_backend("inmemory", partial(build_device, InMemoryBlockDevice))

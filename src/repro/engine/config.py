@@ -51,27 +51,19 @@ class EngineConfig:
     ----------
     backend:
         Storage backend name from the registry
-        (:func:`repro.engine.backends.available_backends`): ``simulated``
+        (:func:`repro.engine.backends.list_backends`): ``simulated``
         (the block-device simulator, default), ``reference`` (the scalar
-        accounting spec), or ``inmemory`` (null charging).
+        accounting spec), ``inmemory`` (null charging), ``file`` or
+        ``mmap``.
     block_size:
         Bytes per block (``B`` in the I/O model).
     cache_blocks:
         Buffer-pool frames (``M/B``). ``None`` (default) keeps the
         semi-external auto-sizing of
         :meth:`repro.storage.BlockDevice.for_semi_external`, scaled by
-        *headroom* and the vertex count of the first graph the context
-        touches.
+        the vertex count of the first graph the context touches.
     cache_policy:
         Block replacement policy: ``lru`` / ``fifo`` / ``clock``.
-    headroom:
-        Multiplier for the auto-sized pool (ignored when *cache_blocks*
-        is explicit).
-    batch_fast_path:
-        Whether the ``simulated`` backend uses the vectorized batch
-        accounting (PR-1 fast path). ``False`` routes batch touches
-        through the scalar reference loop — identical I/O, slower, useful
-        when auditing a new access pattern.
     work_limit:
         Optional cap on abstract work units per run; algorithms receive a
         fresh :class:`~repro._util.WorkBudget` built from it, and
@@ -102,10 +94,9 @@ class EngineConfig:
         produce bit-identical results and charge a bit-identical I/O bill
         (the ledger-merge replay — see docs/io_model.md).
     parallel_threshold:
-        Minimum work size (edges for a support scan, wave width for a
-        peel round) before a kernel is sharded; smaller kernels run
-        serially to dodge dispatch overhead. Gating never affects the
-        charged bill.
+        Minimum edge count before a support scan is sharded; smaller
+        scans run serially to dodge dispatch overhead. Gating never
+        affects the charged bill.
     trace:
         Optional hook called as ``trace(event, payload)`` at engine events
         (device construction, phase boundaries).
@@ -160,8 +151,6 @@ class EngineConfig:
     block_size: int = DEFAULT_BLOCK_SIZE
     cache_blocks: Optional[int] = None
     cache_policy: str = "lru"
-    headroom: float = 4.0
-    batch_fast_path: bool = True
     work_limit: Optional[int] = None
     data_dir: Optional[str] = None
     fsync_policy: str = "close"
@@ -201,8 +190,6 @@ class EngineConfig:
                 f"unknown cache policy {self.cache_policy!r}; "
                 f"known: {', '.join(_POLICIES)}"
             )
-        if self.headroom <= 0:
-            raise DeviceError(f"headroom must be positive, got {self.headroom}")
         if self.work_limit is not None and self.work_limit <= 0:
             raise DeviceError(
                 f"work_limit must be positive or None, got {self.work_limit}"
@@ -290,8 +277,6 @@ class EngineConfig:
             "block_size": self.block_size,
             "cache_blocks": self.cache_blocks,
             "cache_policy": self.cache_policy,
-            "headroom": self.headroom,
-            "batch_fast_path": self.batch_fast_path,
             "work_limit": self.work_limit,
             "data_dir": self.data_dir,
             "fsync_policy": self.fsync_policy,
@@ -322,8 +307,6 @@ class EngineConfig:
             f"cache_blocks={cache}",
             f"policy={self.cache_policy}",
         ]
-        if not self.batch_fast_path:
-            parts.append("fast_path=off")
         if self.workers > 1:
             parts.append(f"workers={self.workers}")
         if self.work_limit is not None:

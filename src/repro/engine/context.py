@@ -21,9 +21,7 @@ An :class:`ExecutionContext` owns the live half of an
   bit-identical to an untraced run.
 
 Every algorithm entry point accepts ``context=`` (an ``ExecutionContext``
-or a bare ``EngineConfig``); the historical ``device=`` argument still
-works through :func:`resolve_context`'s adapter shim and is deprecated in
-the docs.
+or a bare ``EngineConfig``) — the only way to choose storage.
 """
 
 from __future__ import annotations
@@ -48,10 +46,6 @@ class ExecutionContext:
     ----------
     config:
         The recipe; a default :class:`EngineConfig` when omitted.
-    device:
-        Pre-built device to pin (the ``device=`` adapter shim). When
-        given, the backend field of *config* is ignored — the pinned
-        device *is* the backend.
     readonly:
         When ``True``, the context's device rejects every write-side
         touch (``touch_write`` / ``touch_write_batch`` / ``append_write``
@@ -71,15 +65,12 @@ class ExecutionContext:
     def __init__(
         self,
         config: Optional[EngineConfig] = None,
-        device: Optional[BlockDevice] = None,
         readonly: bool = False,
     ) -> None:
         self.config = (config if config is not None else EngineConfig()).validate()
         self.readonly = readonly
-        self._device: Optional[BlockDevice] = device
-        if device is not None and readonly:
-            device.readonly = True
-        self.stats: IOStats = device.stats if device is not None else IOStats()
+        self._device: Optional[BlockDevice] = None
+        self.stats = IOStats()
         self.memory = MemoryMeter()
         #: ``(phase_name, IOStats delta)`` records appended by :meth:`phase`.
         self.phase_log: List[Tuple[str, IOStats]] = []
@@ -88,11 +79,6 @@ class ExecutionContext:
         #: Lazily-built parallel tier (``config.workers > 1`` only).
         self._executor = None
         self._closed = False
-
-    @classmethod
-    def for_device(cls, device: BlockDevice) -> "ExecutionContext":
-        """Adapter shim wrapping a caller-built device (deprecated path)."""
-        return cls(device=device)
 
     # ------------------------------------------------------------------ #
     # device / budget construction
@@ -223,10 +209,10 @@ class ExecutionContext:
     def parallel_kernels(self) -> Iterator[object]:
         """Make this context's executor ambient for the scope.
 
-        Inside the scope, sharding-aware leaf kernels (the support scan,
-        the peel waves) dispatch onto the worker pool when they cross
-        ``config.parallel_threshold``; with ``workers <= 1`` the scope is
-        a free no-op and everything stays on the serial path.
+        Inside the scope, support scans dispatch onto the worker pool
+        when they cross ``config.parallel_threshold``; with
+        ``workers <= 1`` the scope is a free no-op and everything stays on
+        the serial path.
         """
         executor = self.parallel_executor()
         if executor is None:
@@ -302,28 +288,15 @@ class ExecutionContext:
         return f"ExecutionContext({self.config.summary()}, {state})"
 
 
-def resolve_context(
-    context: Optional[ContextLike] = None,
-    device: Optional[BlockDevice] = None,
-) -> ExecutionContext:
-    """Normalise an algorithm's ``(context=, device=)`` pair to a context.
+def resolve_context(context: Optional[ContextLike] = None) -> ExecutionContext:
+    """Normalise an algorithm's ``context=`` argument to a context.
 
-    * neither given — a fresh default context (exactly the historical
-      per-call ``BlockDevice.for_semi_external`` behaviour);
-    * ``device`` only — the adapter shim pinning that device (the
-      deprecated pre-engine idiom, kept for back-compat);
-    * ``context`` only — the context itself, or a fresh context wrapping a
-      bare :class:`EngineConfig`;
-    * both — an error: the pinned device would silently override the
-      context's backend.
+    ``None`` gives a fresh default context (the per-call
+    ``BlockDevice.for_semi_external`` sizing); an :class:`EngineConfig`
+    gives a fresh context wrapping it; an :class:`ExecutionContext` is
+    returned as is.
     """
-    if context is not None and device is not None:
-        raise DeviceError(
-            "pass either context= or the deprecated device=, not both"
-        )
     if context is None:
-        if device is not None:
-            return ExecutionContext.for_device(device)
         return ExecutionContext()
     if isinstance(context, EngineConfig):
         return ExecutionContext(context)
@@ -331,25 +304,4 @@ def resolve_context(
         return context
     raise DeviceError(
         f"context must be an ExecutionContext or EngineConfig, got {type(context).__name__}"
-    )
-
-
-def ensure_device(
-    device: Union[BlockDevice, ContextLike, None],
-    num_vertices: int = 0,
-) -> Optional[BlockDevice]:
-    """Unwrap a device-or-context operand to a plain device.
-
-    Lets device-first constructors (heaps, :class:`~repro.graph.DiskGraph`)
-    accept an :class:`ExecutionContext` / :class:`EngineConfig` where they
-    historically took a :class:`~repro.storage.BlockDevice`. ``None``
-    passes through for call sites with their own defaulting.
-    """
-    if device is None or isinstance(device, BlockDevice):
-        return device
-    if isinstance(device, (ExecutionContext, EngineConfig)):
-        return resolve_context(device).device_for(num_vertices)
-    raise DeviceError(
-        f"expected a BlockDevice, ExecutionContext or EngineConfig, "
-        f"got {type(device).__name__}"
     )

@@ -22,7 +22,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.context import ensure_device
 from ..storage import BlockDevice, DiskArray, MemoryMeter
 from .memgraph import Graph
 
@@ -31,9 +30,7 @@ class DiskGraph:
     """An immutable graph whose adjacency lives on a simulated disk.
 
     Build one with :meth:`from_graph`. The in-memory footprint is the node
-    table only — ``O(n)`` — as the semi-external model allows. *device*
-    also accepts an :class:`~repro.engine.ExecutionContext` or
-    :class:`~repro.engine.EngineConfig` (unwrapped to its device).
+    table only — ``O(n)`` — as the semi-external model allows.
     """
 
     def __init__(
@@ -43,7 +40,6 @@ class DiskGraph:
         memory: Optional[MemoryMeter] = None,
         name: str = "G",
     ) -> None:
-        device = ensure_device(device, graph.n)
         self.device = device if device is not None else BlockDevice()
         self.memory = memory if memory is not None else MemoryMeter()
         self.name = name

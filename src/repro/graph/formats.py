@@ -10,9 +10,8 @@
   :func:`repro.graph.edgelist.write_binary`.
 * **``.rgr``** — the checksummed binary CSR image
   (:mod:`repro.persistence.graph_file`): loads with no per-edge Python,
-  the analogue of the paper's offline "binary adjacency list" conversion.
-  Re-exported here lazily — the persistence package initialises after the
-  graph package, so a module-level import would see it half-built.
+  the analogue of the paper's offline "binary adjacency list" conversion,
+  re-exported here.
 """
 
 from __future__ import annotations
@@ -24,6 +23,8 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from ..errors import GraphFormatError
+# The .rgr functions live in repro.persistence.graph_file; re-exported here.
+from ..persistence.graph_file import is_rgr, read_rgr, read_rgr_mapped, write_rgr  # noqa: F401
 from .memgraph import Graph
 
 PathLike = Union[str, Path]
@@ -167,36 +168,3 @@ def read_compressed(path: PathLike) -> Graph:
     """Read a graph written by :func:`write_compressed`."""
     with open(path, "rb") as handle:
         return decompress_graph(handle.read())
-
-
-# --------------------------------------------------------------------- #
-# .rgr (binary CSR image, repro.persistence.graph_file)
-# --------------------------------------------------------------------- #
-
-
-def write_rgr(graph: Graph, path: PathLike) -> int:
-    """Write the ``.rgr`` binary CSR image; returns the bytes written."""
-    from ..persistence.graph_file import write_rgr as _write_rgr
-
-    return _write_rgr(graph, path)
-
-
-def read_rgr(path: PathLike) -> Graph:
-    """Read a graph from a ``.rgr`` binary CSR image."""
-    from ..persistence.graph_file import read_rgr as _read_rgr
-
-    return _read_rgr(path)
-
-
-def read_rgr_mapped(path: PathLike) -> Graph:
-    """Read a ``.rgr`` image zero-copy: CSR arrays as read-only mmap views."""
-    from ..persistence.graph_file import read_rgr_mapped as _read_rgr_mapped
-
-    return _read_rgr_mapped(path)
-
-
-def is_rgr(path: PathLike) -> bool:
-    """Whether *path* starts with the ``.rgr`` magic."""
-    from ..persistence.graph_file import is_rgr as _is_rgr
-
-    return _is_rgr(path)

@@ -18,11 +18,6 @@ Two support-scan kernels:
 * ``marker`` — the serial scan's marker-array intersection, restricted to
   the shard's vertex range. Fallback when ``4 * n**2`` exceeds the dense
   memory budget.
-
-The peel kernel precomputes triangle-partner tables for a whole wave of
-same-support edges: for each edge the sorted common neighbourhood and the
-aligned partner edge ids, exactly what ``np.intersect1d`` produces in the
-serial ``delete_edge_kernel``.
 """
 
 from __future__ import annotations
@@ -157,67 +152,3 @@ def _scan_shard_marker(offsets, adj, adj_eids, out_values, lo, hi) -> None:
             ]
         values = np.add.reduceat(marker[cat] == u, bounds[:-1], dtype=np.int64)
         out_values[adj_eids[start:stop][forward]] = values
-
-
-def peel_partners(
-    views: Dict[str, np.ndarray],
-    eids: np.ndarray,
-    block_size: int,
-    worker_id: int,
-) -> Dict[str, object]:
-    """Triangle-partner tables for a wave chunk of just-collected edges.
-
-    For each edge ``(u, v)`` the sorted common neighbourhood drives two
-    aligned partner-id arrays ``f = eids_u[iu]`` / ``g = eids_v[iv]`` —
-    byte-identical to what the serial kernel's ``np.intersect1d`` yields.
-    Returns flattened tables plus the claimed block touches of the loads
-    the parent will charge when it pops each wave member.
-    """
-    offsets = views["offsets"]
-    adj = views["adj"]
-    adj_eids = views["adj_eids"]
-    edges = views["edges"]
-    eids = np.asarray(eids, dtype=np.int64)
-    us = edges[2 * eids]
-    vs = edges[2 * eids + 1]
-    counts = np.empty(len(eids), dtype=np.int64)
-    f_parts = []
-    g_parts = []
-    for position, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-        nbrs_u = adj[offsets[u] : offsets[u + 1]]
-        nbrs_v = adj[offsets[v] : offsets[v + 1]]
-        _common, index_u, index_v = np.intersect1d(
-            nbrs_u, nbrs_v, assume_unique=True, return_indices=True
-        )
-        f_parts.append(adj_eids[offsets[u] : offsets[u + 1]][index_u])
-        g_parts.append(adj_eids[offsets[v] : offsets[v + 1]][index_v])
-        counts[position] = len(index_u)
-    endpoints = np.stack([us, vs], axis=1).astype(np.int64)
-    degree_u = offsets[us + 1] - offsets[us]
-    degree_v = offsets[vs + 1] - offsets[vs]
-    adjacency_touches = count_block_touches(
-        np.concatenate([offsets[us], offsets[vs]]) * _ITEMSIZE,
-        np.concatenate([degree_u, degree_v]) * _ITEMSIZE,
-        block_size,
-    )
-    claims = {
-        "edges": count_block_touches(2 * eids * _ITEMSIZE, 2 * _ITEMSIZE, block_size),
-        "adj": adjacency_touches,
-        "adjeids": adjacency_touches,
-    }
-    return {
-        "eids": eids,
-        "endpoints": endpoints,
-        "counts": counts,
-        "f_ids": (
-            np.concatenate(f_parts) if f_parts else np.empty(0, dtype=np.int64)
-        ),
-        "g_ids": (
-            np.concatenate(g_parts) if g_parts else np.empty(0, dtype=np.int64)
-        ),
-        "ledger": WorkerLedger(
-            worker_id=worker_id,
-            shard=(int(eids[0]) if len(eids) else 0, len(eids)),
-            touch_claims=claims,
-        ),
-    }

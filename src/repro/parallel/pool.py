@@ -61,16 +61,10 @@ def _worker_main(worker_id: int, task_queue, result_queue, foreign_tracker: bool
                         del out_values
                         out_segment.close()
                     result_queue.put((tag, "ok", ledger))
-                elif kind == "peel":
-                    _kind, tag, key, eids, block_size = message
-                    tables = kernels.peel_partners(
-                        images[key].views, eids, block_size, worker_id
-                    )
-                    result_queue.put((tag, "ok", tables))
                 else:  # pragma: no cover - protocol-defensive
                     result_queue.put((None, "error", f"unknown task {kind!r}"))
             except Exception:
-                if kind in ("scan", "peel"):
+                if kind == "scan":
                     result_queue.put((message[1], "error", traceback.format_exc()))
                 else:  # pragma: no cover - publish/drop never raise in tests
                     result_queue.put((None, "error", traceback.format_exc()))

@@ -127,14 +127,14 @@ def parallel_compute_supports(
         "support_scan", kind="kernel", n=n, m=m, array=name,
         workers=executor.workers, shards=len(shards),
     ):
-        image = executor.image_for(graph)
         out_segment, out_descriptor = share_output(m)
         try:
-            tasks = [
-                (index, ("scan", image.key, out_descriptor, lo, hi, device.block_size))
-                for index, (lo, hi) in enumerate(shards)
-            ]
-            ledgers: List[WorkerLedger] = executor.pool.run_tasks(tasks)
+            with executor.published(graph) as image:
+                tasks = [
+                    (index, ("scan", image.key, out_descriptor, lo, hi, device.block_size))
+                    for index, (lo, hi) in enumerate(shards)
+                ]
+                ledgers: List[WorkerLedger] = executor.pool.run_tasks(tasks)
             attached, out_view = attach_array(out_descriptor)
             values = np.array(out_view, dtype=np.int64, copy=True)
             del out_view

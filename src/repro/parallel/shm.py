@@ -4,7 +4,7 @@ Workers must see the parent's CSR arrays without pickling them per round
 (the graph image is the bulk of the data; serialising it would erase the
 point of parallelism). ``multiprocessing.shared_memory`` gives both sides
 a view over the same pages: the parent *publishes* an image once per
-(sub)graph, workers *attach* by segment name, and only tiny descriptor
+scan, workers *attach* by segment name, and only tiny descriptor
 tuples ever cross the task queues.
 
 Lifecycle: the parent owns every segment (create + unlink); workers only
@@ -78,9 +78,9 @@ def attach_array(descriptor: Descriptor) -> Tuple[shared_memory.SharedMemory, np
 class SharedGraphImage:
     """Parent-side handle on one published CSR image (+ optional extras).
 
-    ``arrays`` maps field name (``offsets``, ``adj``, ``adj_eids``,
-    ``edges``, optionally ``dense``) to its shared segment; ``descriptors``
-    is the picklable payload broadcast to workers.
+    ``descriptors`` maps field name (``offsets``, ``adj``, ``adj_eids``,
+    optionally ``dense``) to its shared segment's picklable descriptor —
+    the payload broadcast to workers.
     """
 
     def __init__(self, key: int) -> None:
@@ -120,7 +120,6 @@ def publish_graph(key: int, graph, dense_budget_bytes: int = 0) -> SharedGraphIm
     image.add("offsets", graph.offsets)
     image.add("adj", graph.adj)
     image.add("adj_eids", graph.adj_eids)
-    image.add("edges", np.asarray(graph.edges).reshape(-1))
     n = graph.n
     if n and graph.m >= n and 4 * n * n <= dense_budget_bytes:
         dense = np.zeros((n, n), dtype=np.float32)

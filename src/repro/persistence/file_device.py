@@ -106,24 +106,6 @@ class FileBlockDevice(ReferenceBlockDevice):
         self._tail_blocks = 0
         self._zero_block = bytes(block_size)
 
-    @classmethod
-    def for_semi_external(
-        cls,
-        num_vertices: int,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        headroom: float = 4.0,
-        stats: Optional[IOStats] = None,
-        policy: str = "lru",
-        **kwargs,
-    ) -> "FileBlockDevice":
-        """Semi-external pool sizing (see the base classmethod), with the
-        file-backend extras (``data_dir``, ``fsync_policy``) forwarded."""
-        cache_bytes = max(64 * 1024, int(headroom * 8 * max(num_vertices, 1)))
-        return cls(
-            block_size, max(8, cache_bytes // block_size), stats=stats,
-            policy=policy, **kwargs,
-        )
-
     # ------------------------------------------------------------------ #
     # extent regions in the spill file
     # ------------------------------------------------------------------ #
@@ -250,17 +232,11 @@ class FileBlockDevice(ReferenceBlockDevice):
 
 def file_backend_factory(config, num_vertices: int, stats: Optional[IOStats]):
     """Backend factory for the registry (``factory(config, n, stats)``)."""
-    kwargs = dict(
-        stats=stats,
-        policy=config.cache_policy,
-        data_dir=config.data_dir,
-        fsync_policy=config.fsync_policy,
-    )
-    if config.cache_blocks is not None:
-        return FileBlockDevice(config.block_size, config.cache_blocks, **kwargs)
-    return FileBlockDevice.for_semi_external(
-        num_vertices, block_size=config.block_size, headroom=config.headroom,
-        **kwargs,
+    from ..engine.backends import build_device
+
+    return build_device(
+        FileBlockDevice, config, num_vertices, stats,
+        data_dir=config.data_dir, fsync_policy=config.fsync_policy,
     )
 
 

@@ -130,24 +130,6 @@ class MmapBlockDevice(BlockDevice):
         self._cold_evictions = 0
         self._epoch = 0
 
-    @classmethod
-    def for_semi_external(
-        cls,
-        num_vertices: int,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        headroom: float = 4.0,
-        stats: Optional[IOStats] = None,
-        policy: str = "lru",
-        **kwargs,
-    ) -> "MmapBlockDevice":
-        """Semi-external pool sizing (see the base classmethod), with the
-        mmap extras (``hot_extents``, ``cold_cache_mb``) forwarded."""
-        cache_bytes = max(64 * 1024, int(headroom * 8 * max(num_vertices, 1)))
-        return cls(
-            block_size, max(8, cache_bytes // block_size), stats=stats,
-            policy=policy, **kwargs,
-        )
-
     # ------------------------------------------------------------------ #
     # extent classification and mapped regions
     # ------------------------------------------------------------------ #
@@ -382,17 +364,11 @@ class MmapBlockDevice(BlockDevice):
 
 def mmap_backend_factory(config, num_vertices: int, stats: Optional[IOStats]):
     """Backend factory for the registry (``factory(config, n, stats)``)."""
-    kwargs = dict(
-        stats=stats,
-        policy=config.cache_policy,
-        hot_extents=tuple(config.hot_extents),
-        cold_cache_mb=config.cold_cache_mb,
-    )
-    if config.cache_blocks is not None:
-        return MmapBlockDevice(config.block_size, config.cache_blocks, **kwargs)
-    return MmapBlockDevice.for_semi_external(
-        num_vertices, block_size=config.block_size, headroom=config.headroom,
-        **kwargs,
+    from ..engine.backends import build_device
+
+    return build_device(
+        MmapBlockDevice, config, num_vertices, stats,
+        hot_extents=tuple(config.hot_extents), cold_cache_mb=config.cold_cache_mb,
     )
 
 

@@ -37,7 +37,6 @@ from ..engine.context import ContextLike
 from ..errors import GraphFormatError
 from ..graph.memgraph import Graph
 from ..observability.tracer import trace_span
-from ..storage import BlockDevice
 from .wal import WriteAheadLog, repair_wal
 
 PathLike = Union[str, Path]
@@ -224,7 +223,6 @@ class DurableMaintenance:
         cls,
         directory: PathLike,
         context: Optional[ContextLike] = None,
-        device: Optional[BlockDevice] = None,
         checkpoint_every: Optional[int] = None,
         sync: bool = True,
     ) -> "DurableMaintenance":
@@ -241,7 +239,7 @@ class DurableMaintenance:
             raise GraphFormatError(
                 f"{directory}: no checkpoint to recover from"
             )
-        state = load_checkpoint(checkpoint_path, device=device, context=context)
+        state = load_checkpoint(checkpoint_path, context=context)
         checkpoint_seq = getattr(state, "recovered_wal_seq", 0)
         wal_path = os.path.join(directory, WAL_NAME)
         records, torn = (
@@ -301,13 +299,12 @@ def _runs(operations: Iterable[BatchOp]):
 def recover(
     directory: PathLike,
     context: Optional[ContextLike] = None,
-    device: Optional[BlockDevice] = None,
     checkpoint_every: Optional[int] = None,
     sync: bool = True,
 ) -> DurableMaintenance:
     """Module-level alias for :meth:`DurableMaintenance.recover`."""
     return DurableMaintenance.recover(
-        directory, context=context, device=device,
+        directory, context=context,
         checkpoint_every=checkpoint_every, sync=sync,
     )
 

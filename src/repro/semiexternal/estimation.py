@@ -29,7 +29,6 @@ from .._util import ceil_div
 from ..engine.context import ContextLike, resolve_context
 from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph
-from ..storage import BlockDevice
 
 
 def _resolve_rng(
@@ -83,7 +82,6 @@ def estimate_triangles(
     graph: Graph,
     samples: int = 2000,
     seed: Optional[int] = None,
-    device: Optional[BlockDevice] = None,
     context: Optional[ContextLike] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> TriangleEstimate:
@@ -95,7 +93,7 @@ def estimate_triangles(
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
-    ctx = resolve_context(context, device)
+    ctx = resolve_context(context)
     device = ctx.device_for(graph.n)
     disk_graph = DiskGraph(graph, device, ctx.memory, name="est.G")
     degrees = graph.degrees.astype(np.int64)
@@ -128,7 +126,6 @@ def estimate_max_support(
     graph: Graph,
     samples: int = 500,
     seed: Optional[int] = None,
-    device: Optional[BlockDevice] = None,
     context: Optional[ContextLike] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> int:
@@ -144,7 +141,7 @@ def estimate_max_support(
         raise ValueError("samples must be positive")
     if graph.m == 0:
         return 0
-    ctx = resolve_context(context, device)
+    ctx = resolve_context(context)
     device = ctx.device_for(graph.n)
     disk_graph = DiskGraph(graph, device, ctx.memory, name="est.G")
     rng = _resolve_rng(rng, seed, ctx)

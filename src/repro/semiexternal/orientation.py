@@ -28,7 +28,7 @@ import numpy as np
 from ..analysis.degeneracy import degeneracy_ordering
 from ..engine.context import ContextLike, resolve_context
 from ..graph.memgraph import Graph
-from ..storage import BlockDevice, DiskArray, MemoryMeter
+from ..storage import DiskArray, MemoryMeter
 from .support import SupportScan
 
 
@@ -66,7 +66,6 @@ def _oriented_adjacency(graph: Graph, position: np.ndarray):
 
 def compute_supports_oriented(
     graph: Graph,
-    device: Optional[BlockDevice] = None,
     memory: Optional[MemoryMeter] = None,
     name: str = "osup",
     context: Optional[ContextLike] = None,
@@ -75,11 +74,11 @@ def compute_supports_oriented(
 
     Returns the same :class:`SupportScan` contract as
     :func:`repro.semiexternal.support.compute_supports`; the supports
-    array lives on the context's device (the deprecated *device* shim is
-    still accepted). Uses an O(m) in-memory accumulator (see module
-    docstring) — charged to *memory* (default: the context's meter).
+    array lives on the context's device. Uses an O(m) in-memory
+    accumulator (see module docstring) — charged to *memory* (default:
+    the context's meter).
     """
-    ctx = resolve_context(context, device)
+    ctx = resolve_context(context)
     device = ctx.device_for(graph.n)
     if memory is None:
         memory = ctx.memory

@@ -28,7 +28,7 @@ from .._util import WorkBudget
 from ..engine.context import ContextLike, resolve_context
 from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph
-from ..storage import BlockDevice, DiskArray
+from ..storage import DiskArray
 from .core_decomp import h_index
 from .support import compute_supports
 
@@ -87,7 +87,6 @@ def _edge_round(
 
 def h_index_truss_decomposition(
     graph: Graph,
-    device: Optional[BlockDevice] = None,
     budget: Optional[WorkBudget] = None,
     max_rounds: Optional[int] = None,
     context: Optional[ContextLike] = None,
@@ -98,15 +97,13 @@ def h_index_truss_decomposition(
     ----------
     graph:
         Input graph (materialised onto the context's device).
-    device:
-        Deprecated shim: a caller-built simulated disk. Prefer *context*.
     budget:
         Optional work cap (one unit per edge visit per round).
     max_rounds:
         Optional early stop for bound-only use (Top-Down uses 2 rounds);
         the returned values are then still sound *upper bounds* on τ.
     """
-    ctx = resolve_context(context, device)
+    ctx = resolve_context(context)
     device = ctx.device_for(graph.n)
     memory = ctx.memory
     budget = ctx.new_budget(budget)

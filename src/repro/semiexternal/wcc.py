@@ -19,7 +19,7 @@ import numpy as np
 from ..engine.context import ContextLike, resolve_context
 from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph
-from ..storage import BlockDevice, MemoryMeter
+from ..storage import MemoryMeter
 
 EdgePair = Tuple[int, int]
 
@@ -50,16 +50,15 @@ class ComponentResult:
 
 def semi_external_components(
     graph: Graph,
-    device: Optional[BlockDevice] = None,
     memory: Optional[MemoryMeter] = None,
     context: Optional[ContextLike] = None,
 ) -> ComponentResult:
     """Connected components with ``O(n)`` memory and sequential edge scans.
 
     Isolated vertices keep their own label. Charged against the context's
-    device (or the deprecated *device* shim).
+    device.
     """
-    ctx = resolve_context(context, device)
+    ctx = resolve_context(context)
     device = ctx.device_for(graph.n)
     if memory is None:
         memory = ctx.memory
@@ -91,7 +90,6 @@ def semi_external_components(
 
 def split_edges_semi_external(
     graph: Graph,
-    device: Optional[BlockDevice] = None,
     context: Optional[ContextLike] = None,
 ) -> List[List[EdgePair]]:
     """Partition the edge set by component (largest first), charged I/O.
@@ -100,7 +98,7 @@ def split_edges_semi_external(
     :func:`repro.analysis.components.vertex_connected_components` —
     cross-checked against it in tests.
     """
-    result = semi_external_components(graph, device=device, context=context)
+    result = semi_external_components(graph, context=context)
     buckets: Dict[int, List[EdgePair]] = {}
     for u, v in graph.edge_pairs():
         buckets.setdefault(result.component_of(u), []).append((u, v))

@@ -128,6 +128,7 @@ class BlockDevice:
         headroom: float = 4.0,
         stats: IOStats = None,
         policy: str = "lru",
+        **extras,
     ) -> "BlockDevice":
         """A device whose buffer pool respects the semi-external model.
 
@@ -137,11 +138,13 @@ class BlockDevice:
         in-memory one and erase the I/O differences the paper measures.
         This constructor sizes the pool at ``headroom * 8 * n`` bytes
         (minimum 64 KiB), i.e. a few node-arrays' worth of pages.
+        Subclass constructor knobs (e.g. the file backend's ``data_dir``)
+        pass through *extras*.
         """
         cache_bytes = max(64 * 1024, int(headroom * 8 * max(num_vertices, 1)))
         return cls(
             block_size, max(8, cache_bytes // block_size), stats=stats,
-            policy=policy,
+            policy=policy, **extras,
         )
 
     # ------------------------------------------------------------------ #

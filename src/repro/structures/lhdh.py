@@ -24,7 +24,6 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..engine.context import ensure_device
 from ..errors import HeapEmptyError
 from ..storage import BlockDevice, MemoryMeter
 from .dynamic_heap import DynamicHeap
@@ -56,7 +55,6 @@ class LHDH:
     ) -> None:
         if capacity < 1:
             raise ValueError("LHDH capacity must be at least 1")
-        device = ensure_device(device)
         self.capacity = int(capacity)
         self.memory = memory
         self.name = name

@@ -19,7 +19,6 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..engine.context import ensure_device
 from ..errors import HeapEmptyError, HeapError
 from ..storage import BlockDevice, DiskArray, MemoryMeter
 
@@ -52,7 +51,6 @@ class LinearHeap:
     ) -> None:
         if max_key < 0:
             raise HeapError("max_key must be non-negative")
-        device = ensure_device(device)
         self.device = device
         self.memory = memory
         self.name = name

@@ -72,13 +72,12 @@ class TestTopDown:
 
     def test_io_exceeds_semi_lazy(self):
         """Fig 5 (c-d): Top-Down pays far more I/O than SemiLazyUpdate."""
-        from repro import semi_lazy_update
-        from repro.storage import BlockDevice
+        from repro import EngineConfig, semi_lazy_update
 
         from repro.graph.datasets import load_dataset
 
         g = load_dataset("wikipedia-s", seed=0)
-        td = top_down(g, device=BlockDevice.for_semi_external(g.n))
-        lazy = semi_lazy_update(g, device=BlockDevice.for_semi_external(g.n))
+        td = top_down(g, context=EngineConfig())
+        lazy = semi_lazy_update(g, context=EngineConfig())
         assert td.k_max == lazy.k_max
         assert td.io.total_ios > lazy.io.total_ios

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import max_truss
+from repro import EngineConfig, ExecutionContext, max_truss
 from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import barabasi_albert, gnm_random
 from repro.semiexternal.support import compute_supports, compute_supports_reference
@@ -191,11 +191,13 @@ def test_support_scan_equivalence(policy):
 def test_decomposition_equivalence(method, policy):
     """Fast vs reference device: identical I/O bill on full seeded runs."""
     graph = barabasi_albert(120, attach=5, seed=7)
-    fast = BlockDevice(block_size=64, cache_blocks=32, policy=policy)
-    reference = ReferenceBlockDevice(block_size=64, cache_blocks=32, policy=policy)
-    fast_result = max_truss(graph, method=method, device=fast)
-    ref_result = max_truss(graph, method=method, device=reference)
+    pool = dict(block_size=64, cache_blocks=32, cache_policy=policy)
+    fast = ExecutionContext(EngineConfig(backend="simulated", **pool))
+    reference = ExecutionContext(EngineConfig(backend="reference", **pool))
+    fast_result = max_truss(graph, method=method, context=fast)
+    ref_result = max_truss(graph, method=method, context=reference)
+    assert isinstance(reference.device, ReferenceBlockDevice)
     assert fast_result.k_max == ref_result.k_max
     assert fast_result.io.read_ios == ref_result.io.read_ios
     assert fast_result.io.write_ios == ref_result.io.write_ios
-    _assert_equivalent(fast, reference)
+    _assert_equivalent(fast.device, reference.device)

@@ -127,14 +127,14 @@ class TestPolicyDifferences:
 
     def test_policies_agree_on_results_but_not_cost(self):
         """All policies compute identical answers; costs differ."""
-        from repro import semi_greedy_core
+        from repro import EngineConfig, semi_greedy_core
         from repro.graph.generators import planted_kmax_truss
 
         g = planted_kmax_truss(7, periphery_n=60, seed=0)
         ios = {}
         for name in ("lru", "fifo", "clock"):
-            device = BlockDevice(block_size=4096, cache_blocks=8, policy=name)
-            result = semi_greedy_core(g, device=device)
+            config = EngineConfig(block_size=4096, cache_blocks=8, cache_policy=name)
+            result = semi_greedy_core(g, context=config)
             assert result.k_max == 7
             ios[name] = result.io.total_ios
         assert len(set(ios.values())) >= 1  # costs recorded per policy

@@ -6,23 +6,22 @@ Three families of guarantees:
   ``max_truss`` methods and insert/delete maintenance and agrees on
   ``k_max`` and the truss edge set.
 * **Bit-identity** — the ``simulated`` backend driven through an
-  :class:`ExecutionContext` reproduces the exact pre-refactor ``IOStats``
-  and per-extent breakdown of the historical ``device=`` path on the
-  seeded graphs of ``tests/test_batch_equivalence.py``.
-* **Engine mechanics** — backend registry errors, the ``device=`` adapter
-  shim, work budgets minted from the config, phase aggregation across a
-  shared context, and trace hooks.
+  :class:`ExecutionContext` charges exactly the ``IOStats`` and per-extent
+  breakdown of a caller-built device, and ``mmap`` charges exactly the
+  ``simulated`` bill.
+* **Engine mechanics** — backend registry errors, context resolution,
+  work budgets minted from the config, phase aggregation across a shared
+  context, and trace hooks.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import EngineConfig, ExecutionContext, available_backends, max_truss
+from repro import EngineConfig, ExecutionContext, list_backends, max_truss
 from repro.core.api import available_methods
 from repro.dynamic import DynamicMaxTruss
 from repro.engine import (
-    ensure_device,
     make_device,
     register_backend,
     resolve_context,
@@ -64,7 +63,7 @@ def truth(example):
 
 class TestBackendRoundTrip:
     def test_registry_lists_the_builtins(self):
-        assert set(BACKENDS) <= set(available_backends())
+        assert set(BACKENDS) <= set(list_backends())
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("method", sorted(available_methods()))
@@ -113,37 +112,22 @@ class TestBackendRoundTrip:
             bills[backend] = (result.io.read_ios, result.io.write_ios)
         assert bills["simulated"] == bills["reference"]
 
-    def test_batch_fast_path_off_routes_to_reference_device(self):
-        config = EngineConfig(batch_fast_path=False)
-        device = ExecutionContext(config).device_for(50)
-        assert isinstance(device, ReferenceBlockDevice)
-
-    def test_inmemory_backend_builds_inmemory_device(self):
-        device = ExecutionContext(EngineConfig(backend="inmemory")).device_for(50)
-        assert isinstance(device, InMemoryBlockDevice)
+    @pytest.mark.parametrize(
+        "backend, device_class",
+        [("inmemory", InMemoryBlockDevice), ("reference", ReferenceBlockDevice)],
+        ids=["inmemory", "reference"],
+    )
+    def test_backend_builds_its_device_class(self, backend, device_class):
+        device = ExecutionContext(EngineConfig(backend=backend)).device_for(50)
+        assert isinstance(device, device_class)
 
 
 # --------------------------------------------------------------------- #
-# bit-identity vs the pre-refactor device= path (seeded graphs)
+# bit-identity vs a caller-built device (seeded graphs)
 # --------------------------------------------------------------------- #
 
 
 class TestSimulatedBitIdentity:
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("method", SEMI_METHODS)
-    def test_decomposition_io_identical_to_device_path(self, method, policy):
-        graph = barabasi_albert(120, attach=5, seed=7)
-        device = BlockDevice(block_size=64, cache_blocks=32, policy=policy)
-        legacy = max_truss(graph, method=method, device=device)
-        context = ExecutionContext(EngineConfig(
-            block_size=64, cache_blocks=32, cache_policy=policy
-        ))
-        engine = max_truss(graph, method=method, context=context)
-        assert engine.k_max == legacy.k_max
-        assert engine.io.read_ios == legacy.io.read_ios
-        assert engine.io.write_ios == legacy.io.write_ios
-        assert context.device.io_by_extent() == device.io_by_extent()
-
     @pytest.mark.parametrize("policy", POLICIES)
     def test_support_scan_io_identical_to_device_path(self, policy):
         graph = gnm_random(60, 700, seed=5)
@@ -159,18 +143,6 @@ class TestSimulatedBitIdentity:
         assert context.stats.read_ios == device.stats.read_ios
         assert context.stats.write_ios == device.stats.write_ios
         assert context.device.io_by_extent() == device.io_by_extent()
-
-    def test_default_call_unchanged_by_the_refactor(self):
-        graph = barabasi_albert(120, attach=5, seed=7)
-        bare = max_truss(graph, method="semi-lazy-update")
-        pinned = max_truss(
-            graph,
-            method="semi-lazy-update",
-            device=BlockDevice.for_semi_external(graph.n),
-        )
-        assert bare.io.read_ios == pinned.io.read_ios
-        assert bare.io.write_ios == pinned.io.write_ios
-        assert bare.peak_memory_bytes == pinned.peak_memory_bytes
 
 
 # --------------------------------------------------------------------- #
@@ -276,34 +248,22 @@ class TestRegistry:
 
         register_backend("tiny", tiny_pool)
         try:
-            assert "tiny" in available_backends()
+            assert "tiny" in list_backends()
             context = ExecutionContext(EngineConfig(backend="tiny", block_size=64))
             result = max_truss(example, method="semi-binary", context=context)
             assert result.k_max == truth.k_max
             assert context.device.cache_blocks == 8
         finally:
             unregister_backend("tiny")
-        assert "tiny" not in available_backends()
+        assert "tiny" not in list_backends()
 
 
 # --------------------------------------------------------------------- #
-# context resolution, shims and budgets
+# context resolution and budgets
 # --------------------------------------------------------------------- #
 
 
 class TestContextMechanics:
-    def test_device_and_context_together_rejected(self, example):
-        with pytest.raises(DeviceError, match="not both"):
-            max_truss(
-                example,
-                device=BlockDevice(),
-                context=ExecutionContext(),
-            )
-
-    def test_in_memory_method_rejects_device(self, example):
-        with pytest.raises(ValueError, match="in-memory"):
-            max_truss(example, method="in-memory", device=BlockDevice())
-
     def test_in_memory_method_accepts_context(self, example, truth):
         context = ExecutionContext(EngineConfig(backend="inmemory"))
         result = max_truss(example, method="in-memory", context=context)
@@ -318,14 +278,6 @@ class TestContextMechanics:
     def test_resolve_rejects_foreign_objects(self):
         with pytest.raises(DeviceError, match="ExecutionContext or EngineConfig"):
             resolve_context(context="simulated")
-
-    def test_device_shim_pins_the_callers_device(self, example):
-        device = BlockDevice(block_size=64, cache_blocks=16)
-        context = resolve_context(device=device)
-        assert context.device is device
-        assert context.stats is device.stats
-        max_truss(example, method="semi-binary", device=device)
-        assert device.stats.total_ios > 0
 
     def test_work_limit_minted_from_config(self, example):
         config = EngineConfig(work_limit=3)
@@ -363,7 +315,6 @@ class TestContextMechanics:
             EngineConfig(block_size=0),
             EngineConfig(cache_blocks=-1),
             EngineConfig(cache_policy="mru"),
-            EngineConfig(headroom=0),
             EngineConfig(work_limit=0),
         ):
             with pytest.raises(DeviceError):
@@ -371,29 +322,22 @@ class TestContextMechanics:
 
 
 # --------------------------------------------------------------------- #
-# ensure_device: contexts accepted where devices used to be required
+# device-first constructors on a context's device
 # --------------------------------------------------------------------- #
 
 
 class TestEnsureDevice:
     def test_disk_graph_accepts_a_context(self, example):
         context = ExecutionContext(EngineConfig(block_size=64, cache_blocks=16))
-        disk_graph = DiskGraph(example, context)
+        disk_graph = DiskGraph(example, context.device_for(example.n))
         assert disk_graph.device is context.device
         context.device.flush()  # write-back cache: dirty blocks drain here
         assert context.stats.write_ios > 0  # materialisation was charged
 
     def test_linear_heap_accepts_a_config(self):
-        heap = LinearHeap(EngineConfig(backend="inmemory"), 16, 4)
+        heap = LinearHeap(make_device(EngineConfig(backend="inmemory"), 16), 16, 4)
         heap.insert(0, 2)
         assert heap.pop_min() == (0, 2)
-
-    def test_ensure_device_passthrough_and_rejection(self):
-        device = BlockDevice()
-        assert ensure_device(device) is device
-        assert ensure_device(None) is None
-        with pytest.raises(DeviceError):
-            ensure_device(42)
 
 
 # --------------------------------------------------------------------- #

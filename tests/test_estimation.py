@@ -52,11 +52,11 @@ class TestTriangleEstimation:
             estimate_triangles(complete_graph(4), samples=0)
 
     def test_charges_io(self):
-        from repro.storage import BlockDevice
+        from repro import EngineConfig, ExecutionContext
 
-        device = BlockDevice(block_size=256, cache_blocks=4)
-        estimate_triangles(complete_graph(20), samples=50, seed=0, device=device)
-        assert device.stats.read_ios > 0
+        context = ExecutionContext(EngineConfig(block_size=256, cache_blocks=4))
+        estimate_triangles(complete_graph(20), samples=50, seed=0, context=context)
+        assert context.device.stats.read_ios > 0
 
     def test_lemma1_seed(self):
         estimate = TriangleEstimate(triangles=100.0, closure_rate=0.5,

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro import max_truss, semi_lazy_update
+from repro import EngineConfig, ExecutionContext, max_truss, semi_lazy_update
 from repro.analysis import TrussHierarchy, split_max_truss
 from repro.applications import truss_community
 from repro.baselines import max_truss_edges
@@ -17,7 +17,6 @@ from repro.graph.datasets import load_dataset
 from repro.graph.edgelist import read_edgelist, write_binary, write_text_edgelist
 from repro.graph.formats import read_compressed, write_compressed
 from repro.graph.generators import planted_kmax_truss
-from repro.storage import BlockDevice
 
 
 class TestFileToAnswerPipelines:
@@ -116,13 +115,13 @@ class TestDeviceSharingAcrossPhases:
     def test_shared_device_accumulates_per_extent(self):
         """One device across compute + maintenance keeps a coherent bill."""
         graph = planted_kmax_truss(6, periphery_n=30, seed=0)
-        device = BlockDevice.for_semi_external(graph.n)
-        static_result = semi_lazy_update(graph, device=device)
-        state = DynamicMaxTruss(graph, device=device)
+        context = ExecutionContext(EngineConfig())
+        static_result = semi_lazy_update(graph, context=context)
+        state = DynamicMaxTruss(graph, context=context)
         state.insert(graph.n - 1, graph.n - 2) if not graph.has_edge(
             graph.n - 1, graph.n - 2
         ) else state.delete(graph.n - 1, graph.n - 2)
-        breakdown = device.io_by_extent()
+        breakdown = context.device.io_by_extent()
         assert breakdown  # both phases attributed
         total = sum(reads + writes for reads, writes in breakdown.values())
         assert total >= static_result.io.total_ios

@@ -8,7 +8,7 @@ trips a named invariant rather than an incidental assertion.
 import numpy as np
 from hypothesis import given, settings
 
-from repro import max_truss, semi_lazy_update
+from repro import EngineConfig, ExecutionContext, max_truss, semi_lazy_update
 from repro.baselines import max_truss_edges, truss_decomposition
 from repro.core import bounds
 from repro.core.peeling import make_lhdh_heap, make_plain_heap, peel_below, surviving_edge_ids
@@ -99,9 +99,10 @@ class TestInvariant7IOAccounting:
 
     def test_monotone_during_algorithm(self):
         g = Graph.from_edges([(u, v) for u in range(8) for v in range(u + 1, 8)])
-        device = BlockDevice(block_size=256, cache_blocks=8)
+        context = ExecutionContext(EngineConfig(block_size=256, cache_blocks=8))
+        device = context.device_for(g.n)
         before = device.stats.snapshot()
-        max_truss(g, method="semi-lazy-update", device=device)
+        max_truss(g, method="semi-lazy-update", context=context)
         after = device.stats
         assert after.read_ios >= before.read_ios
         assert after.write_ios >= before.write_ios
@@ -110,8 +111,9 @@ class TestInvariant7IOAccounting:
 
     def test_flush_idempotent_post_run(self):
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
-        device = BlockDevice(block_size=256, cache_blocks=8)
-        max_truss(g, device=device)
+        context = ExecutionContext(EngineConfig(block_size=256, cache_blocks=8))
+        max_truss(g, context=context)
+        device = context.device
         writes = device.stats.write_ios
         device.flush()
         assert device.stats.write_ios == writes

@@ -301,7 +301,7 @@ def test_mapped_graph_runs_on_any_backend(rgr):
 def test_mapped_graph_adopted_by_mmap_device(rgr):
     mapped = read_rgr_mapped(rgr)
     with ExecutionContext(EngineConfig(backend="mmap")) as context:
-        disk_graph = DiskGraph(mapped, context, MemoryMeter())
+        disk_graph = DiskGraph(mapped, context.device_for(mapped.n), MemoryMeter())
         assert disk_graph.adj.mapped
         assert disk_graph.adj_eids.mapped
         assert disk_graph.edge_endpoints.mapped

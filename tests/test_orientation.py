@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings
 
+from repro import EngineConfig, ExecutionContext
 from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import (
     chung_lu,
@@ -44,8 +45,9 @@ class TestCorrectness:
     @given(small_graphs(max_n=18))
     @settings(max_examples=25)
     def test_matches_baseline_scan(self, g):
-        device = BlockDevice(block_size=256, cache_blocks=16)
-        oriented = compute_supports_oriented(g, device=device)
+        oriented = compute_supports_oriented(
+            g, context=EngineConfig(block_size=256, cache_blocks=16)
+        )
         baseline_device = BlockDevice(block_size=256, cache_blocks=16)
         disk_graph = DiskGraph(g, baseline_device, MemoryMeter())
         baseline = compute_supports(disk_graph)
@@ -68,9 +70,9 @@ class TestCosts:
     def test_less_intersection_work_on_heavy_tail(self):
         """On a hub-heavy graph the oriented scan reads fewer blocks."""
         g = chung_lu(800, 10, 2.05, seed=3)
-        oriented_device = BlockDevice(block_size=4096, cache_blocks=16)
-        compute_supports_oriented(g, device=oriented_device)
+        oriented = ExecutionContext(EngineConfig(block_size=4096, cache_blocks=16))
+        compute_supports_oriented(g, context=oriented)
         baseline_device = BlockDevice(block_size=4096, cache_blocks=16)
         disk_graph = DiskGraph(g, baseline_device, MemoryMeter())
         compute_supports(disk_graph)
-        assert oriented_device.stats.read_ios < baseline_device.stats.read_ios
+        assert oriented.stats.read_ios < baseline_device.stats.read_ios

@@ -1,16 +1,16 @@
 """Parallel kernels: bit-identical results, bit-identical charged bill.
 
 The contract of ``repro.parallel`` (docs/io_model.md, "Parallel kernels
-and the ledger merge") is that sharding the support scans and peel waves
-over worker processes is *invisible* to everything the paper measures:
+and the ledger merge") is that sharding the support scans over worker
+processes is *invisible* to everything the paper measures:
 trussness output, total ``IOStats`` and the per-extent breakdown must all
 equal the serial run's exactly, for every worker count and backend,
 because the parent replays the canonical serial access sequence through
 its one buffer pool as the ledger merge. These tests pin that contract
 with an explicit workers x backends x methods matrix, a hypothesis sweep
-over random graphs, the deterministic-wave peel-order guarantee the merge
-relies on, and the worker-teardown idempotence of
-``ExecutionContext.close``.
+over random graphs, the deterministic-wave peel order, the per-scan
+lifetime of the shared-memory images, and the worker-teardown idempotence
+of ``ExecutionContext.close``.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ METHODS = ("semi-binary", "semi-greedy-core")
 #: enough that the full matrix (plus pool spawns) stays quick.
 MATRIX_GRAPH = dict(n=100, m=900, seed=5)
 
-#: Low threshold so both the support scans (including every binary-search
-#: probe's) and the peel waves actually shard in the tests.
+#: Low threshold so the support scans (including every binary-search
+#: probe's) actually shard in the tests.
 THRESHOLD = 4
 
 
@@ -222,7 +222,7 @@ def test_property_random_graphs_parallel_equals_serial(n, density, seed):
 
 
 # --------------------------------------------------------------------- #
-# deterministic peel order (the waves the parallel tier relies on)
+# deterministic peel order (waves fix it to support class, then edge id)
 # --------------------------------------------------------------------- #
 
 
@@ -376,6 +376,36 @@ class TestLifecycle:
         context = ExecutionContext(EngineConfig(workers=4))
         context.close()
         context.close()
+
+    def test_each_sharded_scan_publishes_one_image_and_destroys_it(
+        self, monkeypatch
+    ):
+        """A published image lives for exactly one sharded scan: once the
+        run returns, every image the executor published is destroyed."""
+        from repro.parallel import executor as executor_module
+        from repro.parallel import scan as scan_module
+
+        images, scans = [], []
+        publish = executor_module.publish_graph
+        sharded_scan = scan_module.parallel_compute_supports
+
+        def recording_publish(*args, **kwargs):
+            images.append(publish(*args, **kwargs))
+            return images[-1]
+
+        def recording_scan(*args, **kwargs):
+            scans.append(args[0].m)
+            return sharded_scan(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "publish_graph", recording_publish)
+        monkeypatch.setattr(scan_module, "parallel_compute_supports", recording_scan)
+        config = EngineConfig(workers=2, parallel_threshold=1)
+        with ExecutionContext(config) as context:
+            max_truss(gnm_random(60, 900, seed=1), method="semi-binary",
+                      context=context)
+            assert len(scans) > 1
+            assert len(images) == len(scans)
+            assert all(image.nbytes == 0 for image in images)
 
     def test_executor_shutdown_is_idempotent(self):
         executor = ParallelExecutor(workers=2, parallel_threshold=1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import semi_binary
+from repro import EngineConfig, ExecutionContext, semi_binary
 from repro._util import WorkBudget
 from repro.errors import WorkLimitExceeded
 from repro.graph.generators import (
@@ -13,7 +13,6 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.memgraph import Graph
-from repro.storage import BlockDevice
 
 
 class TestResults:
@@ -72,10 +71,10 @@ class TestDiagnostics:
         assert result.peak_memory_bytes > 0
 
     def test_external_device_accepted(self):
-        device = BlockDevice(block_size=512, cache_blocks=64)
-        result = semi_binary(complete_graph(6), device=device)
+        context = ExecutionContext(EngineConfig(block_size=512, cache_blocks=64))
+        result = semi_binary(complete_graph(6), context=context)
         assert result.k_max == 6
-        assert device.stats.total_ios > 0
+        assert context.device.stats.total_ios > 0
 
     def test_work_budget_propagates(self):
         budget = WorkBudget(limit=2)

@@ -1,6 +1,6 @@
 """Tests for SemiGreedyCore (Algorithm 2)."""
 
-from repro import semi_binary, semi_greedy_core
+from repro import EngineConfig, semi_binary, semi_greedy_core
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import (
     complete_graph,
@@ -9,7 +9,7 @@ from repro.graph.generators import (
     planted_kmax_truss,
 )
 from repro.graph.memgraph import Graph
-from repro.storage import BlockDevice
+from repro.storage import DEFAULT_CACHE_BLOCKS
 
 
 class TestResults:
@@ -67,9 +67,8 @@ class TestDiagnostics:
     def test_greedy_does_fewer_ios_than_binary_on_cored_graph(self):
         """The Fig 5 (c) ordering at reproduction scale."""
         g = planted_kmax_truss(20, periphery_n=300, seed=5)
-        device_a = BlockDevice()
-        device_b = BlockDevice()
-        binary = semi_binary(g, device=device_a)
-        greedy = semi_greedy_core(g, device=device_b)
+        config = EngineConfig(cache_blocks=DEFAULT_CACHE_BLOCKS)
+        binary = semi_binary(g, context=config)
+        greedy = semi_greedy_core(g, context=config)
         assert binary.k_max == greedy.k_max
         assert greedy.io.total_ios < binary.io.total_ios

@@ -1,6 +1,6 @@
 """Tests for SemiLazyUpdate (Algorithm 3)."""
 
-from repro import semi_greedy_core, semi_lazy_update
+from repro import EngineConfig, semi_greedy_core, semi_lazy_update
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import (
     complete_graph,
@@ -9,7 +9,6 @@ from repro.graph.generators import (
     planted_kmax_truss,
 )
 from repro.graph.memgraph import Graph
-from repro.storage import BlockDevice
 
 
 class TestResults:
@@ -52,8 +51,8 @@ class TestIOAdvantage:
         edge supports are updated, i.e. with support magnitude.
         """
         g = load_dataset("wikipedia-s", seed=0)
-        greedy = semi_greedy_core(g, device=BlockDevice.for_semi_external(g.n))
-        lazy = semi_lazy_update(g, device=BlockDevice.for_semi_external(g.n))
+        greedy = semi_greedy_core(g, context=EngineConfig())
+        lazy = semi_lazy_update(g, context=EngineConfig())
         assert lazy.k_max == greedy.k_max
         assert sorted(lazy.truss_edges) == sorted(greedy.truss_edges)
         assert lazy.io.total_ios < greedy.io.total_ios
@@ -61,9 +60,7 @@ class TestIOAdvantage:
     def test_tiny_capacity_costs_more_io_than_large(self):
         """The LHDH capacity ablation direction: spills cost I/O."""
         g = load_dataset("cagrqc-s", seed=0)
-        tiny = semi_lazy_update(
-            g, device=BlockDevice.for_semi_external(g.n), capacity=2
-        )
-        large = semi_lazy_update(g, device=BlockDevice.for_semi_external(g.n))
+        tiny = semi_lazy_update(g, context=EngineConfig(), capacity=2)
+        large = semi_lazy_update(g, context=EngineConfig())
         assert tiny.k_max == large.k_max
         assert tiny.io.total_ios >= large.io.total_ios

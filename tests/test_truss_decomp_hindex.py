@@ -72,8 +72,8 @@ class TestBoundMode:
             )
 
     def test_charges_io(self):
-        from repro.storage import BlockDevice
+        from repro import EngineConfig, ExecutionContext
 
-        device = BlockDevice(block_size=256, cache_blocks=8)
-        h_index_truss_decomposition(complete_graph(10), device=device)
-        assert device.stats.read_ios > 0
+        context = ExecutionContext(EngineConfig(block_size=256, cache_blocks=8))
+        h_index_truss_decomposition(complete_graph(10), context=context)
+        assert context.device.stats.read_ios > 0

@@ -2,11 +2,11 @@
 
 from hypothesis import given, settings
 
+from repro import EngineConfig, ExecutionContext
 from repro.analysis.components import vertex_connected_components
 from repro.graph.generators import complete_graph, cycle_graph
 from repro.graph.memgraph import Graph
 from repro.semiexternal.wcc import semi_external_components, split_edges_semi_external
-from repro.storage import BlockDevice
 
 from conftest import small_graphs
 
@@ -38,9 +38,9 @@ class TestComponents:
         assert groups[3] == [3, 4]
 
     def test_charges_io(self):
-        device = BlockDevice(block_size=256, cache_blocks=4)
-        semi_external_components(complete_graph(20), device=device)
-        assert device.stats.read_ios > 0
+        context = ExecutionContext(EngineConfig(block_size=256, cache_blocks=4))
+        semi_external_components(complete_graph(20), context=context)
+        assert context.device.stats.read_ios > 0
 
     @given(small_graphs(max_n=18))
     @settings(max_examples=20)
