@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from repro import EngineConfig, ExecutionContext
+from repro.approx import estimate_triangle_count
 from repro.baselines import bottom_up
-from repro.semiexternal.estimation import estimate_triangles
+from repro.graph import DiskGraph
 from repro.semiexternal.truss_decomp import h_index_truss_decomposition
 
 from conftest import BenchReport
@@ -88,17 +89,18 @@ def test_triangle_estimator_accuracy(benchmark, graphs):
     outcome = {}
 
     def run():
-        context = ExecutionContext(EngineConfig())
-        estimate = estimate_triangles(graph, samples=3000, seed=0,
-                                      context=context)
-        outcome["estimate"] = estimate
-        outcome["io"] = context.device.stats.total_ios
+        with ExecutionContext(EngineConfig()) as context:
+            view = DiskGraph.attach(graph, context.device_for(graph.n))
+            estimate = estimate_triangle_count(
+                view, 3000, 0.95, np.random.default_rng(0))
+            outcome["estimate"] = estimate
+            outcome["io"] = context.device.stats.total_ios
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     exact = graph.triangle_count()
     estimate = outcome["estimate"]
-    error = abs(estimate.triangles - exact) / max(exact, 1)
+    error = abs(estimate.value - exact) / max(exact, 1)
     REPORT.add("wikipedia-s", "wedge-sampling estimate", "-", outcome["io"],
-               f"est={estimate.triangles:.0f} exact={exact} err={error:.1%}")
+               f"est={estimate.value:.0f} exact={exact} err={error:.1%}")
     REPORT.write()
     assert error < 0.30

@@ -800,9 +800,10 @@ def bench_approx(make_graph, smoke: bool) -> dict:
       every scale: correctness, not a performance bar).
     """
     from repro.approx import ApproxEngine
-    from repro.approx.estimators import AdjacencyProbe, estimate_triangle_count
+    from repro.approx.estimators import estimate_triangle_count
     from repro.core.semi_binary import semi_binary
     from repro.engine.context import ExecutionContext
+    from repro.graph import DiskGraph
 
     graph = make_graph()
     exact = semi_binary(graph)
@@ -810,7 +811,7 @@ def bench_approx(make_graph, smoke: bool) -> dict:
 
     curve = []
     with ExecutionContext(EngineConfig()) as ctx:
-        probe = AdjacencyProbe(graph, ctx.device_for(graph.n))
+        probe = DiskGraph.attach(graph, ctx.device_for(graph.n))
         for samples in (32, 128, 512):
             est = estimate_triangle_count(
                 probe, samples, 0.95, np.random.default_rng(samples)

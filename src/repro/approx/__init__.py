@@ -1,8 +1,7 @@
 """Approximate answer tier: sampled estimates with confidence bounds.
 
-Promotes the wedge-sampling stub of ``repro.semiexternal.estimation``
-into a first-class subsystem (ROADMAP "Approximate tier"): charged
-sampling estimators (:mod:`~repro.approx.estimators`), the
+The library's one home for sampled estimates: charged sampling
+estimators (:mod:`~repro.approx.estimators`), the
 :class:`~repro.approx.estimate.Estimate` envelope they all speak, and the
 :class:`~repro.approx.engine.ApproxEngine` that serves trussness /
 ``k_max`` / membership-likelihood queries from cached sampled state.
@@ -20,7 +19,6 @@ Three integration points:
 from .engine import ApproxEngine, build_approx_engine
 from .estimate import Estimate, hoeffding_samples, normal_quantile, wilson_interval
 from .estimators import (
-    AdjacencyProbe,
     SupportSample,
     estimate_edge_support,
     estimate_kmax,
@@ -38,7 +36,6 @@ __all__ = [
     "normal_quantile",
     "wilson_interval",
     "hoeffding_samples",
-    "AdjacencyProbe",
     "SupportSample",
     "sample_budget",
     "estimate_triangle_count",

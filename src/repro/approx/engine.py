@@ -23,10 +23,10 @@ import numpy as np
 from ..engine.config import EngineConfig
 from ..engine.context import ContextLike, ExecutionContext, resolve_context
 from ..errors import ReproError
+from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph
 from .estimate import Estimate
 from .estimators import (
-    AdjacencyProbe,
     estimate_edge_support,
     estimate_triangle_count,
     kmax_from_sample,
@@ -104,10 +104,10 @@ class ApproxEngine:
     def build(self, probe=None) -> "ApproxEngine":
         """Sample the graph once; idempotent (later calls are free).
 
-        *probe* supplies the charged access path (an
-        :class:`~repro.approx.estimators.AdjacencyProbe` or a
-        :class:`~repro.graph.DiskGraph`); without one the engine builds a
-        private context from its config. The build's read I/Os are
+        *probe* supplies the charged access path (a
+        :class:`~repro.graph.DiskGraph`, typically an attached view);
+        without one the engine samples through a view on a private device
+        built from its config. The build's read I/Os are
         recorded as :attr:`build_charged_io` — that is the whole cost of
         every later :meth:`kmax` / :meth:`triangles` /
         :meth:`max_support` answer.
@@ -115,9 +115,8 @@ class ApproxEngine:
         if self._built:
             return self
         if probe is None:
-            self._own_context = ExecutionContext(self._config)
-            probe = AdjacencyProbe(
-                self.graph, self._own_context.device_for(self.graph.n)
+            probe = DiskGraph.attach(
+                self.graph, self._require_own_device(), name="approx"
             )
         rng = np.random.default_rng(self.seed)
         budget = sample_budget(
@@ -182,15 +181,20 @@ class ApproxEngine:
     def edge_support(self, u: int, v: int, probe=None) -> Optional[Estimate]:
         """Support estimate for edge ``(u, v)``; None when absent.
 
-        *probe* routes the query's adjacency touches (defaults to the
-        engine's private context — serve passes the request's own probe
-        so the bill lands on that request's envelope).
+        *probe* routes the query's adjacency touches (defaults to a view
+        on the engine's private device, released after the query — serve
+        passes the request's own view so the bill lands on that request's
+        envelope).
         """
         self.build()
         if probe is None:
-            probe = AdjacencyProbe(
+            view = DiskGraph.attach(
                 self.graph, self._require_own_device(), name="approx.q"
             )
+            try:
+                return self.edge_support(u, v, view)
+            finally:
+                view.release()
         return estimate_edge_support(
             probe, u, v, self._edge_budget(), self.confidence,
             self._edge_rng(u, v),
@@ -303,5 +307,6 @@ def build_approx_engine(
     engine = ApproxEngine(graph, config=ctx.config, **overrides)
     if graph.n == 0:
         raise ReproError("cannot estimate over an empty graph")
-    probe = AdjacencyProbe(graph, ctx.device_for(graph.n))
-    return engine.build(probe)
+    return engine.build(
+        DiskGraph.attach(graph, ctx.device_for(graph.n), name="approx")
+    )

@@ -1,13 +1,13 @@
 """Charged sampling estimators: triangles, supports, ``k_max`` intervals.
 
-All estimators read adjacency through a *probe* — either a
-:class:`~repro.graph.disk_graph.DiskGraph` (when the graph is already
-materialised for an exact run) or the lightweight
-:class:`AdjacencyProbe` here (read-only serving paths, where the snapshot
-must never be written). Either way every sampled adjacency access is
-charged to the probe's :class:`~repro.storage.BlockDevice`, so an
-estimate's ``charged_io`` is a measured Aggarwal–Vitter bill, directly
-comparable to the exact algorithms' bills.
+All estimators read adjacency through a
+:class:`~repro.graph.disk_graph.DiskGraph` — materialised for an exact
+run, or registered with :meth:`~repro.graph.disk_graph.DiskGraph.attach`
+on read-only paths, where the snapshot must never be written. Either way
+every sampled adjacency access is charged to the graph's
+:class:`~repro.storage.BlockDevice`, so an estimate's ``charged_io`` is a
+measured Aggarwal–Vitter bill, directly comparable to the exact
+algorithms' bills.
 
 Estimator toolbox (Conte et al., "Efficient Estimation of Graph
 Trussness", adapted to the semi-external cost model):
@@ -34,17 +34,14 @@ answers; the sampling economics only start at scale).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..core import bounds
-from ..graph.memgraph import Graph
-from ..storage import BlockDevice
 from .estimate import Estimate, hoeffding_samples, wilson_interval
 
 __all__ = [
-    "AdjacencyProbe",
     "SupportSample",
     "sample_budget",
     "estimate_triangle_count",
@@ -56,68 +53,8 @@ __all__ = [
 ]
 
 
-class AdjacencyProbe:
-    """Charged, strictly read-only adjacency access over a graph image.
-
-    Registers the image's adjacency and edge tables as device extents
-    (``<name>.adj`` / ``<name>.edges``) and charges every probe as block
-    touches — the same accounting idiom as the serve tier's snapshot
-    reader, so estimators can run against a pinned snapshot through a
-    read-only device without materialising a writable
-    :class:`~repro.graph.DiskGraph`.
-
-    >>> from repro.engine import EngineConfig, ExecutionContext
-    >>> from repro.graph.generators import complete_graph
-    >>> graph = complete_graph(5)
-    >>> context = ExecutionContext(EngineConfig(backend="inmemory"))
-    >>> probe = AdjacencyProbe(graph, context.device_for(graph.n))
-    >>> [int(x) for x in probe.load_neighbors(0)]
-    [1, 2, 3, 4]
-    >>> probe.load_endpoints(0)
-    (0, 1)
-    """
-
-    def __init__(
-        self, graph: Graph, device: BlockDevice, name: str = "approx"
-    ) -> None:
-        self.graph = graph
-        self.device = device
-        self.n = graph.n
-        self.m = graph.m
-        self.degrees = graph.degrees
-        self._offsets = graph.offsets
-        self._adj = device.allocate(f"{name}.adj", 8 * len(graph.adj))
-        self._edges = device.allocate(f"{name}.edges", 16 * graph.m)
-
-    def degree(self, v: int) -> int:
-        """Degree of *v* — node-table lookup, free (in memory)."""
-        return int(self.degrees[v])
-
-    def adj_base(self, v: int) -> int:
-        """Start offset of ``N(v)`` in the adjacency extent (free)."""
-        return int(self._offsets[v])
-
-    def load_neighbors(self, v: int) -> np.ndarray:
-        """Load ``N(v)`` (one charged slice read of ``deg(v)`` cells)."""
-        start = self.adj_base(v)
-        degree = self.degree(v)
-        self.device.touch_read(self._adj, 8 * start, 8 * degree)
-        return self.graph.neighbors(v)
-
-    def read_adj_cell(self, offset: int) -> int:
-        """One adjacency cell (a single charged 8-byte touch)."""
-        self.device.touch_read(self._adj, 8 * offset, 8)
-        return int(self.graph.adj[offset])
-
-    def load_endpoints(self, eid: int) -> Tuple[int, int]:
-        """Endpoints of edge *eid* (one charged edge-table row)."""
-        self.device.touch_read(self._edges, 16 * eid, 16)
-        u, v = self.graph.edges[eid]
-        return int(u), int(v)
-
-
 def _read_bill(source) -> int:
-    """Current read-I/O counter of the probe's device."""
+    """Current read-I/O counter of the graph's device."""
     return int(source.device.stats.read_ios)
 
 
@@ -151,11 +88,12 @@ def charged_bisect(source, v: int, target: int) -> bool:
     support sampling sublinear in the endpoint degrees.
 
     >>> from repro.engine import EngineConfig, ExecutionContext
+    >>> from repro.graph import DiskGraph
     >>> from repro.graph.generators import complete_graph
     >>> graph = complete_graph(4)
     >>> context = ExecutionContext(EngineConfig(backend="inmemory"))
-    >>> probe = AdjacencyProbe(graph, context.device_for(graph.n))
-    >>> charged_bisect(probe, 0, 3), charged_bisect(probe, 0, 7)
+    >>> view = DiskGraph.attach(graph, context.device_for(graph.n))
+    >>> charged_bisect(view, 0, 3), charged_bisect(view, 0, 7)
     (True, False)
     """
     base = source.adj_base(v)
@@ -185,13 +123,14 @@ def estimate_triangle_count(
     scales the Wilson interval of the closure rate by ``wedges / 3``.
 
     >>> from repro.engine import EngineConfig, ExecutionContext
+    >>> from repro.graph import DiskGraph
     >>> from repro.graph.generators import complete_graph
     >>> import numpy as np
     >>> graph = complete_graph(6)
     >>> context = ExecutionContext(EngineConfig(backend="inmemory"))
-    >>> probe = AdjacencyProbe(graph, context.device_for(graph.n))
+    >>> view = DiskGraph.attach(graph, context.device_for(graph.n))
     >>> est = estimate_triangle_count(
-    ...     probe, 200, 0.95, np.random.default_rng(0))
+    ...     view, 200, 0.95, np.random.default_rng(0))
     >>> est.value == 20.0 and est.covers(20)  # every wedge closes
     True
     """
@@ -266,12 +205,13 @@ def sample_edge_supports(
     in ``m`` whenever ``samples << m``.
 
     >>> from repro.engine import EngineConfig, ExecutionContext
+    >>> from repro.graph import DiskGraph
     >>> from repro.graph.generators import complete_graph
     >>> import numpy as np
     >>> graph = complete_graph(5)   # every edge has support 3
     >>> context = ExecutionContext(EngineConfig(backend="inmemory"))
-    >>> probe = AdjacencyProbe(graph, context.device_for(graph.n))
-    >>> sample = sample_edge_supports(probe, 10**6,
+    >>> view = DiskGraph.attach(graph, context.device_for(graph.n))
+    >>> sample = sample_edge_supports(view, 10**6,
     ...                               np.random.default_rng(0))
     >>> sample.census, sample.size, int(sample.supports.min())
     (True, 10, 3)
@@ -429,12 +369,13 @@ def estimate_kmax(
     tier's ``precision=approx`` answers.
 
     >>> from repro.engine import EngineConfig, ExecutionContext
+    >>> from repro.graph import DiskGraph
     >>> from repro.graph.generators import complete_graph
     >>> import numpy as np
     >>> graph = complete_graph(6)   # k_max = 6
     >>> context = ExecutionContext(EngineConfig(backend="inmemory"))
-    >>> probe = AdjacencyProbe(graph, context.device_for(graph.n))
-    >>> est = estimate_kmax(probe, rng=np.random.default_rng(7))
+    >>> view = DiskGraph.attach(graph, context.device_for(graph.n))
+    >>> est = estimate_kmax(view, rng=np.random.default_rng(7))
     >>> est.covers(6)
     True
     """
@@ -468,17 +409,18 @@ def estimate_edge_support(
     charged I/O, independent of ``m``.
 
     >>> from repro.engine import EngineConfig, ExecutionContext
+    >>> from repro.graph import DiskGraph
     >>> from repro.graph.generators import complete_graph
     >>> import numpy as np
     >>> graph = complete_graph(5)
     >>> context = ExecutionContext(EngineConfig(backend="inmemory"))
-    >>> probe = AdjacencyProbe(graph, context.device_for(graph.n))
+    >>> view = DiskGraph.attach(graph, context.device_for(graph.n))
     >>> est = estimate_edge_support(
-    ...     probe, 0, 1, 64, 0.95, np.random.default_rng(0))
+    ...     view, 0, 1, 64, 0.95, np.random.default_rng(0))
     >>> est.value, est.is_exact
     (3.0, True)
     >>> estimate_edge_support(
-    ...     probe, 0, 0, 64, 0.95, np.random.default_rng(0)) is None
+    ...     view, 0, 0, 64, 0.95, np.random.default_rng(0)) is None
     True
     """
     if samples <= 0:

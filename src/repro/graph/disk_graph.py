@@ -29,8 +29,14 @@ from .memgraph import Graph
 class DiskGraph:
     """An immutable graph whose adjacency lives on a simulated disk.
 
-    Build one with :meth:`from_graph`. The in-memory footprint is the node
-    table only — ``O(n)`` — as the semi-external model allows.
+    ``DiskGraph(graph, device, memory, name)`` materialises *graph*: its
+    edge file is charged as sequential writes and its node file to
+    *memory*. :meth:`attach` registers an image that is already on disk
+    (a pinned snapshot, a graph being sampled) and charges nothing. Either
+    way the payloads are the graph's own arrays, never copies, and every
+    read through the access paths below is charged. The in-memory
+    footprint is the node table only — ``O(n)`` — as the semi-external
+    model allows.
     """
 
     def __init__(
@@ -40,58 +46,43 @@ class DiskGraph:
         memory: Optional[MemoryMeter] = None,
         name: str = "G",
     ) -> None:
-        self.device = device if device is not None else BlockDevice()
+        self._bind(graph, device if device is not None else BlockDevice(), name)
+        # Node file: resident in memory (the semi-external allowance).
         self.memory = memory if memory is not None else MemoryMeter()
+        self.memory.charge(f"{name}.nodefile", self.offsets.nbytes + self.degrees.nbytes)
+        # Edge file: writing it out is part of the paper's bill.
+        for array in (self.adj, self.adj_eids, self.edge_endpoints):
+            if array.length:
+                self.device.append_write(array.extent, 0, array.length * array.itemsize)
+
+    @classmethod
+    def attach(cls, graph: Graph, device: BlockDevice, name: str = "G") -> "DiskGraph":
+        """Register *graph*'s image on *device* without charging or copying.
+
+        Constant work: three extents over the graph's own arrays, no
+        memory meter. Reads bill exactly as on a materialised
+        ``DiskGraph``, so an attached view suits read-only devices.
+        """
+        view = cls.__new__(cls)
+        view._bind(graph, device, name)
+        view.memory = None
+        return view
+
+    def _bind(self, graph: Graph, device: BlockDevice, name: str) -> None:
+        self.device = device
         self.name = name
         self.n = graph.n
         self.m = graph.m
-        # Node file: resident in memory (the semi-external allowance).
-        self.offsets = graph.offsets.copy()
+        self.offsets = graph.offsets
         self.degrees = graph.degrees
-        self.memory.charge(f"{name}.nodefile", self.offsets.nbytes + self.degrees.nbytes)
-        # Edge file: adjacency + aligned edge ids, on disk. On a mapping-
-        # capable device (backend "mmap"), read-only payloads — e.g. the
-        # views a read_rgr_mapped() graph carries — are adopted zero-copy;
-        # the charges are identical either way (see DiskArray.from_mapped).
-        self.adj = self._edge_file_array(graph.adj, f"{name}.adj")
-        self.adj_eids = self._edge_file_array(graph.adj_eids, f"{name}.adjeids")
-        # Edge table: endpoints by edge id, on disk (2 ints per edge).
-        self.edge_endpoints = self._edge_file_array(
-            graph.edges.reshape(-1), f"{name}.edges"
+        # Edge file: adjacency + aligned edge ids, then the edge table
+        # (endpoints by edge id, 2 ints per edge).
+        self.adj = DiskArray.attach(device, graph.adj, f"{name}.adj")
+        self.adj_eids = DiskArray.attach(device, graph.adj_eids, f"{name}.adjeids")
+        self.edge_endpoints = DiskArray.attach(
+            device, graph.edges.reshape(-1), f"{name}.edges"
         )
         self._graph = graph  # retained for result extraction & subgraphing
-
-    def _edge_file_array(self, values: np.ndarray, name: str) -> DiskArray:
-        """Materialise one edge-file array, zero-copy where possible.
-
-        A read-only payload on a device advertising ``supports_mapping``
-        is adopted as-is (no copy: the device serves it from the page
-        cache); anything else goes through the copying
-        :meth:`DiskArray.from_numpy`. Charged I/O is identical on both
-        paths, so backends stay bit-compatible.
-        """
-        values = np.asarray(values)
-        if (
-            getattr(self.device, "supports_mapping", False)
-            and not values.flags.writeable
-        ):
-            return DiskArray.from_mapped(self.device, values, name=name)
-        return DiskArray.from_numpy(self.device, values, name=name)
-
-    # ------------------------------------------------------------------ #
-    # constructors
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_graph(
-        cls,
-        graph: Graph,
-        device: Optional[BlockDevice] = None,
-        memory: Optional[MemoryMeter] = None,
-        name: str = "G",
-    ) -> "DiskGraph":
-        """Materialise *graph* on *device* (charged as sequential writes)."""
-        return cls(graph, device, memory, name)
 
     # ------------------------------------------------------------------ #
     # charged access paths (algorithm-facing)
@@ -112,7 +103,7 @@ class DiskGraph:
         The approximate tier's membership probes binary-search an
         adjacency list cell by cell — ``O(log deg)`` single touches
         instead of the full ``O(deg / B)`` slice."""
-        return int(self.adj.read_slice(offset, offset + 1)[0])
+        return self.adj.get(offset)
 
     def load_neighbors_with_eids(self, v: int) -> Tuple[np.ndarray, np.ndarray]:
         """Load ``N(v)`` together with the aligned edge ids (charged)."""
@@ -222,7 +213,8 @@ class DiskGraph:
         self.adj.free()
         self.adj_eids.free()
         self.edge_endpoints.free()
-        self.memory.release(f"{self.name}.nodefile")
+        if self.memory is not None:
+            self.memory.release(f"{self.name}.nodefile")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DiskGraph({self.name!r}, n={self.n}, m={self.m})"

@@ -70,7 +70,9 @@ class Graph:
         views over the file). Unset on every other construction path.
     """
 
-    __slots__ = ("n", "m", "edges", "offsets", "adj", "adj_eids", "rgr_mapping")
+    __slots__ = (
+        "n", "m", "edges", "offsets", "adj", "adj_eids", "degrees", "rgr_mapping",
+    )
 
     def __init__(self, n: int, edges: np.ndarray) -> None:
         edges = canonical_edge_array(edges)
@@ -78,40 +80,53 @@ class Graph:
             raise GraphFormatError(
                 f"edge endpoint {int(edges.max())} >= vertex count {n}"
             )
+        n = int(n)
+        # One sort over the doubled edge array: each edge contributes
+        # (u, v) and (v, u); ordering by (vertex, neighbour) lays out every
+        # adjacency list sorted, and pairs are unique so the order is total.
+        m = len(edges)
+        owners = np.concatenate([edges[:, 0], edges[:, 1]])
+        targets = np.concatenate([edges[:, 1], edges[:, 0]])
+        order = np.lexsort((targets, owners))
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owners, minlength=n), out=offsets[1:])
+        eids = np.arange(m, dtype=np.int64)
+        self._set_csr(
+            n, edges, offsets, targets[order], np.concatenate([eids, eids])[order]
+        )
+
+    def _set_csr(self, n, edges, offsets, adj, adj_eids) -> None:
         self.n = int(n)
         self.m = len(edges)
         self.edges = edges
-        self._build_csr()
-
-    def _build_csr(self) -> None:
-        degrees = np.zeros(self.n, dtype=np.int64)
-        if self.m:
-            np.add.at(degrees, self.edges[:, 0], 1)
-            np.add.at(degrees, self.edges[:, 1], 1)
-        self.offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=self.offsets[1:])
-        self.adj = np.zeros(2 * self.m, dtype=np.int64)
-        self.adj_eids = np.zeros(2 * self.m, dtype=np.int64)
-        cursor = self.offsets[:-1].copy()
-        for eid in range(self.m):
-            u, v = self.edges[eid]
-            self.adj[cursor[u]] = v
-            self.adj_eids[cursor[u]] = eid
-            cursor[u] += 1
-            self.adj[cursor[v]] = u
-            self.adj_eids[cursor[v]] = eid
-            cursor[v] += 1
-        # Sort each adjacency list by neighbour id (keeps eids aligned).
-        for v in range(self.n):
-            start, stop = self.offsets[v], self.offsets[v + 1]
-            if stop - start > 1:
-                order = np.argsort(self.adj[start:stop], kind="mergesort")
-                self.adj[start:stop] = self.adj[start:stop][order]
-                self.adj_eids[start:stop] = self.adj_eids[start:stop][order]
+        self.offsets = offsets
+        self.adj = adj
+        self.adj_eids = adj_eids
+        self.degrees = np.diff(offsets)
+        self.degrees.setflags(write=False)
 
     # ------------------------------------------------------------------ #
     # constructors
     # ------------------------------------------------------------------ #
+
+    @classmethod
+    def from_csr(
+        cls,
+        n: int,
+        edges: np.ndarray,
+        offsets: np.ndarray,
+        adj: np.ndarray,
+        adj_eids: np.ndarray,
+    ) -> "Graph":
+        """Wrap prebuilt CSR arrays without copying or re-sorting them.
+
+        The caller vouches for the layout (the ``.rgr`` loaders validate
+        it first): *edges* canonical, adjacency lists sorted, ``adj_eids``
+        aligned with ``adj``.
+        """
+        graph = cls.__new__(cls)
+        graph._set_csr(n, edges, offsets, adj, adj_eids)
+        return graph
 
     @classmethod
     def from_edges(cls, edges: Iterable[EdgePair], n: Optional[int] = None) -> "Graph":
@@ -133,12 +148,7 @@ class Graph:
 
     def degree(self, v: int) -> int:
         """Degree of vertex *v*."""
-        return int(self.offsets[v + 1] - self.offsets[v])
-
-    @property
-    def degrees(self) -> np.ndarray:
-        """Degree array of length ``n``."""
-        return np.diff(self.offsets)
+        return int(self.degrees[v])
 
     @property
     def max_degree(self) -> int:
@@ -206,15 +216,6 @@ class Graph:
                         support[marker_eid[w]] += 1
                 if count:
                     support[uv_eid] += count
-        # Each triangle (u<v<w) was attributed: +count to (u,v), +1 to (v,w)
-        # and +1 to (u,w); but (u,v) also participates in triangles where it
-        # is not the smallest pair. Fix by a second symmetric pass below.
-        return self._complete_supports(support)
-
-    def _complete_supports(self, support: np.ndarray) -> np.ndarray:
-        # The single-orientation pass above already credits all three edges
-        # of each triangle exactly once, so nothing further is needed; kept
-        # as a hook for the tested invariant sum(sup) == 3 * triangles.
         return support
 
     # ------------------------------------------------------------------ #

@@ -108,14 +108,7 @@ def _assemble_graph(offsets, adj, adj_eids, n: int, m: int,
     if m and np.any(edges[:-1, 0] * (n + 1) + edges[:-1, 1]
                     >= edges[1:, 0] * (n + 1) + edges[1:, 1]):
         raise error(f"{source}: .rgr edge ids are not canonical")
-    graph = Graph.__new__(Graph)
-    graph.n = n
-    graph.m = m
-    graph.edges = edges
-    graph.offsets = offsets
-    graph.adj = adj
-    graph.adj_eids = adj_eids
-    return graph
+    return Graph.from_csr(n, edges, offsets, adj, adj_eids)
 
 
 def graph_from_rgr_bytes(payload: bytes, source: str = "<bytes>") -> Graph:
@@ -198,8 +191,8 @@ def read_rgr_mapped(path: PathLike) -> Graph:
         offsets = adj = adj_eids = None
         mapping.close()
         raise
-    # The rebuilt edge table is immutable derived data; freezing it lets
-    # the zero-copy DiskArray path adopt it without a defensive copy.
+    # The rebuilt edge table is immutable derived data; freezing it marks
+    # it as part of the mapped image, which DiskArray.attach adopts.
     graph.edges.setflags(write=False)
     # The views' .base keeps the mapping alive; the explicit handle makes
     # the lifetime visible (and lets tests close deterministically).

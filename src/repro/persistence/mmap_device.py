@@ -7,7 +7,7 @@ block — which is exactly why it costs ~7-8x wall-clock and physically
 re-reads gigabytes on a 300k-edge run. This device takes the opposite
 deal the kernel offers: lay ``numpy.memmap``-style read-only views
 straight over ``.rgr`` CSR images (:func:`~repro.persistence.read_rgr_mapped`
-+ :meth:`~repro.storage.DiskArray.from_mapped`), serve every gather /
++ :meth:`~repro.storage.DiskArray.attach`), serve every gather /
 ``load_neighbors_batch`` from the shared page cache with **no per-block
 syscall**, and account the physical layer with a *tiered cache model*
 instead of mirroring each charge.
@@ -85,10 +85,6 @@ class MmapBlockDevice(BlockDevice):
     >>> dev.physical.page_faults_est
     1
     """
-
-    #: Advertises the zero-copy seam: ``DiskGraph`` routes read-only CSR
-    #: views through ``DiskArray.from_mapped`` when this is true.
-    supports_mapping = True
 
     def __init__(
         self,

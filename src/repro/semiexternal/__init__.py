@@ -9,7 +9,6 @@ from .triangles import (
     global_clustering,
 )
 from .truss_decomp import HIndexDecomposition, h_index_truss_decomposition
-from .estimation import TriangleEstimate, estimate_triangles, estimate_max_support
 from .orientation import compute_supports_oriented
 from .wcc import ComponentResult, semi_external_components, split_edges_semi_external
 from .core_decomp import (
@@ -37,9 +36,6 @@ __all__ = [
     "h_index",
     "HIndexDecomposition",
     "h_index_truss_decomposition",
-    "TriangleEstimate",
-    "estimate_triangles",
-    "estimate_max_support",
     "compute_supports_oriented",
     "ComponentResult",
     "semi_external_components",

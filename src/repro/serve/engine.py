@@ -2,8 +2,8 @@
 
 Every request runs against exactly one pinned :class:`Snapshot` through a
 fresh **read-only** :class:`~repro.engine.context.ExecutionContext`: the
-context's device registers the snapshot's arrays as extents
-(``serve.adj`` / ``serve.adj_eids`` / ``serve.tau`` / ``serve.edges``)
+context's device attaches the snapshot's arrays as extents
+(``serve.adj`` / ``serve.adjeids`` / ``serve.edges`` / ``serve.tau``)
 and every byte the query logically reads is charged to that request's
 ledger — so an answer's ``io`` field is its honest Aggarwal–Vitter bill,
 and a write-side touch (a bug mutating served state) raises
@@ -33,12 +33,13 @@ from ..analysis.components import (
 from ..applications.community import truss_community
 from ..approx.engine import ApproxEngine
 from ..approx.estimate import Estimate
-from ..approx.estimators import AdjacencyProbe
 from ..engine.config import EngineConfig
 from ..engine.context import ExecutionContext
 from ..errors import ServeError
+from ..graph.disk_graph import DiskGraph
 from ..observability.metrics import global_metrics
 from ..observability.tracer import trace_span
+from ..storage import DiskArray
 from .cache import ResultCache
 from .protocol import ok_envelope, request_id_of, validate_request
 from .snapshot import Snapshot, SnapshotManager
@@ -84,44 +85,18 @@ class QueryAnswer:
 class _SnapshotReader:
     """Charged access paths over one pinned snapshot.
 
-    Registers the snapshot's arrays as extents on the request's device;
-    actual payloads come straight from the shared numpy arrays (the
-    simulator's residency model — see ``storage/device.py``), so readers
+    Attaches the snapshot's graph (a :class:`~repro.graph.DiskGraph`
+    view, ``serve.*``) and its trussness array (``serve.tau``) to the
+    request's device. Payloads are the snapshot's own arrays, so readers
     share memory while each request pays its own block bill.
     """
 
     def __init__(self, snapshot: Snapshot, context: ExecutionContext) -> None:
         self.snapshot = snapshot
-        graph = snapshot.graph
-        self.graph = graph
-        device = context.device_for(graph.n)
-        self._device = device
-        self._adj = device.allocate("serve.adj", 8 * len(graph.adj))
-        self._adj_eids = device.allocate("serve.adj_eids", 8 * len(graph.adj))
-        self._tau = device.allocate("serve.tau", 8 * graph.m)
-        self._edges = device.allocate("serve.edges", 16 * graph.m)
-        adopt = getattr(device, "adopt_mapping", None)
-        if adopt is not None:
-            # Mapping-capable backend (mmap): a snapshot loaded through
-            # read_rgr_mapped keeps its CSR as read-only views over one
-            # file mapping, which every pinned query shares — tell the
-            # per-query device so its physical ledger reflects that.
-            for extent, view in (
-                (self._adj, graph.adj),
-                (self._adj_eids, graph.adj_eids),
-                (self._edges, graph.edges.reshape(-1)),
-            ):
-                if not view.flags.writeable:
-                    adopt(extent, view)
-        self._approx_probe: Optional[AdjacencyProbe] = None
-
-    def approx_probe(self) -> AdjacencyProbe:
-        """This request's charged estimator probe (billing to its device)."""
-        if self._approx_probe is None:
-            self._approx_probe = AdjacencyProbe(
-                self.graph, self._device, name="serve.approx"
-            )
-        return self._approx_probe
+        self.graph = snapshot.graph
+        device = context.device_for(self.graph.n)
+        self.view = DiskGraph.attach(self.graph, device, name="serve")
+        self._tau = DiskArray.attach(device, snapshot.trussness, "serve.tau")
 
     def check_vertex(self, v: int, name: str) -> int:
         if not 0 <= v < self.graph.n:
@@ -134,38 +109,35 @@ class _SnapshotReader:
         """Edge id of ``(u, v)`` or ``-1``, charging the neighbour probe.
 
         Reads the smaller-degree endpoint's adjacency slice (the classic
-        adjacency-probe bound: ``O(min_deg / B)`` blocks).
+        adjacency-probe bound: ``O(min_deg / B)`` blocks), then one edge-id
+        cell when the edge exists.
         """
-        graph = self.graph
-        if graph.degree(v) < graph.degree(u):
+        view = self.view
+        if view.degree(v) < view.degree(u):
             u, v = v, u
-        start = int(graph.offsets[u])
-        degree = graph.degree(u)
-        self._device.touch_read(self._adj, 8 * start, 8 * degree)
-        nbrs = graph.neighbors(u)
+        nbrs = view.load_neighbors(u)
         pos = int(np.searchsorted(nbrs, v))
-        if pos >= degree or int(nbrs[pos]) != v:
+        if pos >= len(nbrs) or int(nbrs[pos]) != v:
             return -1
-        self._device.touch_read(self._adj_eids, 8 * (start + pos), 8)
-        return int(graph.neighbor_eids(u)[pos])
+        return view.adj_eids.get(view.adj_base(u) + pos)
 
     def tau_of(self, eid: int) -> int:
         """One trussness cell (a single indexed block touch)."""
-        self._device.touch_read(self._tau, 8 * eid, 8)
-        return int(self.snapshot.trussness[eid])
+        return self._tau.get(eid)
 
     def scan_tau(self) -> np.ndarray:
         """The whole trussness array: one sequential extent pass."""
-        self._device.touch_read(self._tau, 0, 8 * self.graph.m)
-        return self.snapshot.trussness
+        return self._tau.to_numpy()
 
     def scan_edges(self, eids: Optional[np.ndarray] = None) -> np.ndarray:
         """Edge endpoint rows (all, or the selected ids), charged."""
+        table = self.view.edge_endpoints
         if eids is None:
-            self._device.touch_read(self._edges, 0, 16 * self.graph.m)
-            return self.graph.edges
+            return table.to_numpy().reshape(-1, 2)
         eids = np.asarray(eids, dtype=np.int64)
-        self._device.touch_read_batch(self._edges, 16 * eids, 16)
+        # One 16-byte row touch per selected edge: the request's bill and
+        # the mmap tier's page tallies count rows, not endpoint cells.
+        table.device.touch_read_batch(table.extent, 16 * eids, 16)
         return self.graph.edges[eids]
 
 
@@ -340,7 +312,7 @@ class QueryEngine:
             if engine is None:
                 engine = ApproxEngine(snapshot.graph, config=self.config)
                 self._approx[snapshot.snapshot_id] = engine
-            engine.build(reader.approx_probe())
+            engine.build(reader.view)
         return engine
 
     def _trussness_approx(self, reader, u: int, v: int) -> Dict[str, Any]:
@@ -349,7 +321,7 @@ class QueryEngine:
         if u == v:
             raise ServeError("u and v must differ")
         engine = self._approx_for(reader)
-        estimate = engine.trussness(u, v, probe=reader.approx_probe())
+        estimate = engine.trussness(u, v, probe=reader.view)
         if estimate is None:
             return {"present": False, "trussness": None, "precision": "approx"}
         return {"present": True, "precision": "approx", **estimate.to_dict()}
@@ -362,8 +334,7 @@ class QueryEngine:
         if u == v:
             raise ServeError("u and v must differ")
         engine = self._approx_for(reader)
-        probe = reader.approx_probe()
-        support = engine.edge_support(u, v, probe=probe)
+        support = engine.edge_support(u, v, probe=reader.view)
         if support is None:
             absent = Estimate.exact(0.0)
             return {

@@ -52,17 +52,21 @@ class DiskArray:
     ) -> None:
         if length < 0:
             raise ArrayBoundsError(f"length must be non-negative, got {length}")
-        self.device = device
-        self.length = int(length)
-        self.dtype = np.dtype(dtype)
-        self.itemsize = self.dtype.itemsize
-        self.name = name
-        self._data = np.zeros(self.length, dtype=self.dtype)
-        self._mapped = False
-        self.extent = device.allocate(name, self.length * self.itemsize)
+        self._bind(device, np.zeros(int(length), dtype=dtype), name, shared=False)
         if fill is not None and self.length:
             self._data[:] = fill
             device.append_write(self.extent, 0, self.length * self.itemsize)
+
+    def _bind(self, device: BlockDevice, data: np.ndarray, name: str,
+              shared: bool) -> None:
+        self.device = device
+        self.length = len(data)
+        self.dtype = data.dtype
+        self.itemsize = self.dtype.itemsize
+        self.name = name
+        self._data = data
+        self._mapped = shared
+        self.extent = device.allocate(name, self.length * self.itemsize)
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -81,60 +85,40 @@ class DiskArray:
         return array
 
     @classmethod
-    def from_mapped(
-        cls, device: BlockDevice, view: np.ndarray, name: str = "array"
+    def attach(
+        cls, device: BlockDevice, values: np.ndarray, name: str = "array"
     ) -> "DiskArray":
-        """Adopt a read-only *view* as the payload — zero copy.
+        """Register *values* as the payload of a new extent: no copy, no charge.
 
-        Charges **exactly** what :meth:`from_numpy` charges (one
-        sequential append-write of the extent: materialising the edge
-        file is part of the paper's bill either way); the difference is
-        purely physical — the payload stays the caller's buffer, which
-        for the ``mmap`` backend is a page-cache view laid over a
-        ``.rgr`` image. *view* must be read-only (zero-copy adoption of
-        a writable buffer would let the owner mutate disk contents
-        behind the accounting layer); a later charged write through
-        :meth:`set` / :meth:`scatter` / … materialises a private copy
-        first (copy-on-write), so mapped payloads are never written
-        through. Devices exposing ``adopt_mapping`` (the mmap tier) are
-        told about the adopted region so ``physical.bytes_mapped`` is
-        accounted.
+        For contents that are already on disk (a frozen graph image, a
+        published snapshot): reads are charged as usual, but registering
+        moves no block. The payload stays the caller's buffer; a later
+        charged write through :meth:`set` / :meth:`scatter` / … first
+        materialises a private copy (copy-on-write), so the caller's array
+        is never written through. A read-only *values* on a device exposing
+        ``adopt_mapping`` (the mmap tier) is reported as an adopted mapping,
+        so ``physical.bytes_mapped`` accounts it.
         """
-        view = np.asarray(view)
-        if view.ndim != 1:
+        values = np.asarray(values)
+        if values.ndim != 1:
             raise ArrayBoundsError(
-                f"from_mapped expects a 1-d view for {name!r}, "
-                f"got shape {view.shape}"
-            )
-        if view.flags.writeable:
-            raise ArrayBoundsError(
-                f"from_mapped requires a read-only view for {name!r} "
-                "(freeze it, or use from_numpy to copy)"
+                f"attach expects a 1-d array for {name!r}, got shape {values.shape}"
             )
         array = cls.__new__(cls)
-        array.device = device
-        array.length = len(view)
-        array.dtype = view.dtype
-        array.itemsize = view.dtype.itemsize
-        array.name = name
-        array._data = view
-        array._mapped = True
-        array.extent = device.allocate(name, array.length * array.itemsize)
-        if array.length:
-            device.append_write(array.extent, 0, array.length * array.itemsize)
+        array._bind(device, values, name, shared=True)
         adopt = getattr(device, "adopt_mapping", None)
-        if adopt is not None:
-            adopt(array.extent, view)
+        if adopt is not None and not values.flags.writeable:
+            adopt(array.extent, values)
         return array
 
     @property
     def mapped(self) -> bool:
-        """Whether the payload is still a zero-copy adopted view."""
+        """Whether the payload is still the buffer given to :meth:`attach`."""
         return self._mapped
 
     def _materialize(self) -> None:
-        """Copy-on-write: replace a mapped view with a private writable
-        copy before the first mutation (charges nothing — the write that
+        """Copy-on-write: replace an attached buffer with a private copy
+        before the first mutation (charges nothing — the write that
         triggered it is charged by the caller as usual)."""
         if self._mapped:
             self._data = np.array(self._data)
@@ -316,8 +300,8 @@ class DiskArray:
     def free(self) -> None:
         """Release the backing extent (models deleting a scratch file).
 
-        A mapped payload's view reference is dropped here, so freeing
-        the last array over a mapping lets the file be unlinked.
+        An attached payload's reference is dropped here, so freeing the
+        last array over a mapping lets the file be unlinked.
         """
         self.device.free(self.extent)
         self._data = np.empty(0, dtype=self.dtype)

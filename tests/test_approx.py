@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.approx import (
-    AdjacencyProbe,
     ApproxEngine,
     Estimate,
     build_approx_engine,
@@ -28,6 +27,7 @@ from repro.approx import (
 from repro.core.semi_binary import semi_binary
 from repro.engine import EngineConfig, ExecutionContext
 from repro.errors import ReproError
+from repro.graph import DiskGraph
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
@@ -39,7 +39,7 @@ from repro.graph.memgraph import Graph
 
 
 def make_probe(graph, context):
-    return AdjacencyProbe(graph, context.device_for(graph.n))
+    return DiskGraph.attach(graph, context.device_for(graph.n))
 
 
 @pytest.fixture
@@ -117,6 +117,11 @@ class TestEstimators:
         assert est.value == 0.0
         assert est.ci_low == 0.0
 
+    def test_edge_support_rejects_nonpositive_samples(self, context):
+        probe = make_probe(complete_graph(4), context)
+        with pytest.raises(ValueError):
+            estimate_edge_support(probe, 0, 1, -1, 0.95, np.random.default_rng(0))
+
     def test_support_census_degenerates_to_exact(self, context):
         probe = make_probe(complete_graph(5), context)
         sample = sample_edge_supports(probe, 10**6, np.random.default_rng(0))
@@ -157,7 +162,7 @@ class TestEstimators:
         graph = gnm_random(60, 240, seed=0)
         device = context.device_for(graph.n)
         before = device.stats.read_ios
-        probe = AdjacencyProbe(graph, device)
+        probe = DiskGraph.attach(graph, device)
         estimate_kmax(probe, rng=np.random.default_rng(0))
         assert device.stats.read_ios > before
 
@@ -199,6 +204,16 @@ class TestApproxEngine:
         beyond = engine.membership_likelihood(0, 1, 50)
         assert beyond.value == 0.0
         engine.close()
+
+    def test_unprobed_queries_do_not_leak_extents(self):
+        graph = gnm_random(60, 240, seed=4)
+        with ApproxEngine(graph, config=EngineConfig()) as engine:
+            engine.build()
+            device = engine._require_own_device()
+            built = device.used_bytes
+            for u, v in graph.edges[:50]:
+                engine.trussness(int(u), int(v))
+            assert device.used_bytes == built
 
     def test_build_approx_engine_rejects_empty(self, context):
         with pytest.raises(ReproError):

@@ -23,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.approx import ApproxEngine, estimate_kmax
-from repro.approx.estimators import AdjacencyProbe, estimate_triangle_count
+from repro.approx.estimators import estimate_triangle_count
 from repro.core.semi_binary import semi_binary
 from repro.engine import EngineConfig, ExecutionContext
+from repro.graph import DiskGraph
 from repro.graph.generators import gnm_random
 from repro.graph.memgraph import Graph
 
@@ -48,7 +49,7 @@ class TestCoverage:
         truth = semi_binary(graph).extras["triangles"]
         confidence = 0.95
         with ExecutionContext(EngineConfig()) as ctx:
-            probe = AdjacencyProbe(graph, ctx.device_for(graph.n))
+            probe = DiskGraph.attach(graph, ctx.device_for(graph.n))
             trials = 60
             covered = sum(
                 estimate_triangle_count(
@@ -63,7 +64,7 @@ class TestCoverage:
         truth = semi_binary(graph).k_max
         confidence = 0.95
         with ExecutionContext(EngineConfig()) as ctx:
-            probe = AdjacencyProbe(graph, ctx.device_for(graph.n))
+            probe = DiskGraph.attach(graph, ctx.device_for(graph.n))
             trials = 30
             covered = sum(
                 estimate_kmax(
@@ -123,6 +124,6 @@ class TestMetamorphicRelabeling:
         truth = semi_binary(base).k_max
         shuffled = relabel(base, np.random.default_rng(perm_seed))
         with ExecutionContext(EngineConfig()) as ctx:
-            probe = AdjacencyProbe(shuffled, ctx.device_for(shuffled.n))
+            probe = DiskGraph.attach(shuffled, ctx.device_for(shuffled.n))
             est = estimate_kmax(probe, rng=np.random.default_rng(0))
         assert est.covers(truth)

@@ -126,6 +126,30 @@ class TestAccounting:
         assert len(arr) == 0
 
 
+class TestAttach:
+    @pytest.mark.parametrize("mutate", ["set", "write_slice", "fill", "scatter"])
+    def test_attach_copies_on_first_write(self, dev, mutate):
+        source = np.arange(64, dtype=np.int64)
+        shared = source.copy()
+        array = DiskArray.attach(dev, shared, name="cow")
+        assert array.mapped and array.peek() is shared
+        if mutate == "set":
+            array.set(3, 99)
+        elif mutate == "write_slice":
+            array.write_slice(0, np.array([99], dtype=np.int64))
+        elif mutate == "fill":
+            array.fill(99)
+        else:
+            array.scatter(np.array([3]), np.array([99]))
+        assert not array.mapped
+        assert 99 in array.peek()
+        np.testing.assert_array_equal(shared, source)  # caller's array untouched
+
+    def test_attach_rejects_2d_views(self, dev):
+        with pytest.raises(ArrayBoundsError, match="1-d"):
+            DiskArray.attach(dev, np.zeros((4, 2), dtype=np.int64))
+
+
 @given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=64))
 def test_roundtrip_property(values):
     dev = BlockDevice(block_size=32, cache_blocks=4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.disk_graph import DiskGraph
-from repro.graph.generators import complete_graph, paper_example_graph
+from repro.graph.generators import complete_graph, gnm_random, paper_example_graph
 from repro.storage import BlockDevice, MemoryMeter
 
 
@@ -95,3 +95,57 @@ class TestSubgraphs:
         used = device.used_bytes
         dg.release()
         assert device.used_bytes < used
+
+
+def _read_everything(dg):
+    for v in range(dg.n):
+        dg.load_neighbors_with_eids(v)
+    dg.load_neighbors_batch(np.arange(dg.n)[::-1])
+    dg.load_endpoints_many(np.arange(dg.m)[::3])
+    for eid in range(0, dg.m, 5):
+        dg.load_endpoints(eid)
+        dg.read_adj_cell(eid)
+    for _start, _block in dg.scan_edges(batch=7):
+        pass
+
+
+class TestAttach:
+    def test_attach_charges_nothing(self):
+        device = BlockDevice(block_size=64, cache_blocks=8)
+        DiskGraph.attach(paper_example_graph(), device)
+        device.flush()
+        assert device.stats.total_ios == 0
+        assert device.cached_block_count == 0
+
+    def test_attach_copies_nothing(self):
+        graph = paper_example_graph()
+        view = DiskGraph.attach(graph, BlockDevice(block_size=64, cache_blocks=8))
+        assert view.adj.peek() is graph.adj
+        assert view.adj_eids.peek() is graph.adj_eids
+        assert np.shares_memory(view.edge_endpoints.peek(), graph.edges)
+        assert view.offsets is graph.offsets
+        assert view.degrees is graph.degrees
+        assert view.memory is None
+
+    def test_attach_works_on_a_readonly_device(self):
+        graph = paper_example_graph()
+        device = BlockDevice(block_size=64, cache_blocks=8)
+        device.readonly = True
+        view = DiskGraph.attach(graph, device)
+        np.testing.assert_array_equal(view.load_neighbors(4), graph.neighbors(4))
+        assert device.stats.read_ios >= 1
+        view.release()
+        assert device.used_bytes == 0
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "clock"])
+    def test_attached_reads_bill_like_materialised_reads(self, policy):
+        graph = gnm_random(40, 160, seed=2)
+        materialised = BlockDevice(block_size=64, cache_blocks=6, policy=policy)
+        written = DiskGraph(graph, materialised, MemoryMeter())
+        materialised.drop_cache()
+        materialised.stats.reset()
+        attached = BlockDevice(block_size=64, cache_blocks=6, policy=policy)
+        _read_everything(written)
+        _read_everything(DiskGraph.attach(graph, attached))
+        assert attached.stats == materialised.stats
+        assert attached.stats.read_ios > 0

@@ -1,91 +1,113 @@
-"""Tests for sampling estimators."""
+"""Tests for the sampling estimators on a charged view of a frozen graph."""
 
+import numpy as np
 import pytest
 
+from repro.approx import (
+    Estimate,
+    estimate_triangle_count,
+    max_support_from_sample,
+    sample_edge_supports,
+)
+from repro.core.bounds import lemma1_lower_bound
+from repro.engine import EngineConfig, ExecutionContext
+from repro.graph import DiskGraph
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
     gnp_random,
     star_graph,
 )
-from repro.semiexternal.estimation import (
-    TriangleEstimate,
-    estimate_max_support,
-    estimate_triangles,
-)
+from repro.graph.memgraph import Graph
+
+
+@pytest.fixture
+def context():
+    with ExecutionContext(EngineConfig()) as ctx:
+        yield ctx
+
+
+def view(graph, context):
+    return DiskGraph.attach(graph, context.device_for(graph.n))
+
+
+def triangles(graph, context, samples, seed=0):
+    return estimate_triangle_count(
+        view(graph, context), samples, 0.95, np.random.default_rng(seed))
+
+
+def max_support(graph, context, samples, seed=0):
+    sample = sample_edge_supports(
+        view(graph, context), samples, np.random.default_rng(seed))
+    return max_support_from_sample(sample, graph.max_degree)
 
 
 class TestTriangleEstimation:
-    def test_clique_is_exact(self):
+    def test_clique_is_exact(self, context):
         # Every wedge in a clique closes: zero-variance estimator.
         g = complete_graph(10)
-        estimate = estimate_triangles(g, samples=200, seed=0)
-        assert estimate.closure_rate == 1.0
-        assert estimate.triangles == pytest.approx(g.triangle_count())
+        estimate = triangles(g, context, samples=200)
+        assert estimate.value == pytest.approx(g.triangle_count())
+        assert estimate.covers(g.triangle_count())
 
-    def test_triangle_free_is_exact(self):
-        estimate = estimate_triangles(cycle_graph(10), samples=100, seed=0)
-        assert estimate.triangles == 0.0
-        assert estimate.closure_rate == 0.0
+    def test_triangle_free_is_exact(self, context):
+        estimate = triangles(cycle_graph(10), context, samples=100)
+        assert estimate.value == 0.0
+        assert estimate.ci_low == 0.0
 
-    def test_no_wedges(self):
-        from repro.graph.memgraph import Graph
+    def test_no_wedges(self, context):
+        estimate = triangles(Graph.from_edges([(0, 1)]), context, samples=10)
+        assert estimate.is_exact
+        assert estimate.samples == 0
+        assert estimate.value == 0.0
 
-        estimate = estimate_triangles(Graph.from_edges([(0, 1)]), samples=10)
-        assert estimate.wedges == 0
-        assert estimate.triangles == 0.0
-
-    def test_random_graph_within_tolerance(self):
+    def test_random_graph_within_tolerance(self, context):
         g = gnp_random(120, 0.15, seed=3)
         exact = g.triangle_count()
-        estimate = estimate_triangles(g, samples=4000, seed=7)
-        assert estimate.triangles == pytest.approx(exact, rel=0.25)
+        estimate = triangles(g, context, samples=4000, seed=7)
+        assert estimate.value == pytest.approx(exact, rel=0.25)
 
-    def test_deterministic_per_seed(self):
+    def test_deterministic_per_seed(self, context):
         g = gnp_random(60, 0.2, seed=1)
-        a = estimate_triangles(g, samples=500, seed=42)
-        b = estimate_triangles(g, samples=500, seed=42)
-        assert a.triangles == b.triangles
+        a = triangles(g, context, samples=500, seed=42)
+        b = triangles(g, context, samples=500, seed=42)
+        assert a.with_io(0) == b.with_io(0)
 
-    def test_invalid_samples(self):
+    def test_invalid_samples(self, context):
         with pytest.raises(ValueError):
-            estimate_triangles(complete_graph(4), samples=0)
+            triangles(complete_graph(4), context, samples=0)
 
     def test_charges_io(self):
-        from repro import EngineConfig, ExecutionContext
-
         context = ExecutionContext(EngineConfig(block_size=256, cache_blocks=4))
-        estimate_triangles(complete_graph(20), samples=50, seed=0, context=context)
-        assert context.device.stats.read_ios > 0
+        with context:
+            estimate = triangles(complete_graph(20), context, samples=50)
+            assert context.device.stats.read_ios == estimate.charged_io > 0
 
     def test_lemma1_seed(self):
-        estimate = TriangleEstimate(triangles=100.0, closure_rate=0.5,
-                                    wedges=600, samples=100)
-        assert estimate.lemma1_seed(100) == 5
-        assert estimate.lemma1_seed(0) == 2
-        zero = TriangleEstimate(0.0, 0.0, 0, 10)
-        assert zero.lemma1_seed(50) == 2
+        # A triangle estimate seeds the search through the Lemma 1 bound
+        # ``ceil(3 * triangles / m) + 2``, falling back to 2.
+        estimate = Estimate(100.0, 80.0, 120.0, 0.95, samples=100)
+        assert lemma1_lower_bound(int(estimate.value), 100, 0) == 5
+        assert lemma1_lower_bound(int(estimate.value), 0, 0) == 2
+        zero = Estimate.exact(0.0, samples=10)
+        assert lemma1_lower_bound(int(zero.value), 50, 0) == 2
 
 
 class TestMaxSupportEstimation:
-    def test_lower_bound_property(self):
+    def test_lower_bound_property(self, context):
         g = gnp_random(80, 0.2, seed=5)
         exact_max = int(g.edge_supports().max())
-        sampled = estimate_max_support(g, samples=200, seed=1)
-        assert 0 <= sampled <= exact_max
+        sampled = max_support(g, context, samples=200, seed=1)
+        assert 0 <= sampled.value <= exact_max
+        assert sampled.covers(exact_max)
 
-    def test_clique_finds_exact(self):
+    def test_clique_finds_exact(self, context):
         g = complete_graph(12)
-        assert estimate_max_support(g, samples=66, seed=0) == 10
+        estimate = max_support(g, context, samples=66)
+        assert estimate.is_exact and estimate.value == 10
 
-    def test_star(self):
-        assert estimate_max_support(star_graph(6), samples=6, seed=0) == 0
+    def test_star(self, context):
+        assert max_support(star_graph(6), context, samples=6).value == 0
 
-    def test_empty(self):
-        from repro.graph.memgraph import Graph
-
-        assert estimate_max_support(Graph.empty(3), samples=10) == 0
-
-    def test_invalid_samples(self):
-        with pytest.raises(ValueError):
-            estimate_max_support(complete_graph(4), samples=-1)
+    def test_empty(self, context):
+        assert max_support(Graph.empty(3), context, samples=10).value == 0

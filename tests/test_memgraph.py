@@ -6,9 +6,46 @@ from hypothesis import given
 
 from repro.errors import GraphFormatError
 from repro.graph.memgraph import Graph, canonical_edge_array
-from repro.graph.generators import complete_graph, cycle_graph, paper_example_graph
+from repro.graph.generators import (
+    complete_graph,
+    cycle_graph,
+    gnm_random,
+    paper_example_graph,
+)
 
 from conftest import small_graphs
+
+
+def reference_csr(n, edges):
+    """The per-edge fill plus per-vertex argsort that the one-sort CSR
+    build replaced — kept as the executable spec of its layout."""
+    degrees = np.zeros(n, dtype=np.int64)
+    np.add.at(degrees, edges[:, 0], 1)
+    np.add.at(degrees, edges[:, 1], 1)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    adj = np.zeros(2 * len(edges), dtype=np.int64)
+    adj_eids = np.zeros(2 * len(edges), dtype=np.int64)
+    cursor = offsets[:-1].copy()
+    for eid, (u, v) in enumerate(edges):
+        adj[cursor[u]], adj_eids[cursor[u]] = v, eid
+        cursor[u] += 1
+        adj[cursor[v]], adj_eids[cursor[v]] = u, eid
+        cursor[v] += 1
+    for v in range(n):
+        start, stop = offsets[v], offsets[v + 1]
+        order = np.argsort(adj[start:stop], kind="mergesort")
+        adj[start:stop] = adj[start:stop][order]
+        adj_eids[start:stop] = adj_eids[start:stop][order]
+    return offsets, adj, adj_eids
+
+
+def assert_csr_matches_reference(g):
+    offsets, adj, adj_eids = reference_csr(g.n, g.edges)
+    np.testing.assert_array_equal(g.offsets, offsets)
+    np.testing.assert_array_equal(g.adj, adj)
+    np.testing.assert_array_equal(g.adj_eids, adj_eids)
+    np.testing.assert_array_equal(g.degrees, np.diff(offsets))
 
 
 class TestCanonicalEdgeArray:
@@ -54,6 +91,24 @@ class TestGraphBasics:
         g = paper_example_graph()
         assert g.degree(4) == 6  # hub of the bridge
         assert g.max_degree == 6
+        assert g.degrees is g.degrees  # computed once
+        with pytest.raises(ValueError):
+            g.degrees[4] = 0  # and read-only
+
+    @pytest.mark.parametrize("make", [
+        lambda: Graph.empty(0),
+        lambda: Graph.empty(5),
+        lambda: Graph.from_edges([(0, 1)], n=4),  # isolated vertices 2, 3
+        paper_example_graph,
+        lambda: gnm_random(35, 270, seed=0),
+        lambda: gnm_random(80, 100, seed=1),  # sparse: many isolated
+    ])
+    def test_csr_matches_reference_build(self, make):
+        assert_csr_matches_reference(make())
+
+    @given(small_graphs())
+    def test_csr_matches_reference_build_random(self, g):
+        assert_csr_matches_reference(g)
 
     def test_neighbors_sorted(self):
         g = paper_example_graph()

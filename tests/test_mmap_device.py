@@ -13,9 +13,9 @@ Four families of guarantees:
   eviction epoch; the batch path's physical model equals the scalar
   loop's exactly.
 * **Zero-copy seam** — ``read_rgr_mapped`` round-trips, its views really
-  are windows over the file mapping, ``DiskArray.from_mapped`` charges
-  exactly what ``from_numpy`` charges and copies-on-write before the
-  first mutation.
+  are windows over the file mapping, and only read-only payloads are
+  adopted as mappings (``DiskArray.attach``'s copy-on-write is pinned in
+  ``tests/test_disk_array.py``).
 * **Registry / config surface** — factory dispatch, knob forwarding,
   validation errors, defaults kept in sync with ``engine.config``.
 """
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.core.api import max_truss
 from repro.engine import EngineConfig, ExecutionContext, list_backends
 from repro.engine.config import DEFAULT_COLD_CACHE_MB, DEFAULT_HOT_EXTENTS
-from repro.errors import ArrayBoundsError, DeviceError
+from repro.errors import DeviceError
 from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import gnm_random, paper_example_graph
 from repro.persistence import (
@@ -260,7 +260,7 @@ def test_hit_ratio_gauges_published_on_close():
 
 
 # --------------------------------------------------------------------- #
-# zero-copy seam: read_rgr_mapped + DiskArray.from_mapped
+# zero-copy seam: read_rgr_mapped + DiskArray.attach
 # --------------------------------------------------------------------- #
 
 
@@ -312,52 +312,18 @@ def test_mapped_graph_adopted_by_mmap_device(rgr):
         assert context.stats.physical.bytes_mapped == expected
 
 
-def test_from_mapped_charges_exactly_like_from_numpy():
-    values = np.arange(512, dtype=np.int64)
-    frozen = values.copy()
-    frozen.setflags(write=False)
-    copy_device = _device()
-    map_device = _device()
-    DiskArray.from_numpy(copy_device, values, name="x")
-    DiskArray.from_mapped(map_device, frozen, name="x")
-    assert map_device.stats == copy_device.stats
-    assert map_device.io_by_extent() == copy_device.io_by_extent()
-
-
-def test_from_mapped_rejects_writable_and_2d_views():
-    device = _device()
-    with pytest.raises(ArrayBoundsError, match="read-only"):
-        DiskArray.from_mapped(device, np.zeros(8, dtype=np.int64))
-    frozen = np.zeros((4, 2), dtype=np.int64)
-    frozen.setflags(write=False)
-    with pytest.raises(ArrayBoundsError, match="1-d"):
-        DiskArray.from_mapped(device, frozen)
-
-
-@pytest.mark.parametrize("mutate", ["set", "write_slice", "fill", "scatter"])
-def test_from_mapped_copies_on_first_write(mutate):
-    source = np.arange(64, dtype=np.int64)
-    frozen = source.copy()
-    frozen.setflags(write=False)
-    array = DiskArray.from_mapped(_device(), frozen, name="cow")
-    assert array.mapped
-    if mutate == "set":
-        array.set(3, 99)
-    elif mutate == "write_slice":
-        array.write_slice(0, np.array([99], dtype=np.int64))
-    elif mutate == "fill":
-        array.fill(99)
-    else:
-        array.scatter(np.array([3]), np.array([99]))
-    assert not array.mapped
-    assert 99 in array.peek()
-    np.testing.assert_array_equal(frozen, source)  # source untouched
+def test_in_memory_graph_adopted_by_nothing():
+    with ExecutionContext(EngineConfig(backend="mmap")) as context:
+        graph = paper_example_graph()
+        DiskGraph(graph, context.device_for(graph.n), MemoryMeter())
+        assert context.device.mapped_extent_count == 0
+        assert context.stats.physical.bytes_mapped == 0
 
 
 def test_mapped_payload_reads_share_memory():
     frozen = np.arange(64, dtype=np.int64)
     frozen.setflags(write=False)
-    array = DiskArray.from_mapped(_device(), frozen, name="ro")
+    array = DiskArray.attach(_device(), frozen, name="ro")
     assert array.peek() is frozen
     assert array.get(5) == 5
     np.testing.assert_array_equal(array.gather(np.array([1, 3])), [1, 3])

@@ -19,7 +19,7 @@ from repro.baselines.inmemory import truss_decomposition
 from repro.dynamic import DynamicMaxTruss
 from repro.engine import EngineConfig, ExecutionContext
 from repro.errors import DeviceError, ServeError
-from repro.graph.generators import paper_example_graph
+from repro.graph.generators import gnm_random, paper_example_graph
 from repro.graph.memgraph import Graph
 from repro.persistence.recovery import DurableMaintenance, durable_from_graph
 from repro.serve import (
@@ -30,6 +30,7 @@ from repro.serve import (
 )
 from repro.serve.protocol import decode_line, request_id_of, validate_request
 from repro.serve.server import run_server
+from repro.storage.device import count_block_touches
 from repro.serve.snapshot import bootstrap_manager
 
 
@@ -429,6 +430,34 @@ class TestQueryEngine:
         for thread in threads:
             thread.join()
         assert errors == []
+
+    @pytest.mark.parametrize("backend", ["simulated", "file", "mmap"])
+    def test_bills_match_the_closed_form(self, backend):
+        # A point request reads the smaller-degree endpoint's adjacency
+        # slice, plus one edge-id cell and one trussness cell when the edge
+        # exists; an unparameterised hierarchy reads the trussness extent.
+        block = 64
+        graph = gnm_random(60, 300, seed=5)
+        engine = QueryEngine(
+            SnapshotManager.initial(graph),
+            EngineConfig(backend=backend, block_size=block, serve_cache_entries=0),
+        )
+        rng = np.random.default_rng(0)
+        for index in range(80):
+            if index % 2:
+                u, v = (int(x) for x in rng.permutation(graph.edges[rng.integers(graph.m)]))
+            else:
+                u, v = (int(x) for x in rng.choice(graph.n, size=2, replace=False))
+            a = u if graph.degree(u) <= graph.degree(v) else v
+            expected = count_block_touches(
+                8 * graph.offsets[a], 8 * graph.degree(a), block
+            ) + 2 * graph.has_edge(u, v)
+            request = {"op": "trussness", "u": u, "v": v}
+            if index % 4 < 2:
+                request = {"op": "membership", "u": u, "v": v, "k": 3}
+            assert engine.execute(request)["io"]["read_ios"] == expected
+        hierarchy = engine.execute({"op": "hierarchy"})
+        assert hierarchy["io"]["read_ios"] == -(-8 * graph.m // block)
 
 
 # --------------------------------------------------------------------- #
