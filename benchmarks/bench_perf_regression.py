@@ -11,8 +11,8 @@ Sections
 ``support_scan_accounting``
     **The speedup criterion.** Replays the support scan's exact charged
     access trace through the storage stack twice: once through the batch
-    fast path (``touch_read_batch`` / ``touch_write_batch``, as
-    ``compute_supports`` issues it) and once through the scalar path a
+    fast path (``touch_read_batch`` / ``touch_write_batch``, single-extent
+    ``BlockDevice.replay`` calls) and once through the scalar path a
     per-slice / per-element caller issues (one ``touch_read`` per
     adjacency list, one ``touch_write`` per support value — the pre-batch
     granularity). The two traces must produce *identical* ``IOStats``;
@@ -55,13 +55,6 @@ Sections
     >= ``INGEST_SPEEDUP_THRESHOLD`` on the durable path at batch size 64
     and fsyncs/edge <= 2/batch_size; the section also records the
     pipeline's sustained edges/sec.
-``parallel``
-    Speedup-vs-workers (1/2/4) for the sharded kernels: the support scan
-    and a full semi-binary run, serial vs ``EngineConfig(workers=...)``.
-    Every parallel run must produce bit-identical values and charge a
-    bit-identical merged I/O bill (total + per-extent) — asserted, the
-    ledger-merge contract — and the full-scale scan must reach
-    ``PARALLEL_SPEEDUP_THRESHOLD`` at the top worker count.
 ``serve``
     The query service's price tag: membership throughput and p50/p95
     latency against a served snapshot, plus the charged I/O bill per
@@ -74,8 +67,9 @@ Run standalone (not collected by the tier-1 suite)::
     PYTHONPATH=src python benchmarks/bench_perf_regression.py          # full
     PYTHONPATH=src python benchmarks/bench_perf_regression.py --smoke  # CI
 
-Exit status is non-zero when the full-scale run misses the speedup
-threshold or any equivalence assertion fails; ``--smoke`` shrinks the
+The report stamps the active ``EngineConfig`` once, at the top level
+(``engine_config``). Exit status is non-zero when the full-scale run
+misses a threshold or any equivalence assertion fails; ``--smoke`` shrinks the
 graphs for CI and skips the threshold (timing below ~100 ms is noise)
 while still exercising every section and writing valid JSON.
 """
@@ -103,9 +97,6 @@ from repro.semiexternal.support import compute_supports, compute_supports_refere
 from repro.storage import BlockDevice, MemoryMeter, ReferenceBlockDevice
 
 SPEEDUP_THRESHOLD = 3.0
-
-#: Full-mode acceptance bar for the sharded support scan at 4 workers.
-PARALLEL_SPEEDUP_THRESHOLD = 1.8
 
 #: Full-mode acceptance bar for group-commit ingestion on the durable
 #: path: one fsync per 64-op batch must beat one fsync per op by >= 3x.
@@ -426,7 +417,6 @@ def bench_observability(graph, config: EngineConfig) -> dict:
         )
     return {
         "graph": {"n": graph.n, "m": graph.m},
-        "engine_config": config.describe(),
         "method": method,
         "untraced_s": round(plain_s, 4),
         "traced_s": round(traced_s, 4),
@@ -460,7 +450,6 @@ def bench_decomposition(graph, config: EngineConfig) -> dict:
         }
     return {
         "graph": {"n": graph.n, "m": graph.m},
-        "engine_config": config.describe(),
         "methods": rows,
     }
 
@@ -476,7 +465,6 @@ def bench_maintenance(graph, ops: int, config: EngineConfig) -> dict:
     elapsed = time.perf_counter() - start
     return {
         "graph": {"n": graph.n, "m": graph.m},
-        "engine_config": config.describe(),
         "ops": len(churn),
         "seconds": round(elapsed, 4),
         "total_ios": device.stats.since(baseline).total_ios,
@@ -579,130 +567,6 @@ def bench_ingest(graph, ops: int, batch_size: int, smoke: bool) -> dict:
         "k_max_after": piped_state.k_max,
         "threshold": INGEST_SPEEDUP_THRESHOLD,
         "passed": passed,
-    }
-
-
-def _parallel_scan_once(graph, context) -> tuple:
-    """One ``compute_supports`` under the context's parallel scope."""
-    device = context.device_for(graph.n)
-    disk_graph = DiskGraph(graph, device, context.memory, name="G")
-    baseline = device.stats.snapshot()
-    with context.parallel_kernels():
-        start = time.perf_counter()
-        scan = compute_supports(disk_graph)
-        elapsed = time.perf_counter() - start
-    values = scan.supports.to_numpy()
-    scan.supports.free()
-    return elapsed, values, device.stats.since(baseline), device.io_by_extent()
-
-
-def bench_parallel(scan_graph, decomp_graph, reps: int, smoke: bool) -> dict:
-    """Speedup-vs-workers for the sharded kernels, equivalence asserted.
-
-    The support scan (the paper's dominant phase, and the acceptance
-    criterion: >= ``PARALLEL_SPEEDUP_THRESHOLD`` at 4 workers in full
-    mode) and a full semi-binary decomposition run serially and at 1/2/4
-    workers. Every parallel run must produce bit-identical values AND
-    charge a bit-identical merged bill (total ``IOStats`` + per-extent) —
-    the ledger-merge contract of docs/io_model.md — so the only number
-    allowed to move in this section is wall-clock. Worker pools are kept
-    warm across reps (best-of-reps = steady state; spawn cost is paid by
-    rep one only).
-    """
-    worker_counts = (1, 2) if smoke else (1, 2, 4)
-
-    # ---- sharded support scan vs serial ------------------------------ #
-    serial_s = None
-    serial_values = serial_stats = serial_extent = None
-    scan_rows = {}
-    for workers in (0,) + worker_counts:
-        times = []
-        context = ExecutionContext(
-            EngineConfig(workers=workers, parallel_threshold=1).validate()
-        )
-        try:
-            for _ in range(reps):
-                elapsed, values, stats, by_extent = _parallel_scan_once(
-                    scan_graph, context
-                )
-                times.append(elapsed)
-        finally:
-            context.close()
-        best = min(times)
-        if workers == 0:
-            serial_s = best
-            serial_values, serial_stats, serial_extent = values, stats, by_extent
-            continue
-        if (
-            not np.array_equal(values, serial_values)
-            or stats != serial_stats
-            or by_extent != serial_extent
-        ):
-            raise AssertionError(
-                f"parallel support scan ({workers} workers) diverged from "
-                f"serial: {stats} vs {serial_stats}"
-            )
-        scan_rows[str(workers)] = {
-            "seconds": round(best, 4),
-            "speedup": round(serial_s / best, 2) if best > 0 else None,
-        }
-
-    # ---- full semi-binary vs serial ---------------------------------- #
-    decomp_rows = {}
-    serial_result = None
-    serial_decomp_s = None
-    for workers in (0,) + worker_counts:
-        context = ExecutionContext(
-            EngineConfig(workers=workers, parallel_threshold=1).validate()
-        )
-        try:
-            start = time.perf_counter()
-            result = max_truss(decomp_graph, method="semi-binary", context=context)
-            elapsed = time.perf_counter() - start
-            by_extent = context.device.io_by_extent()
-        finally:
-            context.close()
-        if workers == 0:
-            serial_result = (result, by_extent)
-            serial_decomp_s = elapsed
-            continue
-        base, base_extent = serial_result
-        if (
-            result.k_max != base.k_max
-            or sorted(result.truss_edges) != sorted(base.truss_edges)
-            or result.io != base.io
-            or by_extent != base_extent
-        ):
-            raise AssertionError(
-                f"parallel semi-binary ({workers} workers) diverged from serial"
-            )
-        decomp_rows[str(workers)] = {
-            "seconds": round(elapsed, 4),
-            "speedup": (
-                round(serial_decomp_s / elapsed, 2) if elapsed > 0 else None
-            ),
-        }
-
-    top_workers = str(worker_counts[-1])
-    top_speedup = scan_rows[top_workers]["speedup"]
-    return {
-        "scan_graph": {"n": scan_graph.n, "m": scan_graph.m},
-        "decomp_graph": {"n": decomp_graph.n, "m": decomp_graph.m},
-        "reps": reps,
-        "worker_counts": list(worker_counts),
-        "support_scan": {
-            "serial_s": round(serial_s, 4),
-            "workers": scan_rows,
-        },
-        "semi_binary": {
-            "serial_s": round(serial_decomp_s, 4),
-            "workers": decomp_rows,
-        },
-        "total_ios": serial_stats.total_ios,
-        "k_max": serial_result[0].k_max,
-        "threshold": PARALLEL_SPEEDUP_THRESHOLD,
-        "speedup_at_max_workers": top_speedup,
-        "passed": bool(smoke or top_speedup >= PARALLEL_SPEEDUP_THRESHOLD),
     }
 
 
@@ -886,15 +750,13 @@ def run(smoke: bool) -> dict:
         warm = gnm_random(n=200, m=10_000, seed=3)
         _replay_support_trace(warm, BlockDevice.for_semi_external(warm.n), True)
 
-    config = EngineConfig().validate()  # the active recipe, stamped per section
+    config = EngineConfig().validate()  # the active recipe, stamped once
 
     accounting = bench_support_scan_accounting(scan_graph, reps)
     accounting["threshold"] = SPEEDUP_THRESHOLD
     accounting["passed"] = bool(smoke or accounting["speedup"] >= SPEEDUP_THRESHOLD)
-    accounting["engine_config"] = config.describe()
 
     e2e = bench_support_scan_e2e(scan_graph, reps)
-    e2e["engine_config"] = config.describe()
 
     file_backend = bench_file_backend(scan_graph, reps)
     mmap_backend = bench_mmap_backend(scan_graph, reps, smoke)
@@ -921,9 +783,6 @@ def run(smoke: bool) -> dict:
         smoke=smoke,
     )
 
-    parallel = bench_parallel(scan_graph, decomp_graph, reps, smoke)
-    parallel["engine_config"] = config.describe()
-
     serve_graph = gnm_random(n=120, m=2_000, seed=17) if smoke else gnm_random(
         n=1_000, m=60_000, seed=17
     )
@@ -942,6 +801,7 @@ def run(smoke: bool) -> dict:
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
+        "engine_config": config.describe(),
         "benchmarks": {
             "support_scan_accounting": accounting,
             "support_scan_e2e": e2e,
@@ -951,7 +811,6 @@ def run(smoke: bool) -> dict:
             "maintenance": maintenance,
             "observability": observability,
             "ingest": ingest,
-            "parallel": parallel,
             "serve": serve,
             "approx": approx,
         },
@@ -1026,19 +885,6 @@ def main(argv=None) -> int:
         f"(bound {ingest['fsyncs_per_edge_bound']}; "
         f"{'pass' if ingest['passed'] else 'FAIL'}; decompositions identical)"
     )
-    parallel = report["benchmarks"]["parallel"]
-    scan_rows = parallel["support_scan"]["workers"]
-    print(
-        "parallel support scan: serial "
-        f"{parallel['support_scan']['serial_s']}s, "
-        + ", ".join(
-            f"{w}w {row['seconds']}s ({row['speedup']}x)"
-            for w, row in scan_rows.items()
-        )
-        + f" (threshold {parallel['threshold']}x at max workers, "
-        f"{'pass' if parallel['passed'] else 'FAIL'}; "
-        "merged bill bit-identical)"
-    )
     serve = report["benchmarks"]["serve"]
     print(
         f"serve: {serve['throughput_qps']} membership qps, "
@@ -1059,7 +905,7 @@ def main(argv=None) -> int:
         f"bit-identical ({'pass' if approx['passed'] else 'FAIL'})"
     )
     return (
-        0 if accounting["passed"] and parallel["passed"]
+        0 if accounting["passed"]
         and ingest["passed"] and serve["passed"] and approx["passed"]
         and mmap_backend["passed"]
         else 1

@@ -125,11 +125,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         metavar="MB",
         help="mmap backend cold-tier (LRU) page-cache budget in MiB",
     )
-    group.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="worker processes for the sharded kernels (0/1: serial; "
-             "the charged I/O bill is identical either way)",
-    )
     approx = parser.add_argument_group("approximate tier")
     approx.add_argument(
         "--approx-epsilon", type=float,
@@ -165,7 +160,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
         cache_policy=args.cache_policy,
         data_dir=args.data_dir,
         fsync_policy=args.fsync,
-        workers=args.workers,
         approx_epsilon=args.approx_epsilon,
         approx_confidence=args.approx_confidence,
         approx_seed=args.approx_seed,

@@ -463,81 +463,77 @@ def semi_binary(
     device = ctx.device_for(graph.n)
     memory = ctx.memory
     budget = ctx.new_budget(budget)
-    # Sharding-aware support scans — including every binary-search probe's —
-    # dispatch onto the context's worker pool inside this scope; a serial
-    # config makes it a free no-op.
-    with ctx.parallel_kernels():
-        disk_graph = DiskGraph(graph, device, memory, name="G")
-        io_start = device.stats.snapshot()
+    disk_graph = DiskGraph(graph, device, memory, name="G")
+    io_start = device.stats.snapshot()
 
-        if graph.m == 0:
-            return MaxTrussResult(
-                "SemiBinary", 0, [], device.stats.since(io_start),
-                memory.peak_bytes, watch.elapsed(),
-            )
-
-        scan = compute_supports(disk_graph)
-        if scan.triangle_count == 0:
-            # No triangles: every edge has trussness 2.
-            pairs = graph.edge_pairs()
-            return MaxTrussResult(
-                "SemiBinary", 2, pairs, device.stats.since(io_start),
-                memory.peak_bytes, watch.elapsed(),
-                extras={"triangles": 0},
-            )
-
-        lb = bounds.lemma1_lower_bound(
-            scan.triangle_count, graph.m, scan.zero_support_edges
-        )
-        ub = bounds.support_upper_bound(scan.max_support)
-        lb, ub = bounds.clamp_bounds(lb, ub)
-        edge_file = build_sorted_edge_file(scan, sort_memory_elems)
-
-        search_lb, search_ub = lb, ub
-        estimate_extras: dict = {}
-        if estimate_bounds:
-            search_lb, search_ub, estimate_extras = _estimated_interval(
-                disk_graph, edge_file, ctx.config, lb, ub
-            )
-        outcome = binary_search_kmax(
-            disk_graph, edge_file, search_lb, search_ub, make_plain_heap,
-            memory, budget,
-        )
-        if estimate_bounds:
-            outcome = _widen_upward(
-                disk_graph, edge_file, outcome, search_lb, search_ub, ub,
-                make_plain_heap, memory, budget,
-            )
-        k_max, outcome = verified_kmax(
-            disk_graph, edge_file, outcome, search_lb, ub, make_plain_heap,
-            memory, budget,
-        )
-        if k_max <= 2:
-            truss_pairs = graph.edge_pairs()
-            k_max = 2
-        else:
-            truss_pairs = materialise_truss(
-                disk_graph, edge_file, k_max, make_plain_heap, memory, budget
-            )
-        device.flush()
-        extras = {
-            "triangles": scan.triangle_count,
-            "initial_lb": search_lb,
-            "initial_ub": search_ub,
-            "search_probes": outcome.probes,
-            # +1 for the opening global scan, +1 for materialising the
-            # output truss — identical on both paths, so strictly-fewer
-            # comparisons reduce to the search scans.
-            "support_scans": 1 + outcome.scans + (1 if k_max > 2 else 0),
-            "peeled_edges": outcome.peel.removed_edges,
-        }
-        extras.update(estimate_extras)
+    if graph.m == 0:
         return MaxTrussResult(
-            "SemiBinary",
-            k_max,
-            truss_pairs,
-            device.stats.since(io_start),
-            memory.peak_bytes,
-            watch.elapsed(),
-            extras=extras,
+            "SemiBinary", 0, [], device.stats.since(io_start),
+            memory.peak_bytes, watch.elapsed(),
         )
+
+    scan = compute_supports(disk_graph)
+    if scan.triangle_count == 0:
+        # No triangles: every edge has trussness 2.
+        pairs = graph.edge_pairs()
+        return MaxTrussResult(
+            "SemiBinary", 2, pairs, device.stats.since(io_start),
+            memory.peak_bytes, watch.elapsed(),
+            extras={"triangles": 0},
+        )
+
+    lb = bounds.lemma1_lower_bound(
+        scan.triangle_count, graph.m, scan.zero_support_edges
+    )
+    ub = bounds.support_upper_bound(scan.max_support)
+    lb, ub = bounds.clamp_bounds(lb, ub)
+    edge_file = build_sorted_edge_file(scan, sort_memory_elems)
+
+    search_lb, search_ub = lb, ub
+    estimate_extras: dict = {}
+    if estimate_bounds:
+        search_lb, search_ub, estimate_extras = _estimated_interval(
+            disk_graph, edge_file, ctx.config, lb, ub
+        )
+    outcome = binary_search_kmax(
+        disk_graph, edge_file, search_lb, search_ub, make_plain_heap,
+        memory, budget,
+    )
+    if estimate_bounds:
+        outcome = _widen_upward(
+            disk_graph, edge_file, outcome, search_lb, search_ub, ub,
+            make_plain_heap, memory, budget,
+        )
+    k_max, outcome = verified_kmax(
+        disk_graph, edge_file, outcome, search_lb, ub, make_plain_heap,
+        memory, budget,
+    )
+    if k_max <= 2:
+        truss_pairs = graph.edge_pairs()
+        k_max = 2
+    else:
+        truss_pairs = materialise_truss(
+            disk_graph, edge_file, k_max, make_plain_heap, memory, budget
+        )
+    device.flush()
+    extras = {
+        "triangles": scan.triangle_count,
+        "initial_lb": search_lb,
+        "initial_ub": search_ub,
+        "search_probes": outcome.probes,
+        # +1 for the opening global scan, +1 for materialising the
+        # output truss — identical on both paths, so strictly-fewer
+        # comparisons reduce to the search scans.
+        "support_scans": 1 + outcome.scans + (1 if k_max > 2 else 0),
+        "peeled_edges": outcome.peel.removed_edges,
+    }
+    extras.update(estimate_extras)
+    return MaxTrussResult(
+        "SemiBinary",
+        k_max,
+        truss_pairs,
+        device.stats.since(io_start),
+        memory.peak_bytes,
+        watch.elapsed(),
+        extras=extras,
+    )

@@ -99,30 +99,9 @@ def greedy_core_flow(
     ``heap_factory`` selects the peel structure: eager ``A_disk``
     (:func:`make_plain_heap`, Algorithm 2) or lazy LHDH
     (:func:`make_lhdh_heap`, Algorithm 3). Storage comes from *context*.
-    The whole flow runs inside the context's
-    :meth:`~repro.engine.ExecutionContext.parallel_kernels` scope, so the
-    support scans shard onto the worker pool when the config asks for
-    workers (serial configs: free no-op).
     """
     watch = Stopwatch()
     ctx = resolve_context(context)
-    with ctx.parallel_kernels():
-        return _greedy_core_flow_impl(
-            graph, algorithm, heap_factory, ctx, budget, capacity,
-            sort_memory_elems, watch,
-        )
-
-
-def _greedy_core_flow_impl(
-    graph: Graph,
-    algorithm: str,
-    heap_factory: HeapFactory,
-    ctx,
-    budget: Optional[WorkBudget],
-    capacity: Optional[int],
-    sort_memory_elems: int,
-    watch: Stopwatch,
-) -> MaxTrussResult:
     device = ctx.device_for(graph.n)
     memory = ctx.memory
     budget = ctx.new_budget(budget)

@@ -88,15 +88,6 @@ class EngineConfig:
         Capacity in MiB of the ``mmap`` backend's LRU cold tier (the
         physical-residency model for adjacency/edge pages). Ignored by
         the other backends; never affects the charged bill.
-    workers:
-        Process-pool size for the sharded kernels (``repro.parallel``).
-        ``0`` or ``1`` (default) runs everything serially. Parallel runs
-        produce bit-identical results and charge a bit-identical I/O bill
-        (the ledger-merge replay — see docs/io_model.md).
-    parallel_threshold:
-        Minimum edge count before a support scan is sharded; smaller
-        scans run serially to dodge dispatch overhead. Gating never
-        affects the charged bill.
     trace:
         Optional hook called as ``trace(event, payload)`` at engine events
         (device construction, phase boundaries).
@@ -156,8 +147,6 @@ class EngineConfig:
     fsync_policy: str = "close"
     hot_extents: Tuple[str, ...] = DEFAULT_HOT_EXTENTS
     cold_cache_mb: float = DEFAULT_COLD_CACHE_MB
-    workers: int = 0
-    parallel_threshold: int = 10_000
     trace: Optional[TraceHook] = field(default=None, repr=False)
     ingest_batch_size: int = 64
     ingest_queue_capacity: int = 1024
@@ -209,15 +198,6 @@ class EngineConfig:
         if self.cold_cache_mb <= 0:
             raise DeviceError(
                 f"cold_cache_mb must be positive, got {self.cold_cache_mb}"
-            )
-        if self.workers < 0:
-            raise DeviceError(
-                f"workers must be non-negative, got {self.workers}"
-            )
-        if self.parallel_threshold < 0:
-            raise DeviceError(
-                f"parallel_threshold must be non-negative, "
-                f"got {self.parallel_threshold}"
             )
         if self.ingest_batch_size < 1:
             raise DeviceError(
@@ -282,8 +262,6 @@ class EngineConfig:
             "fsync_policy": self.fsync_policy,
             "hot_extents": list(self.hot_extents),
             "cold_cache_mb": self.cold_cache_mb,
-            "workers": self.workers,
-            "parallel_threshold": self.parallel_threshold,
             "ingest_batch_size": self.ingest_batch_size,
             "ingest_queue_capacity": self.ingest_queue_capacity,
             "ingest_backpressure": self.ingest_backpressure,
@@ -307,8 +285,6 @@ class EngineConfig:
             f"cache_blocks={cache}",
             f"policy={self.cache_policy}",
         ]
-        if self.workers > 1:
-            parts.append(f"workers={self.workers}")
         if self.work_limit is not None:
             parts.append(f"work_limit={self.work_limit}")
         if self.backend == "file":

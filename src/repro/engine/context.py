@@ -76,8 +76,6 @@ class ExecutionContext:
         self.phase_log: List[Tuple[str, IOStats]] = []
         #: Structured tracer bound by :meth:`attach_tracer`; ``None`` off.
         self.tracer = None
-        #: Lazily-built parallel tier (``config.workers > 1`` only).
-        self._executor = None
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -188,42 +186,6 @@ class ExecutionContext:
             )
 
     # ------------------------------------------------------------------ #
-    # parallel kernels
-    # ------------------------------------------------------------------ #
-
-    def parallel_executor(self):
-        """The context's :class:`~repro.parallel.ParallelExecutor`, built
-        lazily; ``None`` when ``config.workers <= 1`` (serial execution)
-        or after :meth:`close`."""
-        if self.config.workers <= 1 or self._closed:
-            return None
-        if self._executor is None:
-            from ..parallel.executor import ParallelExecutor
-
-            self._executor = ParallelExecutor(
-                self.config.workers, self.config.parallel_threshold
-            )
-        return self._executor
-
-    @contextlib.contextmanager
-    def parallel_kernels(self) -> Iterator[object]:
-        """Make this context's executor ambient for the scope.
-
-        Inside the scope, support scans dispatch onto the worker pool
-        when they cross ``config.parallel_threshold``; with
-        ``workers <= 1`` the scope is a free no-op and everything stays on
-        the serial path.
-        """
-        executor = self.parallel_executor()
-        if executor is None:
-            yield None
-            return
-        from ..parallel.executor import executor_scope
-
-        with executor_scope(executor):
-            yield executor
-
-    # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
 
@@ -234,17 +196,12 @@ class ExecutionContext:
         ``file`` backend additionally fsyncs (per ``config.fsync_policy``)
         and deletes its spill file, so a closed context leaves nothing on
         disk. Safe to call before the device was ever built, and safe to
-        call again — pool workers close their private context in a
-        ``finally`` that can run on top of an earlier explicit close, so
-        a second call must be a strict no-op (no re-flush, no double
-        tracer finish, no executor re-teardown).
+        call again: a second call is a strict no-op (no re-flush, no
+        double tracer finish).
         """
         if self._closed:
             return
         self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
         if self._device is not None:
             with self.span("close.flush", kind="device"):
                 self._device.close()

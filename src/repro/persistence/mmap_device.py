@@ -13,12 +13,13 @@ syscall**, and account the physical layer with a *tiered cache model*
 instead of mirroring each charge.
 
 Charged accounting is inherited **unchanged** from
-:class:`~repro.storage.BlockDevice` — the vectorized batch fast path and
-all — so ``IOStats`` / ``io_by_extent`` are bit-identical to the
+:class:`~repro.storage.BlockDevice` — :meth:`~repro.storage.BlockDevice.replay`
+and all — so ``IOStats`` / ``io_by_extent`` are bit-identical to the
 ``simulated`` backend by construction (the engine test matrix pins this
-for every method × cache policy, dynamic maintenance, parallel workers
-and the serve tier). The tiered model is bolted on *after* each
-successful charge and never feeds back into the ledger:
+for every method × cache policy, dynamic maintenance and the serve
+tier). The tiered model is bolted on *after* each successful charge —
+a replayed trace's pages visit the tiers in the trace's order — and
+never feeds back into the ledger:
 
 * **hot tier** — extents whose names match ``hot_extents`` (substring
   patterns; trussness/tau, heap fields, offset tables by default) are
@@ -44,12 +45,7 @@ import numpy as np
 
 from ..errors import DeviceError
 from ..storage import IOStats, PhysicalIOStats
-from ..storage.device import (
-    _SMALL_BATCH,
-    BlockDevice,
-    DEFAULT_BLOCK_SIZE,
-    DEFAULT_CACHE_BLOCKS,
-)
+from ..storage.device import BlockDevice, DEFAULT_BLOCK_SIZE, DEFAULT_CACHE_BLOCKS
 
 #: Kept in sync with ``repro.engine.config`` (which owns the CLI-facing
 #: copies). No import in either direction: the engine package pulls this
@@ -178,78 +174,64 @@ class MmapBlockDevice(BlockDevice):
             tally = self._page_tallies[name] = [0, 0]
         return tally
 
-    def _visit_pages(self, extent: int, pages, count: int) -> None:
-        """Run *count* page touches (run-compressed to *pages*) through
-        the tiers. Consecutive duplicate pages are guaranteed hits (the
-        first visit makes the page resident in its tier), so compression
-        is exact for faults; the tally still counts every touch so hit
-        ratios keep the scalar denominator."""
-        tally = self._tally(extent)
-        tally[0] += count
-        faults = 0
-        if extent in self._hot_ids:
-            resident = self._hot_resident
-            for page in pages:
-                key = (extent, page)
-                if key not in resident:
-                    resident.add(key)
-                    faults += 1
-        else:
-            cold = self._cold
-            capacity = self._cold_capacity
-            for page in pages:
-                key = (extent, page)
+    def _visit_keys(self, keys) -> None:
+        """Run ``(extent, page)`` touches through the tiers, in order, and
+        post their faults. Callers collapse consecutive touches of one
+        page first: a repeat is a guaranteed hit (the first visit made the
+        page resident in its tier), so the collapse is exact for faults;
+        the callers' tallies still count every touch, so hit ratios keep
+        the scalar denominator."""
+        faults: Dict[int, int] = {}
+        hot_ids = self._hot_ids
+        resident = self._hot_resident
+        cold = self._cold
+        capacity = self._cold_capacity
+        for key in keys:
+            if key[0] in hot_ids:
+                if key in resident:
+                    continue
+                resident.add(key)
+            else:
                 if key in cold:
                     cold.move_to_end(key)
                     continue
-                faults += 1
                 cold[key] = None
                 if len(cold) > capacity:
                     cold.popitem(last=False)
                     self._cold_evictions += 1
-        if faults:
-            tally[1] += faults
-            self.physical.page_faults_est += faults
-            self.physical.bytes_read += faults * self.page_size
+            faults[key[0]] = faults.get(key[0], 0) + 1
+        for extent, count in faults.items():
+            self._tally(extent)[1] += count
+            self.physical.page_faults_est += count
+            self.physical.bytes_read += count * self.page_size
 
     def _visit_span(self, extent: int, offset: int, nbytes: int) -> None:
         if nbytes <= 0:
             return
         first = offset // self.page_size
         last = (offset + nbytes - 1) // self.page_size
-        self._visit_pages(extent, range(first, last + 1), last - first + 1)
+        self._tally(extent)[0] += last - first + 1
+        self._visit_keys([(extent, page) for page in range(first, last + 1)])
 
-    def _visit_batch(self, extent: int, offsets, lengths) -> None:
-        """Vectorized page-id math mirroring the charged batch expansion."""
+    def _visit_trace(self, extents, offsets, lengths) -> None:
+        """Run a validated :meth:`replay` trace's page touches through the
+        tiers, in the trace's order: the cold LRU is shared across
+        extents, so the interleaving matters."""
         page = self.page_size
-        scalar = isinstance(lengths, int)
-        if scalar:
-            if lengths == 0:
-                return
-        else:
-            nonzero = lengths > 0
-            if not nonzero.all():
-                offsets, lengths = offsets[nonzero], lengths[nonzero]
-        if offsets.size == 0:
-            return
-        ends = offsets + lengths
         first = offsets // page
-        last = (ends - 1) // page
-        spans = last - first + 1
-        if int(spans.max()) == 1:
-            pages = first
-        else:
-            total = int(spans.sum())
-            starts = np.cumsum(spans) - spans
-            intra = np.arange(total, dtype=np.int64) - np.repeat(starts, spans)
-            pages = np.repeat(first, spans) + intra
-        count = len(pages)
-        if count > 1:
-            keep = np.empty(count, dtype=bool)
-            keep[0] = True
-            np.not_equal(pages[1:], pages[:-1], out=keep[1:])
-            pages = pages[keep]
-        self._visit_pages(extent, pages.tolist(), count)
+        spans = (offsets + lengths - 1) // page - first + 1
+        access = np.repeat(np.arange(offsets.size, dtype=np.int64), spans)
+        starts = np.cumsum(spans) - spans
+        pages = np.arange(access.size, dtype=np.int64) - starts[access] + first[access]
+        touched = (
+            np.full(access.size, extents, dtype=np.int64)
+            if np.ndim(extents) == 0 else extents[access]
+        )
+        for extent, count in zip(*np.unique(touched, return_counts=True)):
+            self._tally(int(extent))[0] += int(count)
+        keep = np.ones(pages.size, dtype=bool)
+        keep[1:] = (pages[1:] != pages[:-1]) | (touched[1:] != touched[:-1])
+        self._visit_keys(zip(touched[keep].tolist(), pages[keep].tolist()))
 
     # ------------------------------------------------------------------ #
     # charged entry points: charge first (bit-identical), then model
@@ -267,21 +249,9 @@ class MmapBlockDevice(BlockDevice):
         super().append_write(extent, offset, nbytes)
         self._visit_span(extent, offset, nbytes)
 
-    def touch_read_batch(self, extent: int, offsets, lengths) -> None:
-        offsets, lengths = self._normalize_batch(offsets, lengths)
-        small = offsets.size <= _SMALL_BATCH
-        super().touch_read_batch(extent, offsets, lengths)
-        if not small:
-            # Small batches took the scalar loop above, which already
-            # visited through the touch_read override.
-            self._visit_batch(extent, offsets, lengths)
-
-    def touch_write_batch(self, extent: int, offsets, lengths) -> None:
-        offsets, lengths = self._normalize_batch(offsets, lengths)
-        small = offsets.size <= _SMALL_BATCH
-        super().touch_write_batch(extent, offsets, lengths)
-        if not small:
-            self._visit_batch(extent, offsets, lengths)
+    def _replay_trace(self, extents, offsets, lengths, writes) -> None:
+        super()._replay_trace(extents, offsets, lengths, writes)
+        self._visit_trace(extents, offsets, lengths)
 
     # ------------------------------------------------------------------ #
     # epochs, introspection, lifecycle

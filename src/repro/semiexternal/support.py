@@ -11,6 +11,23 @@ Because the edge table is sorted lexicographically, the edges ``(u, v)`` with
 values stream to disk almost sequentially. Total I/O is the paper's
 ``O(|E| · d_max / B)``.
 
+The scan runs as two planes that never meet:
+
+* **values** — :meth:`~repro.graph.memgraph.Graph.edge_supports`, one
+  in-process numpy pass with no Python loop over vertices: the wedge
+  kernel of Wang & Cheng's in-memory truss decomposition (vertices ranked
+  by ``(degree, id)``, each edge oriented from the lower rank to the
+  higher, forward-neighbour pairs closed by one ``searchsorted``), or a
+  float32 adjacency-matrix product on small dense graphs. Its scratch
+  memory is outside the model bill.
+* **charges** — the exact access sequence of the node-at-a-time scan,
+  built as arrays and posted in chunks through
+  :meth:`~repro.storage.BlockDevice.replay`, which charges what the
+  scalar touches would. The bill meters the scan's ``O(n)`` marker.
+
+:func:`compute_supports_reference` performs the scan itself, one scalar
+touch at a time, and is the executable spec of both planes.
+
 The scan's by-products feed the Lemma 1 bounds: the global triangle count,
 the number of zero-support edges, and the maximum support.
 """
@@ -24,6 +41,11 @@ import numpy as np
 from ..graph.disk_graph import DiskGraph
 from ..observability.tracer import trace_span
 from ..storage import DiskArray
+
+_ITEMSIZE = 8  # graph and support arrays are int64
+
+#: Accesses per replayed chunk of the scan's trace (bounds its scratch).
+_CHUNK = 1 << 14
 
 
 @dataclass
@@ -51,66 +73,90 @@ class SupportScan:
 def compute_supports(disk_graph: DiskGraph, name: str = "sup") -> SupportScan:
     """Compute the support of every edge of *disk_graph* semi-externally.
 
-    Memory use is ``O(n)`` (one marker array); every adjacency load and every
-    support write is charged to the graph's block device.
-
-    When an ambient parallel executor is active (the enclosing
-    ``ExecutionContext.parallel_kernels()`` scope, ``workers > 1``) and the
-    scan crosses ``parallel_threshold``, the values are computed by the
-    sharded worker kernels instead — same result, and the bill stays
-    bit-identical because the parent replays this function's exact access
-    sequence through the same device (``repro.parallel.scan``).
+    Model memory is ``O(n)`` (the scan's marker array). The values come
+    from :meth:`~repro.graph.memgraph.Graph.edge_supports`; the bill is
+    the node-at-a-time scan's
+    access sequence — ``N(u)`` in the adjacency and edge-id extents, then
+    ``N(v)`` for each forward neighbour ``v > u``, then each forward
+    edge's 8-byte support cell — replayed through the graph's device, so
+    ``IOStats``, ``io_by_extent`` and the pool state equal
+    :func:`compute_supports_reference`'s exactly.
     """
-    from ..parallel.executor import active_executor
-
-    executor = active_executor()
-    if executor is not None and executor.wants_scan(disk_graph.n, disk_graph.m):
-        from ..parallel.scan import parallel_compute_supports
-
-        return parallel_compute_supports(disk_graph, executor, name=name)
-    with trace_span("support_scan", kind="kernel",
-                    n=disk_graph.n, m=disk_graph.m, array=name):
-        return _compute_supports_impl(disk_graph, name)
-
-
-def _compute_supports_impl(disk_graph: DiskGraph, name: str) -> SupportScan:
     n, m = disk_graph.n, disk_graph.m
-    supports = DiskArray(disk_graph.device, m, np.int64, name=name)
-    memory_tag = f"{name}.marker"
-    disk_graph.memory.charge(memory_tag, 8 * n)
-    marker = np.full(n, -1, dtype=np.int64)
-    support_sum = 0
-    zero_edges = 0
-    max_support = 0
-    try:
-        for u in range(n):
-            if disk_graph.degree(u) == 0:
-                continue
-            nbrs, eids = disk_graph.load_neighbors_with_eids(u)
-            marker[nbrs] = u
-            forward = nbrs > u
-            if not forward.any():
-                continue
-            forward_nbrs = nbrs[forward]
-            forward_eids = eids[forward]
-            # One batched adjacency fetch for all forward neighbours (same
-            # edge-file touches as the per-vertex loop), then a vectorized
-            # marker intersection: segment i of the concatenation is N(v_i),
-            # and sup((u, v_i)) = |{w in N(v_i) : marker[w] == u}|. Every
-            # v_i has degree >= 1 (it neighbours u), so the reduceat
-            # segments are all non-empty.
-            cat, bounds = disk_graph.load_neighbors_batch(forward_nbrs)
-            values = np.add.reduceat(marker[cat] == u, bounds[:-1], dtype=np.int64)
-            supports.scatter(forward_eids, values)
-            support_sum += int(values.sum())
-            zero_edges += int(np.count_nonzero(values == 0))
-            if len(values):
-                max_support = max(max_support, int(values.max()))
-    finally:
-        disk_graph.memory.release(memory_tag)
+    with trace_span("support_scan", kind="kernel", n=n, m=m, array=name):
+        supports = DiskArray(disk_graph.device, m, np.int64, name=name)
+        memory_tag = f"{name}.marker"
+        disk_graph.memory.charge(memory_tag, 8 * n)
+        try:
+            values = disk_graph.graph.edge_supports()
+            _replay_scan(disk_graph, supports)
+            supports.adopt(values)
+        finally:
+            disk_graph.memory.release(memory_tag)
+    support_sum = int(values.sum())
+    zero_edges = int(np.count_nonzero(values == 0))
+    max_support = int(values.max()) if m else 0
     # Each triangle contributes 1 to the support of each of its 3 edges.
-    triangle_count = support_sum // 3
-    return SupportScan(supports, triangle_count, zero_edges, max_support)
+    return SupportScan(supports, support_sum // 3, zero_edges, max_support)
+
+
+def _replay_scan(disk_graph: DiskGraph, supports: DiskArray) -> None:
+    """Charge the node-at-a-time scan's accesses, a chunk of vertices at a time.
+
+    For each vertex ``u`` with ``d(u) > 0``, in id order: read ``N(u)`` in
+    the adjacency extent, read it in the edge-id extent, read ``N(v)`` in
+    the adjacency extent for each forward neighbour ``v > u``, then write
+    the support cell of each forward edge. Chunks hold about
+    ``_CHUNK`` accesses; replaying a trace in pieces, in order, charges
+    what replaying it whole does.
+    """
+    graph = disk_graph.graph
+    offsets, degrees = graph.offsets, graph.degrees
+    adj, adj_eids = graph.adj, graph.adj_eids
+    adj_extent = disk_graph.adj.extent
+    eid_extent = disk_graph.adj_eids.extent
+    sup_extent = supports.extent
+    n = disk_graph.n
+    # At most 2 + 2 d(u) accesses per vertex: cut chunks on that bound.
+    bound = 2 * (np.arange(n + 1, dtype=np.int64) + offsets)
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(bound, bound[lo] + _CHUNK, side="right")) - 1
+        hi = min(max(hi, lo + 1), n)
+        deg = degrees[lo:hi]
+        rows = np.repeat(np.arange(lo, hi, dtype=np.int64), deg)
+        nbrs = adj[offsets[lo]:offsets[hi]]
+        forward = nbrs > rows
+        fwd_v = nbrs[forward]
+        fwd_u = rows[forward] - lo
+        fwd_count = np.bincount(fwd_u, minlength=hi - lo)
+        per_vertex = np.where(deg > 0, 2 + 2 * fwd_count, 0)
+        starts = np.cumsum(per_vertex) - per_vertex
+        total = int(per_vertex.sum())
+        extents = np.empty(total, dtype=np.int64)
+        positions = np.empty(total, dtype=np.int64)
+        lengths = np.empty(total, dtype=np.int64)
+        writes = np.zeros(total, dtype=bool)
+        active = np.flatnonzero(deg > 0)
+        head = starts[active]
+        own_position = offsets[lo + active] * _ITEMSIZE
+        own_length = deg[active] * _ITEMSIZE
+        for slot, extent in ((head, adj_extent), (head + 1, eid_extent)):
+            extents[slot] = extent
+            positions[slot] = own_position
+            lengths[slot] = own_length
+        rank = np.arange(fwd_v.size, dtype=np.int64) - (np.cumsum(fwd_count) - fwd_count)[fwd_u]
+        reads = starts[fwd_u] + 2 + rank
+        extents[reads] = adj_extent
+        positions[reads] = offsets[fwd_v] * _ITEMSIZE
+        lengths[reads] = degrees[fwd_v] * _ITEMSIZE
+        cells = reads + fwd_count[fwd_u]
+        extents[cells] = sup_extent
+        positions[cells] = adj_eids[offsets[lo]:offsets[hi]][forward] * _ITEMSIZE
+        lengths[cells] = _ITEMSIZE
+        writes[cells] = True
+        disk_graph.device.replay(extents, positions, lengths, writes)
+        lo = hi
 
 
 def compute_supports_reference(disk_graph: DiskGraph, name: str = "sup") -> SupportScan:

@@ -12,7 +12,9 @@ classic policies are provided:
 
 All expose the same minimal interface the device needs: ``lookup`` (and
 touch), ``insert`` returning an evicted ``(key, dirty)`` or ``None``,
-``discard``, ``set_dirty``, ``items``, ``clear``, ``__len__``.
+``discard``, ``set_dirty``, ``items``, ``clear``, ``__len__``, and
+``replay`` — one tight loop applying a run-compressed sequence of touches
+(:meth:`BlockDevice.replay`'s fast path).
 """
 
 from __future__ import annotations
@@ -30,10 +32,8 @@ class LRUCache:
     """Least-recently-used over an ordered dict."""
 
     name = "lru"
-    #: Collapsed re-touches of a run are idempotent here (``move_to_end``
-    #: on the already-most-recent key), so the device may skip computing
-    #: repeat flags entirely.
-    needs_repeats = False
+    #: A hit moves the block to the most recent end (FIFO's does not).
+    hits_refresh = True
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
@@ -83,84 +83,52 @@ class LRUCache:
     def clear(self) -> None:
         self._entries.clear()
 
-    # ------------------------------------------------------------------ #
-    # bulk batch hooks (device fast path)
-    # ------------------------------------------------------------------ #
-    #
-    # These apply a run-compressed sequence of block touches in one call,
-    # equivalent — touch for touch — to the scalar lookup/insert/set_dirty
-    # protocol of BlockDevice._touch_block / touch_write, but with the
-    # per-block method dispatch hoisted out. They return charge *counts*
-    # (counters are order-insensitive) plus the dirty eviction victims, so
-    # the device can post the I/O in bulk.
-    #
-    # *repeats* flags runs that collapsed >= 2 scalar touches. For LRU the
-    # extra touches only re-run ``move_to_end`` on the already-most-recent
-    # key, and for FIFO lookups mutate nothing, so both ignore the flag;
-    # CLOCK must honour it (a repeat earns a freshly admitted block its
-    # reference bit).
+    def replay(self, keys, faults, dirty, repeats) -> Tuple[List[Key], List[Key]]:
+        """Apply a run-compressed, ordered sequence of block touches.
 
-    def bulk_read(self, extent: int, blocks, repeats) -> Tuple[int, List[Key]]:
-        """Apply read touches; returns ``(miss_count, evicted_dirty_keys)``."""
-        entries = self._entries
-        capacity = self.capacity
-        move = entries.move_to_end
-        pop = entries.popitem
-        size = len(entries)
-        misses = 0
-        evicted_dirty: List[Key] = []
-        for block in blocks:
-            key = (extent, block)
-            if key in entries:
-                move(key)
-            else:
-                misses += 1
-                if size < capacity:
-                    size += 1
-                else:
-                    victim, dirty = pop(last=False)
-                    if dirty:
-                        evicted_dirty.append(victim)
-                entries[key] = False
-        return misses, evicted_dirty
-
-    def bulk_write(self, extent: int, blocks, repeats, covers) -> Tuple[int, List[Key]]:
-        """Apply write touches; returns ``(fault_read_count, evicted_dirty_keys)``.
-
-        ``covers[i]`` says whether run *i*'s first access spans its whole
-        block (no read-modify-write fault). A resident block is marked
-        dirty in place — idempotent when already dirty, and a plain
-        ``__setitem__`` keeps its position, exactly like ``set_dirty``.
+        Run *i* is one or more consecutive touches of block ``keys[i]``:
+        ``faults[i]`` says whether a miss of its first touch charges a read
+        (a write covering the whole block does not), ``dirty[i]`` whether
+        any touch wrote, and the numpy bool array ``repeats[i]`` whether it
+        held more than one touch. Equivalent, touch for touch, to the scalar
+        ``lookup``/``insert``/``set_dirty`` protocol of
+        ``BlockDevice._touch_block`` / ``touch_write``; returns
+        ``(charged_read_keys, evicted_dirty_keys)`` so the device can post
+        the I/O in bulk. The later touches of a run only re-run
+        ``move_to_end`` on the already most recent key (and FIFO hits
+        move nothing), so *repeats* does not matter here.
         """
         entries = self._entries
         capacity = self.capacity
-        move = entries.move_to_end
+        refresh = entries.move_to_end if self.hits_refresh else None
         pop = entries.popitem
         size = len(entries)
-        faults = 0
-        evicted_dirty: List[Key] = []
-        for block, cover in zip(blocks, covers):
-            key = (extent, block)
+        charged: List[Key] = []
+        evicted: List[Key] = []
+        for key, fault, write in zip(keys, faults, dirty):
             if key in entries:
-                move(key)
-                entries[key] = True
+                if refresh is not None:
+                    refresh(key)
+                if write:
+                    entries[key] = True
+                continue
+            if fault:
+                charged.append(key)
+            if size < capacity:
+                size += 1
             else:
-                if not cover:
-                    faults += 1
-                if size < capacity:
-                    size += 1
-                else:
-                    victim, dirty = pop(last=False)
-                    if dirty:
-                        evicted_dirty.append(victim)
-                entries[key] = True
-        return faults, evicted_dirty
+                victim, victim_dirty = pop(last=False)
+                if victim_dirty:
+                    evicted.append(victim)
+            entries[key] = write
+        return charged, evicted
 
 
 class FIFOCache(LRUCache):
     """First-in-first-out: like LRU but lookups don't refresh recency."""
 
     name = "fifo"
+    hits_refresh = False
 
     def lookup(self, key: Key) -> Optional[bool]:
         return self._entries.get(key)
@@ -174,57 +142,11 @@ class FIFOCache(LRUCache):
             return self._entries.popitem(last=False)
         return None
 
-    def bulk_read(self, extent: int, blocks, repeats) -> Tuple[int, List[Key]]:
-        entries = self._entries
-        capacity = self.capacity
-        pop = entries.popitem
-        size = len(entries)
-        misses = 0
-        evicted_dirty: List[Key] = []
-        for block in blocks:
-            key = (extent, block)
-            if key not in entries:
-                misses += 1
-                if size < capacity:
-                    size += 1
-                else:
-                    victim, dirty = pop(last=False)
-                    if dirty:
-                        evicted_dirty.append(victim)
-                entries[key] = False
-        return misses, evicted_dirty
-
-    def bulk_write(self, extent: int, blocks, repeats, covers) -> Tuple[int, List[Key]]:
-        entries = self._entries
-        capacity = self.capacity
-        pop = entries.popitem
-        size = len(entries)
-        faults = 0
-        evicted_dirty: List[Key] = []
-        for block, cover in zip(blocks, covers):
-            key = (extent, block)
-            if key in entries:
-                entries[key] = True  # set_dirty keeps the admission position
-            else:
-                if not cover:
-                    faults += 1
-                if size < capacity:
-                    size += 1
-                else:
-                    victim, dirty = pop(last=False)
-                    if dirty:
-                        evicted_dirty.append(victim)
-                entries[key] = True
-        return faults, evicted_dirty
-
 
 class ClockCache:
     """CLOCK (second chance): a circular buffer of frames with ref bits."""
 
     name = "clock"
-    #: A repeat touch earns a freshly admitted block its reference bit, so
-    #: the device must supply per-run repeat flags.
-    needs_repeats = True
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
@@ -300,46 +222,30 @@ class ClockCache:
             raise DeviceError(f"set_dirty on non-resident block {key}")
         self._dirty[key] = dirty
 
-    def bulk_read(self, extent: int, blocks, repeats) -> Tuple[int, List[Key]]:
+    def replay(self, keys, faults, dirty, repeats) -> Tuple[List[Key], List[Key]]:
+        """:meth:`LRUCache.replay` for CLOCK: a hit sets the reference bit,
+        and so does a repeat in a run whose first touch admitted the block
+        (the admission withholds the bit; the next touch earns it)."""
         index = self._index
+        dirty_bits = self._dirty
         referenced = self._referenced
-        misses = 0
-        evicted_dirty: List[Key] = []
-        for block, repeat in zip(blocks, repeats):
-            key = (extent, block)
+        insert = self.insert
+        charged: List[Key] = []
+        evicted: List[Key] = []
+        for key, fault, write, repeat in zip(keys, faults, dirty, repeats.tolist()):
             if key in index:
                 referenced[key] = True
-            else:
-                misses += 1
-                evicted = self.insert(key, False)
-                if evicted is not None and evicted[1]:
-                    evicted_dirty.append(evicted[0])
-                if repeat:
-                    # The collapsed re-touches hit the fresh block and earn
-                    # it the reference bit the admission withheld.
-                    referenced[key] = True
-        return misses, evicted_dirty
-
-    def bulk_write(self, extent: int, blocks, repeats, covers) -> Tuple[int, List[Key]]:
-        index = self._index
-        dirty = self._dirty
-        referenced = self._referenced
-        faults = 0
-        evicted_dirty: List[Key] = []
-        for block, repeat, cover in zip(blocks, repeats, covers):
-            key = (extent, block)
-            if key in index:
+                if write:
+                    dirty_bits[key] = True
+                continue
+            if fault:
+                charged.append(key)
+            victim = insert(key, write)
+            if victim is not None and victim[1]:
+                evicted.append(victim[0])
+            if repeat:
                 referenced[key] = True
-                dirty[key] = True
-            else:
-                if not cover:
-                    faults += 1
-                evicted = self.insert(key, True)
-                if evicted is not None and evicted[1]:
-                    evicted_dirty.append(evicted[0])
-                if repeat:
-                    referenced[key] = True
-        return faults, evicted_dirty
+        return charged, evicted
 
     def items(self) -> Iterator[Tuple[Key, bool]]:
         return iter([(k, self._dirty[k]) for k in self._index])

@@ -19,6 +19,9 @@ the paper's experiments compare — block I/O counts (see DESIGN.md §2).
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
+from operator import itemgetter
 from typing import Dict, Tuple
 
 import numpy as np
@@ -42,12 +45,11 @@ _SMALL_BATCH = 8
 def count_block_touches(offsets, lengths, block_size: int) -> int:
     """Blocks spanned by each ``(offset, nbytes)`` access, summed.
 
-    The vectorized closed form of what :meth:`BlockDevice.touch_read`
-    tallies when touch counting is enabled: an access spanning bytes
-    ``[o, o + l)`` touches ``(o + l - 1) // B - o // B + 1`` blocks
-    (zero-length accesses touch none). Parallel workers use this to claim
-    their shard's block-touch counts without a device; the ledger merge
-    cross-checks the claim against the parent device's replayed tally.
+    The vectorized closed form of what :meth:`BlockDevice.touch_read` (and
+    :meth:`BlockDevice.replay`, per access) adds to the touch tally when
+    touch counting is enabled: an access spanning bytes ``[o, o + l)``
+    touches ``(o + l - 1) // B - o // B + 1`` blocks (zero-length accesses
+    touch none). Tests use it to predict a trace's tally without a device.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     if np.ndim(lengths) == 0:
@@ -63,6 +65,11 @@ def count_block_touches(offsets, lengths, block_size: int) -> int:
             return 0
     spans = (offsets + lengths - 1) // block_size - offsets // block_size + 1
     return int(spans.sum())
+
+
+def _per_extent(keys) -> Dict[int, int]:
+    """Count ``(extent, block)`` keys per extent."""
+    return Counter(map(itemgetter(0), keys))
 
 
 class BlockDevice:
@@ -264,32 +271,23 @@ class BlockDevice:
         """Charge one write of a specific block (see :meth:`_charge_read_block`)."""
         self._charge_write(key[0])
 
-    def _charge_reads_bulk(self, extent: int, count: int) -> None:
-        """Charge *count* read I/Os against one extent in a single update.
+    def _charge_counts(self, counts: Dict[int, int], read: bool) -> None:
+        """Charge ``counts[extent]`` reads (or writes) per extent.
 
-        Counters are order-insensitive, so the batch paths accumulate their
-        charges and post them once instead of per block.
+        Counters are order-insensitive, so :meth:`replay` collects its
+        charges and posts them here once instead of per block.
         """
-        self.stats.read_ios += count
-        self.stats.bytes_read += count * self.block_size
-        self._extent_io.setdefault(
-            self._extent_names.get(extent, "?"), [0, 0]
-        )[0] += count
-
-    def _charge_writes_bulk(self, extent: int, count: int) -> None:
-        self.stats.write_ios += count
-        self.stats.bytes_written += count * self.block_size
-        self._extent_io.setdefault(
-            self._extent_names.get(extent, "?"), [0, 0]
-        )[1] += count
-
-    def _charge_eviction_writes(self, victims) -> None:
-        """Charge one write per evicted dirty block, grouped by extent."""
-        counts: Dict[int, int] = {}
-        for victim_extent, _block in victims:
-            counts[victim_extent] = counts.get(victim_extent, 0) + 1
-        for victim_extent, count in counts.items():
-            self._charge_writes_bulk(victim_extent, count)
+        side = 0 if read else 1
+        for extent, count in counts.items():
+            if read:
+                self.stats.read_ios += count
+                self.stats.bytes_read += count * self.block_size
+            else:
+                self.stats.write_ios += count
+                self.stats.bytes_written += count * self.block_size
+            self._extent_io.setdefault(
+                self._extent_names.get(extent, "?"), [0, 0]
+            )[side] += count
 
     def _insert_block(self, key: Tuple[int, int], dirty: bool) -> None:
         """Admit a block to the pool, evicting (and charging) if full."""
@@ -346,7 +344,7 @@ class BlockDevice:
                 self._cache.set_dirty(key, True)
 
     # ------------------------------------------------------------------ #
-    # vectorized batch accounting (the fast path)
+    # ordered replay (the fast path)
     # ------------------------------------------------------------------ #
 
     @staticmethod
@@ -361,125 +359,179 @@ class BlockDevice:
         offsets = np.asarray(offsets, dtype=np.int64)
         if offsets.ndim == 0:
             offsets = offsets.reshape(1)
-        if np.ndim(lengths) == 0:
+        if isinstance(lengths, (int, np.integer)) or np.ndim(lengths) == 0:
             return offsets, int(lengths)
         lengths = np.asarray(lengths, dtype=np.int64)
         if offsets.shape != lengths.shape:
             raise DeviceError("batch touch: offsets and lengths length mismatch")
         return offsets, lengths
 
-    def _batch_runs(self, extent: int, offsets, lengths, need_covers: bool):
-        """Translate many ``(offset, nbytes)`` accesses into run-compressed
-        block touches, vectorized.
+    def _checked_trace(self, extents, offsets, lengths, writes):
+        """Normalise and validate a :meth:`replay` trace.
 
-        Block ids are computed with numpy, consecutive duplicate blocks are
-        collapsed into *runs* (``np.diff``-style), and for each run we keep
-        whether it had repeats (so recency/reference bits can be refreshed
-        exactly as the scalar path would) and — for writes — whether the
-        run's *first* access covers its whole block (later accesses of a run
-        always find the block resident, so only the first covers flag can
-        matter).
-
-        *lengths* is an aligned array or a plain non-negative int (uniform
-        access size). Returns ``(blocks, has_repeat, covers)`` as python
-        lists (``covers`` is ``None`` unless *need_covers*; ``has_repeat``
-        is ``None`` when the cache policy declares repeats idempotent via
-        ``needs_repeats``), or ``None`` when no non-empty access remains.
+        *extents*, *lengths* and *writes* may each be a scalar (kept
+        scalar, broadcast over *offsets*) or an array aligned with
+        *offsets*. Every access is checked before anything is charged:
+        the extent is known, the access lies inside it, and no access
+        writes to a read-only device. Returns the trace with empty
+        accesses dropped, or ``None`` when nothing remains to touch.
         """
-        if extent not in self._extents:
-            raise DeviceError(f"unknown extent id {extent}")
+        offsets, lengths = self._normalize_batch(offsets, lengths)
+        if isinstance(extents, (int, np.integer)):
+            extents = int(extents)
+        else:
+            extents = np.asarray(extents, dtype=np.int64)
+            if extents.shape != offsets.shape:
+                raise DeviceError("replay: extents and offsets length mismatch")
+        if isinstance(writes, (bool, np.bool_)):
+            writes = bool(writes)
+            any_write = writes
+        else:
+            writes = np.asarray(writes, dtype=bool)
+            if writes.shape != offsets.shape:
+                raise DeviceError("replay: writes and offsets length mismatch")
+            any_write = bool(writes.any())
         if offsets.size == 0:
             return None
-        size = self._extents[extent][1]
+        if any_write:
+            self._require_writable()
+        if isinstance(extents, int):
+            if extents not in self._extents:
+                raise DeviceError(f"unknown extent id {extents}")
+            size = self._extents[extents][1]
+            outside = int((offsets + lengths).max()) > size
+        else:
+            known = np.unique(extents).tolist()
+            for extent in known:
+                if extent not in self._extents:
+                    raise DeviceError(f"unknown extent id {extent}")
+            sizes = np.array([self._extents[extent][1] for extent in known], dtype=np.int64)
+            outside = bool(np.any(offsets + lengths > sizes[np.searchsorted(known, extents)]))
         scalar_length = isinstance(lengths, int)
-        ends = offsets + lengths
         min_length = lengths if scalar_length else int(lengths.min())
-        if int(offsets.min()) < 0 or min_length < 0 or int(ends.max()) > size:
-            raise DeviceError(
-                f"batch access outside extent of {size} bytes"
-            )
+        if outside or min_length < 0 or int(offsets.min()) < 0:
+            raise DeviceError("replay: access outside its extent")
         if min_length == 0:
             if scalar_length:
                 return None  # every access is empty
-            nonzero = lengths > 0
-            offsets = offsets[nonzero]
-            lengths = lengths[nonzero]
-            ends = ends[nonzero]
-            if offsets.size == 0:
+            keep = lengths > 0
+            if not keep.any():
                 return None
+            offsets, lengths = offsets[keep], lengths[keep]
+            if not isinstance(extents, int):
+                extents = extents[keep]
+            if not isinstance(writes, bool):
+                writes = writes[keep]
+        return extents, offsets, lengths, writes
+
+    def replay(self, extents, offsets, lengths, writes) -> None:
+        """Charge an ordered, multi-extent sequence of accesses in one call.
+
+        Access *i* reads (``writes[i]`` false) or writes ``lengths[i]``
+        bytes at ``offsets[i]`` of extent ``extents[i]``; any of
+        *extents*, *lengths* and *writes* may be a scalar that broadcasts.
+        Charges **exactly** what the same sequence of scalar
+        :meth:`touch_read` / :meth:`touch_write` calls charges — counters,
+        ``io_by_extent`` and the touch tally — and leaves the pool
+        (residency, LRU recency, FIFO order, CLOCK reference bits and
+        hand, dirty flags) in the identical state. Every access is
+        validated first; a bad one raises :class:`DeviceError` with
+        nothing charged. :class:`ReferenceBlockDevice` walks the scalar
+        calls literally and is the spec the equivalence tests hold this
+        to.
+
+        Mechanism: numpy expands the accesses into per-block touches and
+        collapses consecutive touches of one block into *runs*. Later
+        touches of a run always find the block resident, so a run keeps
+        only its first touch's fault flag (a write covering its whole
+        block faults nothing in), whether any touch wrote (the dirty bit)
+        and whether it repeated (CLOCK's reference bit); the policy's
+        ``replay`` loop then applies the runs in order.
+        """
+        trace = self._checked_trace(extents, offsets, lengths, writes)
+        if trace is not None:
+            self._replay_trace(*trace)
+
+    def _replay_trace(self, extents, offsets, lengths, writes) -> None:
+        """Charge a trace :meth:`_checked_trace` accepted (see :meth:`replay`)."""
         block_size = self.block_size
+        ends = offsets + lengths
         first = offsets // block_size
-        last = (ends - 1) // block_size
-        spans = last - first + 1
+        spans = (ends - 1) // block_size - first + 1
         if int(spans.max()) == 1:
-            # Common case: every access falls inside a single block.
-            blocks = first
-            acc_offsets, acc_lengths = offsets, lengths
+            # Common case: every access falls inside one block.
+            blocks, access = first, None
         else:
-            # Expand each access into its per-block touches, preserving the
-            # scalar path's visit order.
-            total = int(spans.sum())
+            # Expand each access into its blocks, in the scalar visit order.
+            access = np.repeat(np.arange(offsets.size, dtype=np.int64), spans)
             starts = np.cumsum(spans) - spans
-            intra = np.arange(total, dtype=np.int64) - np.repeat(starts, spans)
-            blocks = np.repeat(first, spans) + intra
-            acc_offsets = np.repeat(offsets, spans)
-            acc_lengths = (
-                lengths if scalar_length else np.repeat(lengths, spans)
-            )
-        # Run compression: collapse consecutive duplicate blocks.
-        num_blocks = len(blocks)
-        if self._touch_counts is not None:
-            # Tally the expanded per-block sequence — identical to what
-            # the equivalent scalar loop would have counted.
-            self._bump_touches(extent, num_blocks)
-        need_repeats = self._cache.needs_repeats
+            blocks = np.arange(access.size, dtype=np.int64) - starts[access] + first[access]
+        single = isinstance(extents, int)
+        touched = extents if single or access is None else extents[access]
+        num_blocks = blocks.size
         if num_blocks > 1:
-            run_start_mask = np.empty(num_blocks, dtype=bool)
-            run_start_mask[0] = True
-            np.not_equal(blocks[1:], blocks[:-1], out=run_start_mask[1:])
-            run_starts = np.flatnonzero(run_start_mask)
-            run_blocks = blocks[run_starts]
-            if need_repeats:
-                num_runs = len(run_starts)
-                has_repeat = np.empty(num_runs, dtype=bool)
-                if num_runs > 1:
-                    np.greater(run_starts[1:] - run_starts[:-1], 1,
-                               out=has_repeat[:-1])
-                has_repeat[-1] = (num_blocks - int(run_starts[-1])) > 1
+            run_start = np.empty(num_blocks, dtype=bool)
+            run_start[0] = True
+            np.not_equal(blocks[1:], blocks[:-1], out=run_start[1:])
+            if not single:
+                run_start[1:] |= touched[1:] != touched[:-1]
+            runs = np.flatnonzero(run_start)
         else:
-            run_starts = np.zeros(1, dtype=np.int64)
-            run_blocks = blocks
-            if need_repeats:
-                has_repeat = np.zeros(1, dtype=bool)
-        covers = None
-        if need_covers:
-            run_offsets = acc_offsets[run_starts]
-            if scalar_length:
-                run_lengths = acc_lengths
-            else:
-                run_lengths = acc_lengths[run_starts]
+            runs = np.zeros(1, dtype=np.int64)
+        if self._touch_counts is not None:
+            self._tally_touches(touched, num_blocks)
+        run_blocks = blocks[runs]
+        # A run repeated when the next run starts more than one touch later.
+        repeats = np.empty(runs.size, dtype=bool)
+        np.greater(runs[1:] - runs[:-1], 1, out=repeats[:-1])
+        repeats[-1] = num_blocks - int(runs[-1]) > 1
+        heads = runs if access is None else access[runs]
+        if writes is False:
+            faults, dirty = itertools.repeat(True), itertools.repeat(False)
+        else:
+            first_write = True if writes is True else writes[heads]
             block_starts = run_blocks * block_size
-            covers = (
-                (run_offsets <= block_starts)
-                & (run_offsets + run_lengths >= block_starts + block_size)
-            ).tolist()
-        repeats = has_repeat.tolist() if need_repeats else None
-        return run_blocks.tolist(), repeats, covers
+            covers = (offsets[heads] <= block_starts) & (
+                ends[heads] >= block_starts + block_size
+            )
+            faults = (~(first_write & covers)).tolist()
+            if writes is True:
+                dirty = itertools.repeat(True)
+            else:
+                touched_writes = writes if access is None else writes[access]
+                dirty = np.logical_or.reduceat(touched_writes, runs).tolist()
+        block_list = run_blocks.tolist()
+        if single:
+            keys = list(zip(itertools.repeat(extents, len(block_list)), block_list))
+        else:
+            keys = list(zip(touched[runs].tolist(), block_list))
+        charged, evicted = self._cache.replay(keys, faults, dirty, repeats)
+        if charged:
+            self._charge_counts(
+                {extents: len(charged)} if single else _per_extent(charged), read=True
+            )
+        if evicted:
+            self._charge_counts(_per_extent(evicted), read=False)
+
+    def _tally_touches(self, touched, num_blocks: int) -> None:
+        """Bump the touch tally by each extent's expanded block count, in
+        order of first touch (the order the scalar loop would bump in)."""
+        if isinstance(touched, int):
+            self._bump_touches(touched, num_blocks)
+            return
+        extents, first_seen, counts = np.unique(
+            touched, return_index=True, return_counts=True
+        )
+        for position in np.argsort(first_seen, kind="stable").tolist():
+            self._bump_touches(int(extents[position]), int(counts[position]))
 
     def touch_read_batch(self, extent: int, offsets, lengths) -> None:
-        """Vectorized :meth:`touch_read` over many accesses at once.
-
-        *offsets* / *lengths* are equal-length integer arrays (a scalar
-        *lengths* broadcasts). Charges **exactly** the I/O the equivalent
-        sequence of scalar :meth:`touch_read` calls would charge, and leaves
-        the cache (residency, recency, reference and dirty bits) in the
-        identical state — see :class:`ReferenceBlockDevice` and the
-        equivalence guard tests.
-        """
+        """:meth:`touch_read` over many accesses of one extent: the
+        single-extent case of :meth:`replay`, with identical charges and
+        pool state to the scalar loop. A scalar *lengths* broadcasts."""
         offsets, lengths = self._normalize_batch(offsets, lengths)
         if offsets.size <= _SMALL_BATCH:
-            # Tiny batches: the scalar loop *is* the batch path (run
-            # compression cannot beat the numpy setup cost at this size).
+            # Tiny batches: the scalar loop beats the numpy setup cost.
             if isinstance(lengths, int):
                 for offset in offsets.tolist():
                     self.touch_read(extent, offset, lengths)
@@ -487,27 +539,11 @@ class BlockDevice:
                 for offset, nbytes in zip(offsets.tolist(), lengths.tolist()):
                     self.touch_read(extent, offset, nbytes)
             return
-        runs = self._batch_runs(extent, offsets, lengths, need_covers=False)
-        if runs is None:
-            return
-        blocks, repeats, _ = runs
-        # The cache applies the whole run sequence in one tight loop; a
-        # collapsed run of k >= 2 scalar touches differs from one touch only
-        # by the (idempotent) recency/reference refresh of the later hits,
-        # which the policy's bulk hook restores from the repeat flags.
-        misses, evicted_dirty = self._cache.bulk_read(extent, blocks, repeats)
-        if misses:
-            self._charge_reads_bulk(extent, misses)
-        if evicted_dirty:
-            self._charge_eviction_writes(evicted_dirty)
+        self.replay(extent, offsets, lengths, False)
 
     def touch_write_batch(self, extent: int, offsets, lengths) -> None:
-        """Vectorized :meth:`touch_write` over many accesses at once.
-
-        Charges identical I/O (including read-modify-write faults for runs
-        whose first access does not cover its whole block) and identical
-        cache state to the scalar loop.
-        """
+        """:meth:`touch_write` over many accesses of one extent (see
+        :meth:`touch_read_batch`), read-modify-write faults included."""
         self._require_writable()
         offsets, lengths = self._normalize_batch(offsets, lengths)
         if offsets.size <= _SMALL_BATCH:
@@ -518,17 +554,7 @@ class BlockDevice:
                 for offset, nbytes in zip(offsets.tolist(), lengths.tolist()):
                     self.touch_write(extent, offset, nbytes)
             return
-        runs = self._batch_runs(extent, offsets, lengths, need_covers=True)
-        if runs is None:
-            return
-        blocks, repeats, covers = runs
-        faults, evicted_dirty = self._cache.bulk_write(
-            extent, blocks, repeats, covers
-        )
-        if faults:
-            self._charge_reads_bulk(extent, faults)
-        if evicted_dirty:
-            self._charge_eviction_writes(evicted_dirty)
+        self.replay(extent, offsets, lengths, True)
 
     def append_write(self, extent: int, offset: int, nbytes: int) -> None:
         """Charge sequential append-style writes (no read-before-write)."""
@@ -621,6 +647,9 @@ class InMemoryBlockDevice(BlockDevice):
         self._require_writable()
         self._check_extent(extent)
 
+    def _replay_trace(self, extents, offsets, lengths, writes) -> None:
+        pass  # validated by ``replay``; nothing is charged
+
     def append_write(self, extent: int, offset: int, nbytes: int) -> None:
         self._require_writable()
         self._check_extent(extent)
@@ -633,33 +662,30 @@ class InMemoryBlockDevice(BlockDevice):
 
 
 class ReferenceBlockDevice(BlockDevice):
-    """The slow reference implementation of the batch accounting contract.
+    """The slow reference implementation of the replay contract.
 
-    Batch touches are processed as the literal per-access scalar loop (the
-    pre-vectorization behaviour). The simulator's only contract is block-I/O
-    counts, so :class:`BlockDevice`'s vectorized fast path must charge — and
-    leave the cache in — *exactly* what this device does; the equivalence
-    guard (``tests/test_batch_equivalence.py``) asserts identical
-    :class:`IOStats` and :meth:`io_by_extent` across seeded workloads and
-    full algorithm runs for every cache policy. Use it when auditing a new
-    access pattern or debugging a count mismatch; all benchmarks use the
-    fast path.
+    :meth:`replay` — and with it every batch touch — validates the trace,
+    then walks it as the literal per-access scalar loop. The simulator's
+    only contract is block-I/O counts, so :class:`BlockDevice`'s
+    run-compressed fast path must charge — and leave the cache in —
+    *exactly* what this device does; the
+    equivalence guard (``tests/test_batch_equivalence.py``) asserts
+    identical :class:`IOStats`, :meth:`io_by_extent`, touch tallies and
+    pool state across seeded traces and full algorithm runs for every
+    cache policy. Use it when auditing a new access pattern or debugging a
+    count mismatch; all benchmarks use the fast path.
     """
 
-    def touch_read_batch(self, extent: int, offsets, lengths) -> None:
-        offsets, lengths = self._normalize_batch(offsets, lengths)
-        if isinstance(lengths, int):
-            lengths = [lengths] * offsets.size
-        else:
-            lengths = lengths.tolist()
-        for offset, nbytes in zip(offsets.tolist(), lengths):
-            self.touch_read(extent, offset, nbytes)
-
-    def touch_write_batch(self, extent: int, offsets, lengths) -> None:
-        offsets, lengths = self._normalize_batch(offsets, lengths)
-        if isinstance(lengths, int):
-            lengths = [lengths] * offsets.size
-        else:
-            lengths = lengths.tolist()
-        for offset, nbytes in zip(offsets.tolist(), lengths):
-            self.touch_write(extent, offset, nbytes)
+    def _replay_trace(self, extents, offsets, lengths, writes) -> None:
+        count = offsets.size
+        columns = [
+            [value] * count if np.ndim(value) == 0 else value.tolist()
+            for value in (extents, lengths, writes)
+        ]
+        for extent, offset, nbytes, write in zip(
+            columns[0], offsets.tolist(), columns[1], columns[2]
+        ):
+            if write:
+                self.touch_write(extent, offset, nbytes)
+            else:
+                self.touch_read(extent, offset, nbytes)

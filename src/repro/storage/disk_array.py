@@ -270,12 +270,12 @@ class DiskArray:
     def adopt(self, values: np.ndarray) -> None:
         """Install *values* as the payload without charging any I/O.
 
-        The parallel kernels compute payloads in worker processes and
-        charge the canonical access sequence separately through the
-        ledger-merge replay (``repro.parallel``); adopting here a second
-        time through ``scatter`` would double-charge the writes. Algorithm
-        code must pair every ``adopt`` with a replayed charge of the same
-        accesses, or its I/O counts would lie.
+        The support scan computes its values in one in-process kernel and
+        charges the scan's access sequence separately through
+        :meth:`BlockDevice.replay`; writing the values through ``scatter``
+        as well would double-charge the writes. Algorithm code must pair
+        every ``adopt`` with a replayed charge of the same accesses, or its
+        I/O counts would lie.
         """
         values = np.asarray(values, dtype=self.dtype)
         if len(values) != self.length:

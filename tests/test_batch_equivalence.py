@@ -1,13 +1,14 @@
-"""I/O-count-equivalence guard for the batched accounting fast path.
+"""I/O-count-equivalence guard for the replay fast path.
 
 The simulator's only contract is block-I/O counts (docs/io_model.md), so
-the vectorized batch entry points of :class:`BlockDevice` must charge
-exactly what the scalar path charges — same ``IOStats``, same per-extent
-breakdown, same buffer-pool end state — for *any* access sequence and
-under every replacement policy. :class:`ReferenceBlockDevice` replays
-batch calls as the literal per-access scalar loop; these tests drive
-identical workloads through both and demand byte-for-byte agreement,
-from random mixed device workloads up to full truss decompositions.
+:meth:`BlockDevice.replay` — and the batch entry points built on it — must
+charge exactly what the scalar path charges — same ``IOStats``, same
+per-extent breakdown, same touch tally, same buffer-pool end state — for
+*any* access sequence and under every replacement policy.
+:class:`ReferenceBlockDevice` replays as the literal per-access scalar
+loop; these tests drive identical workloads through both and demand
+byte-for-byte agreement, from hypothesis multi-extent traces up to full
+truss decompositions.
 """
 
 from __future__ import annotations
@@ -21,11 +22,16 @@ from repro import EngineConfig, ExecutionContext, max_truss
 from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import barabasi_albert, gnm_random
 from repro.semiexternal.support import compute_supports, compute_supports_reference
+from repro.errors import DeviceError
+from repro.graph.generators import planted_kmax_truss
+from repro.graph import memgraph
 from repro.storage import (
     BlockDevice,
+    ClockCache,
     DiskArray,
     MemoryMeter,
     ReferenceBlockDevice,
+    count_block_touches,
 )
 
 POLICIES = ["lru", "fifo", "clock"]
@@ -118,6 +124,139 @@ def test_random_workload_counts_match(policy, ops):
     assert dict(fast._cache.items()) == dict(reference._cache.items())
 
 
+# --------------------------------------------------------------------- #
+# BlockDevice.replay: ordered multi-extent traces
+# --------------------------------------------------------------------- #
+
+#: Extent sizes of the replay traces: unequal, not block multiples.
+TRACE_EXTENTS = (("a", 300), ("b", 1000), ("c", 77))
+
+
+@st.composite
+def traces(draw, max_size=60):
+    """A replay trace ``(extents, offsets, lengths, writes)`` over
+    :data:`TRACE_EXTENTS`: mixed reads and writes, zero lengths, accesses
+    straddling blocks, and runs of repeats on one block."""
+    accesses = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_size))):
+        if accesses and draw(st.integers(min_value=0, max_value=3)) == 0:
+            extent, offset, length, _write = accesses[-1]  # a repeat
+        else:
+            extent = draw(st.integers(min_value=0, max_value=len(TRACE_EXTENTS) - 1))
+            size = TRACE_EXTENTS[extent][1]
+            offset = draw(st.integers(min_value=0, max_value=size))
+            length = draw(st.integers(min_value=0, max_value=min(120, size - offset)))
+        accesses.append((extent, offset, length, draw(st.booleans())))
+    columns = list(zip(*accesses)) or [(), (), (), ()]
+    return (
+        np.array(columns[0], dtype=np.int64),
+        np.array(columns[1], dtype=np.int64),
+        np.array(columns[2], dtype=np.int64),
+        np.array(columns[3], dtype=bool),
+    )
+
+
+def _trace_device(cls, policy, block_size, cache_blocks):
+    device = cls(block_size=block_size, cache_blocks=cache_blocks, policy=policy)
+    for name, size in TRACE_EXTENTS:
+        device.allocate(name, size)
+    device.enable_touch_counting()
+    return device
+
+
+def _pool_state(device):
+    """Everything the policy remembers: residency, dirty flags, order,
+    and for CLOCK the frames, reference bits and hand."""
+    cache = device._cache
+    if isinstance(cache, ClockCache):
+        return (
+            list(cache._frames), dict(cache._dirty),
+            dict(cache._referenced),
+            cache._hand,
+        )
+    return list(cache._entries.items())
+
+
+def _assert_same_state(fast, reference):
+    assert fast.stats == reference.stats
+    assert fast.io_by_extent() == reference.io_by_extent()
+    assert fast.touch_counts_by_extent() == reference.touch_counts_by_extent()
+    assert _pool_state(fast) == _pool_state(reference)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=60, deadline=None)
+@given(
+    trace=traces(),
+    prefix=traces(max_size=20),
+    block_size=st.sampled_from([8, 13, 64, 100]),
+    cache_blocks=st.integers(min_value=1, max_value=6),
+)
+def test_replay_matches_reference(policy, trace, prefix, block_size, cache_blocks):
+    """One replay charges, tallies and leaves the pool exactly as the
+    scalar walk does — also from a warm, dirty pool."""
+    fast = _trace_device(BlockDevice, policy, block_size, cache_blocks)
+    reference = _trace_device(ReferenceBlockDevice, policy, block_size, cache_blocks)
+    for device in (fast, reference):
+        device.replay(*prefix)
+        device.replay(*trace)
+    _assert_same_state(fast, reference)
+    expected = {}
+    for extent, offset, length in zip(*(column.tolist() for column in trace[:3])):
+        name = TRACE_EXTENTS[extent][0]
+        expected[name] = expected.get(name, 0) + count_block_touches(
+            [offset], [length], block_size
+        )
+    fresh = _trace_device(BlockDevice, policy, block_size, cache_blocks)
+    fresh.replay(*trace)
+    assert fresh.touch_counts_by_extent() == {
+        name: count for name, count in expected.items() if count
+    }
+    fast.flush()
+    reference.flush()
+    _assert_same_state(fast, reference)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=40, deadline=None)
+@given(trace=traces(), data=st.data())
+def test_replay_of_halves_equals_replay_of_whole(policy, trace, data):
+    """Posting a trace in pieces, in order, charges what posting it whole does."""
+    cut = data.draw(st.integers(min_value=0, max_value=len(trace[0])), label="cut")
+    whole = _trace_device(BlockDevice, policy, 64, 3)
+    halves = _trace_device(BlockDevice, policy, 64, 3)
+    whole.replay(*trace)
+    halves.replay(*(column[:cut] for column in trace))
+    halves.replay(*(column[cut:] for column in trace))
+    _assert_same_state(whole, halves)
+
+
+@pytest.mark.parametrize("device_class", [BlockDevice, ReferenceBlockDevice])
+def test_replay_validates_before_charging(device_class):
+    """A bad access anywhere in a trace raises and charges nothing."""
+    good = (np.array([0, 1]), np.array([0, 10]), np.array([8, 8]), np.array([False, True]))
+    bad_traces = [
+        (np.array([0, 1, 2]), np.array([0, 10, 70]), np.array([8, 8, 8]), False),  # past the end
+        (np.array([0, 1, 2]), np.array([0, 10, -1]), 4, False),  # negative offset
+        (np.array([0, 1, 9]), np.array([0, 10, 0]), 8, False),  # unknown extent
+        (np.array([0, 1]), np.array([0, 10]), np.array([8, -8]), False),  # negative length
+    ]
+    for bad in bad_traces:
+        device = _trace_device(device_class, "lru", 64, 4)
+        with pytest.raises(DeviceError):
+            device.replay(*bad)
+        assert device.stats.total_ios == 0
+        assert device.cached_block_count == 0
+        assert device.touch_counts_by_extent() == {}
+    readonly = _trace_device(device_class, "lru", 64, 4)
+    readonly.readonly = True
+    with pytest.raises(DeviceError, match="read-only"):
+        readonly.replay(*good)
+    assert readonly.stats.total_ios == 0 and readonly.cached_block_count == 0
+    readonly.replay(good[0], good[1], good[2], False)  # reads stay legal
+    assert readonly.stats.read_ios == 2
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 @settings(max_examples=25, deadline=None)
 @given(
@@ -164,20 +303,44 @@ def test_read_slices_matches_slice_loop(policy):
 # --------------------------------------------------------------------- #
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_support_scan_equivalence(policy):
-    """Batched and scalar support scans: identical answers *and* bills."""
-    graph = gnm_random(60, 700, seed=5)
-    fast = BlockDevice(block_size=64, cache_blocks=16, policy=policy)
-    reference = ReferenceBlockDevice(block_size=64, cache_blocks=16, policy=policy)
-    fast_scan = compute_supports(DiskGraph(graph, fast, MemoryMeter()))
-    ref_scan = compute_supports_reference(DiskGraph(graph, reference, MemoryMeter()))
-    _assert_equivalent(fast, reference)
-    assert fast_scan.triangle_count == ref_scan.triangle_count
-    assert fast_scan.zero_support_edges == ref_scan.zero_support_edges
-    assert fast_scan.max_support == ref_scan.max_support
-    np.testing.assert_array_equal(
-        fast_scan.supports.peek(), ref_scan.supports.peek()
+def test_support_scan_equivalence(policy, monkeypatch):
+    """Replayed and scalar support scans: identical answers, bills, touch
+    tallies, model memory and final pool state — on a graph the dense
+    kernel takes and one the wedge kernel takes, at block sizes that do
+    and do not divide the 8-byte cells."""
+    dense_calls = []
+    dense = memgraph._dense_supports
+    monkeypatch.setattr(
+        memgraph, "_dense_supports",
+        lambda *args: dense_calls.append(args[0]) or dense(*args),
     )
+    graphs = {
+        "dense": gnm_random(60, 700, seed=5),
+        "wedge": planted_kmax_truss(8, periphery_n=300, seed=3),
+    }
+    for kernel, graph in graphs.items():
+        for block_size in (64, 8, 100):
+            fast = BlockDevice(block_size=block_size, cache_blocks=16, policy=policy)
+            reference = ReferenceBlockDevice(
+                block_size=block_size, cache_blocks=16, policy=policy
+            )
+            fast.enable_touch_counting()
+            reference.enable_touch_counting()
+            fast_memory, ref_memory = MemoryMeter(), MemoryMeter()
+            calls = len(dense_calls)
+            fast_scan = compute_supports(DiskGraph(graph, fast, fast_memory))
+            assert (len(dense_calls) > calls) == (kernel == "dense")
+            ref_scan = compute_supports_reference(
+                DiskGraph(graph, reference, ref_memory)
+            )
+            _assert_same_state(fast, reference)
+            assert fast_memory.peak_bytes == ref_memory.peak_bytes
+            assert fast_scan.triangle_count == ref_scan.triangle_count
+            assert fast_scan.zero_support_edges == ref_scan.zero_support_edges
+            assert fast_scan.max_support == ref_scan.max_support
+            np.testing.assert_array_equal(
+                fast_scan.supports.peek(), ref_scan.supports.peek()
+            )
 
 
 # --------------------------------------------------------------------- #

@@ -310,6 +310,22 @@ class TestContextMechanics:
         assert "device" in events
         assert events[-1] == "phase_end"
 
+    def test_context_close_is_idempotent(self):
+        graph = gnm_random(30, 90, seed=1)
+        context = ExecutionContext(EngineConfig(backend="simulated"))
+        max_truss(graph, method="semi-binary", context=context)
+        context.close()
+        stats = context.stats.snapshot()
+        context.close()  # a second close neither re-flushes nor raises
+        context.close()
+        assert context.stats == stats
+
+    def test_close_before_any_device(self):
+        context = ExecutionContext(EngineConfig())
+        context.close()
+        context.close()
+        assert context.device is None
+
     def test_config_validation_errors(self):
         for broken in (
             EngineConfig(block_size=0),

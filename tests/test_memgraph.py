@@ -1,10 +1,13 @@
 """Tests for the immutable Graph class."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 
 from repro.errors import GraphFormatError
+from repro.graph import memgraph
 from repro.graph.memgraph import Graph, canonical_edge_array
 from repro.graph.generators import (
     complete_graph,
@@ -13,7 +16,7 @@ from repro.graph.generators import (
     paper_example_graph,
 )
 
-from conftest import small_graphs
+from conftest import small_graphs, triangle_rich_graphs
 
 
 def reference_csr(n, edges):
@@ -38,6 +41,27 @@ def reference_csr(n, edges):
         adj[start:stop] = adj[start:stop][order]
         adj_eids[start:stop] = adj_eids[start:stop][order]
     return offsets, adj, adj_eids
+
+
+def reference_edge_supports(g):
+    """The per-edge marker loop that the numpy values kernel replaced —
+    kept as the executable spec of ``Graph.edge_supports``."""
+    support = np.zeros(g.m, dtype=np.int64)
+    marker = np.full(g.n, -1, dtype=np.int64)
+    marker_eid = np.zeros(g.n, dtype=np.int64)
+    for u in range(g.n):
+        nbrs, eids = g.neighbors(u), g.neighbor_eids(u)
+        marker[nbrs] = u
+        marker_eid[nbrs] = eids
+        for v, uv_eid in zip(nbrs.tolist(), eids.tolist()):
+            if v <= u:
+                continue
+            for w, vw_eid in zip(g.neighbors(v).tolist(), g.neighbor_eids(v).tolist()):
+                if w > v and marker[w] == u:  # each triangle once, at u < v < w
+                    support[uv_eid] += 1
+                    support[vw_eid] += 1
+                    support[marker_eid[w]] += 1
+    return support
 
 
 def assert_csr_matches_reference(g):
@@ -158,6 +182,33 @@ class TestSupports:
     def test_support_sum_is_three_times_triangles(self):
         g = paper_example_graph()
         assert int(g.edge_supports().sum()) == 3 * g.triangle_count()
+
+    @pytest.mark.parametrize("graph", [
+        Graph.empty(0),
+        Graph.empty(5),
+        Graph(7, [(1, 4), (4, 6), (1, 6), (2, 3)]),  # isolated 0 and 5
+        complete_graph(9),
+        paper_example_graph(),
+        gnm_random(120, 2000, seed=4),  # dense side of the kernel choice
+        gnm_random(900, 2500, seed=4),  # wedge side
+    ], ids=["n0", "m0", "isolated", "k9", "paper", "gnm-dense", "gnm-sparse"])
+    def test_matches_reference_loop(self, graph):
+        np.testing.assert_array_equal(
+            graph.edge_supports(), reference_edge_supports(graph)
+        )
+
+    @given(small_graphs())
+    def test_matches_reference_loop_random(self, g):
+        np.testing.assert_array_equal(g.edge_supports(), reference_edge_supports(g))
+
+    @given(triangle_rich_graphs(max_n=40))
+    def test_both_kernels_match_reference_loop(self, g):
+        """Small graphs pick the dense kernel; force each kernel in turn."""
+        expected = reference_edge_supports(g)
+        for cap, ratio in ((0, 0), (1 << 40, 1 << 40)):  # wedge, then dense
+            with mock.patch.object(memgraph, "_DENSE_MAX_BYTES", cap), \
+                    mock.patch.object(memgraph, "_DENSE_WORK_PER_WEDGE", ratio):
+                np.testing.assert_array_equal(g.edge_supports(), expected)
 
     @given(small_graphs())
     def test_support_invariant_random(self, g):

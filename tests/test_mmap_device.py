@@ -10,8 +10,8 @@ Four families of guarantees:
 * **Tier invariants** (the hypothesis property pack) — hot pages are
   never evicted under any access sequence; physical bytes are monotone
   non-increasing in the cold-cache size; a page faults at most once per
-  eviction epoch; the batch path's physical model equals the scalar
-  loop's exactly.
+  eviction epoch; the batch path's and a multi-extent replay's physical
+  model equal the scalar loop's exactly.
 * **Zero-copy seam** — ``read_rgr_mapped`` round-trips, its views really
   are windows over the file mapping, and only read-only payloads are
   adopted as mappings (``DiskArray.attach``'s copy-on-write is pinned in
@@ -43,7 +43,7 @@ from repro.persistence import (
 from repro.persistence import mmap_device as mmap_module
 from repro.storage import BlockDevice, DiskArray, MemoryMeter
 
-from test_batch_equivalence import _apply, workloads
+from test_batch_equivalence import TRACE_EXTENTS, _apply, traces, workloads
 
 POLICIES = ("lru", "fifo", "clock")
 EXTENT_BYTES = 1024
@@ -115,6 +115,39 @@ def test_batch_physical_model_equals_scalar_loop(ops):
         assert (
             batched.physical.page_faults_est == scalar.physical.page_faults_est
         )
+
+
+def _page_model(device):
+    return (
+        device.physical_cache_stats(),
+        device.physical.page_faults_est,
+        device.physical.bytes_read,
+        list(device._cold),
+        sorted(device._hot_resident),
+        device.cold_evictions,
+    )
+
+
+@pytest.mark.parametrize("page_size", [None, 48])
+@settings(max_examples=40, deadline=None)
+@given(trace=traces())
+def test_replay_physical_model_equals_scalar_loop(page_size, trace):
+    """One multi-extent replay walks the tiers as the scalar loop does:
+    same faults, tallies, cold-tier LRU order and hot residency. The cold
+    tier is a few pages, shared by every extent, so order matters."""
+    replayed = _device(hot=("c",), cold_mb=0.0004, page_size=page_size)
+    scalar = _device(hot=("c",), cold_mb=0.0004, page_size=page_size)
+    for device in (replayed, scalar):
+        for name, size in TRACE_EXTENTS:
+            device.allocate(name, size)
+    replayed.replay(*trace)
+    for extent, offset, length, write in zip(*(column.tolist() for column in trace)):
+        if write:
+            scalar.touch_write(extent, offset, length)
+        else:
+            scalar.touch_read(extent, offset, length)
+    assert _page_model(replayed) == _page_model(scalar)
+    assert replayed.stats == scalar.stats
 
 
 # --------------------------------------------------------------------- #
