@@ -12,7 +12,7 @@ Table: benchmarks/results/ablation_bounds.txt.
 import pytest
 
 from repro.core import bounds
-from repro.core.peeling import make_plain_heap
+from repro.core.peeling import PlainDiskHeap
 from repro.core.semi_binary import (
     binary_search_kmax,
     build_sorted_edge_file,
@@ -48,10 +48,10 @@ def _search_with_bounds(graph, lower_bound_name):
     edge_file = build_sorted_edge_file(scan)
     device.stats.reset()
     outcome = binary_search_kmax(
-        disk_graph, edge_file, lb, ub, make_plain_heap, memory
+        disk_graph, edge_file, lb, ub, PlainDiskHeap, memory
     )
     k_max, outcome = verified_kmax(
-        disk_graph, edge_file, outcome, lb, ub, make_plain_heap, memory
+        disk_graph, edge_file, outcome, lb, ub, PlainDiskHeap, memory
     )
     return lb, ub, outcome.probes, device.stats.total_ios, k_max
 

@@ -14,10 +14,12 @@ isolating:
 Table: benchmarks/results/ablation_lhdh.txt.
 """
 
+from functools import partial
+
 import pytest
 
 from repro import EngineConfig, semi_lazy_update
-from repro.core.peeling import make_lhdh_heap, make_plain_heap, peel_below
+from repro.core.peeling import PlainDiskHeap, peel_below
 from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import gnp_random
 from repro.semiexternal.support import compute_supports
@@ -67,16 +69,13 @@ def test_writeback_cost(benchmark):
     graph = gnp_random(300, 0.25, seed=1)
     outcome = {}
 
-    def lhdh_with_writeback(device, eids, keys, memory=None, name="wb",
-                            capacity=None):
-        eids = list(eids)
-        return LHDH(device, eids, keys, capacity=max(1, len(eids)),
-                    memory=memory, name=name, writeback=True)
+    # A capacity of m never spills: the comparison isolates the write-back.
+    lazy = partial(LHDH, capacity=graph.m)
 
     def run():
-        outcome["plain"] = _peel_variant(graph, make_plain_heap)
-        outcome["lazy"] = _peel_variant(graph, make_lhdh_heap)
-        outcome["writeback"] = _peel_variant(graph, lhdh_with_writeback)
+        outcome["plain"] = _peel_variant(graph, PlainDiskHeap)
+        outcome["lazy"] = _peel_variant(graph, lazy)
+        outcome["writeback"] = _peel_variant(graph, partial(lazy, writeback=True))
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     REPORT.add("peel plain A_disk", outcome["plain"], "-", "-")

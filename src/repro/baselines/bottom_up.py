@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .._util import Stopwatch, WorkBudget
-from ..core.peeling import delete_edge_kernel, make_plain_heap
+from ..core.peeling import PlainDiskHeap, delete_edge_kernel
 from ..engine.context import ContextLike, resolve_context
 from ..core.result import MaxTrussResult
 from ..graph.disk_graph import DiskGraph
@@ -67,9 +67,7 @@ def bottom_up(
 
     scan = compute_supports(disk_graph)
     keys = scan.supports.to_numpy()
-    heap = make_plain_heap(
-        device, range(graph.m), keys, memory=memory, name="bu.adisk"
-    )
+    heap = PlainDiskHeap(device, range(graph.m), keys, memory=memory, name="bu.adisk")
     trussness_file = DiskArray(device, graph.m, np.int64, name="bu.truss", fill=0)
 
     level = 0

@@ -31,26 +31,29 @@ from ..core.result import MaxTrussResult
 from ..engine.context import ContextLike, resolve_context
 from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph
-from ..semiexternal.core_decomp import h_index
 from ..semiexternal.support import compute_supports
+from ..semiexternal.truss_decomp import h_index_round
 from ..storage import DiskArray
 from .inmemory import truss_decomposition
+
+
+#: H-index rounds refining the edge upper bounds (Wang & Cheng stop early).
+_REFINE_ROUNDS = 2
 
 
 def _refine_upper_bounds(
     disk_graph: DiskGraph,
     supports: DiskArray,
-    rounds: int,
     budget: Optional[WorkBudget],
 ) -> DiskArray:
     """H-index refinement of per-edge trussness upper bounds.
 
-    ``ub(e) − 2`` starts at ``sup(e)`` and is repeatedly lowered to the
-    h-index of ``min(ub(f), ub(g)) − 2`` over the triangles ``(e, f, g)``.
-    Every round enumerates all triangles from disk — the costly step the
-    paper criticises. The result stays a sound upper bound on ``τ(e) − 2``.
+    ``ub(e) − 2`` starts at ``sup(e)`` and is lowered by up to
+    :data:`_REFINE_ROUNDS` rounds of the h-index decomposition
+    (:func:`~repro.semiexternal.truss_decomp.h_index_round`). Every round
+    enumerates all triangles from disk — the costly step the paper
+    criticises. The result stays a sound upper bound on ``τ(e) − 2``.
     """
-    n = disk_graph.n
     upper = DiskArray(
         disk_graph.device, disk_graph.m, np.int64, name="td.ub", fill=0
     )
@@ -59,37 +62,8 @@ def _refine_upper_bounds(
     for start in range(0, disk_graph.m, block):
         stop = min(start + block, disk_graph.m)
         upper.write_slice(start, supports.read_slice(start, stop))
-    marker = np.full(n, -1, dtype=np.int64)
-    marker_eid = np.zeros(n, dtype=np.int64)
-    for _round in range(rounds):
-        changed = False
-        for u in range(n):
-            if disk_graph.degree(u) == 0:
-                continue
-            nbrs, eids = disk_graph.load_neighbors_with_eids(u)
-            marker[nbrs] = u
-            marker_eid[nbrs] = eids
-            for position in range(len(nbrs)):
-                v = int(nbrs[position])
-                if v <= u:
-                    continue
-                if budget is not None:
-                    budget.spend()
-                uv_eid = int(eids[position])
-                v_nbrs, v_eids = disk_graph.load_neighbors_with_eids(v)
-                hits = marker[v_nbrs] == u
-                if not hits.any():
-                    continue
-                partner_values = []
-                for w_eid_v, w in zip(v_eids[hits], v_nbrs[hits]):
-                    uw = upper.get(int(marker_eid[w]))
-                    vw = upper.get(int(w_eid_v))
-                    partner_values.append(min(uw, vw))
-                candidate = h_index(np.asarray(partner_values, dtype=np.int64))
-                if candidate < upper.get(uv_eid):
-                    upper.set(uv_eid, candidate)
-                    changed = True
-        if not changed:
+    for _round in range(_REFINE_ROUNDS):
+        if not h_index_round(disk_graph, upper, budget):
             break
     return upper
 
@@ -97,7 +71,6 @@ def _refine_upper_bounds(
 def top_down(
     graph: Graph,
     budget: Optional[WorkBudget] = None,
-    refine_rounds: int = 2,
     context: Optional[ContextLike] = None,
 ) -> MaxTrussResult:
     """Compute the ``k_max``-truss with the Top-Down baseline."""
@@ -117,12 +90,13 @@ def top_down(
 
     scan = compute_supports(disk_graph)
     if scan.triangle_count == 0:
+        device.flush()
         return MaxTrussResult(
             "TopDown", 2, graph.edge_pairs(), device.stats.since(io_start),
             memory.peak_bytes, watch.elapsed(),
         )
 
-    upper = _refine_upper_bounds(disk_graph, scan.supports, refine_rounds, budget)
+    upper = _refine_upper_bounds(disk_graph, scan.supports, budget)
 
     # Descending-threshold partitions.
     all_upper = upper.to_numpy()  # full scan to find the level frontier
@@ -174,5 +148,5 @@ def top_down(
         device.stats.since(io_start),
         memory.peak_bytes,
         watch.elapsed(),
-        extras={"partitions": partitions, "refine_rounds": refine_rounds},
+        extras={"partitions": partitions, "refine_rounds": _REFINE_ROUNDS},
     )

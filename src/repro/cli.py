@@ -37,14 +37,12 @@ from .analysis.statistics import graph_stats
 from .core.api import available_methods, max_truss
 from .dynamic import DynamicMaxTruss
 from .engine import EngineConfig, ExecutionContext, list_backends
+from .engine.config import CACHE_POLICIES, FSYNC_POLICIES, INGEST_BACKPRESSURE_POLICIES
 from .errors import GraphFormatError, ReproError
 from .graph.datasets import dataset_names, load_dataset
 from .graph.edgelist import read_edgelist, write_text_edgelist
 from .graph.formats import is_rgr, read_rgr, read_rgr_mapped
 from .graph.memgraph import Graph
-
-_CACHE_POLICIES = ("lru", "fifo", "clock")
-_FSYNC_POLICIES = ("never", "close", "always")
 
 
 def _load_graph(source: str, seed: int, backend: str = None) -> Graph:
@@ -103,7 +101,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         help="cache pool size in blocks (default: semi-external auto-sizing)",
     )
     group.add_argument(
-        "--cache-policy", default="lru", choices=_CACHE_POLICIES,
+        "--cache-policy", default="lru", choices=CACHE_POLICIES,
         help="cache eviction policy",
     )
     group.add_argument(
@@ -112,7 +110,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
              "(default: private tmpdir, removed on close)",
     )
     group.add_argument(
-        "--fsync", default="close", choices=_FSYNC_POLICIES,
+        "--fsync", default="close", choices=FSYNC_POLICIES,
         help="fsync policy for --backend file",
     )
     group.add_argument(
@@ -755,8 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded-queue capacity before backpressure engages",
     )
     ingest.add_argument(
-        "--backpressure", default="block",
-        choices=["block", "drop-oldest", "reject"],
+        "--backpressure", default="block", choices=INGEST_BACKPRESSURE_POLICIES,
         help="full-queue policy",
     )
     ingest.add_argument(

@@ -6,8 +6,6 @@ from .peeling import (
     PeelStats,
     PlainDiskHeap,
     delete_edge_kernel,
-    make_lhdh_heap,
-    make_plain_heap,
     peel_below,
     surviving_edge_ids,
 )
@@ -24,8 +22,6 @@ __all__ = [
     "PeelStats",
     "PlainDiskHeap",
     "delete_edge_kernel",
-    "make_lhdh_heap",
-    "make_plain_heap",
     "peel_below",
     "surviving_edge_ids",
     "semi_binary",

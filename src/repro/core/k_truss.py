@@ -14,6 +14,7 @@ the binary-search engine:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Tuple
 
 from .._util import Stopwatch, WorkBudget
@@ -22,7 +23,8 @@ from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph
 from ..semiexternal.support import compute_supports
 from ..storage import IOStats
-from .peeling import make_lhdh_heap, make_plain_heap
+from ..structures import LHDH
+from .peeling import PlainDiskHeap
 from .semi_binary import build_sorted_edge_file, materialise_truss
 
 EdgePair = Tuple[int, int]
@@ -80,25 +82,24 @@ def k_truss_semi_external(
     ctx = resolve_context(context)
     device = ctx.device_for(graph.n)
     budget = ctx.new_budget(budget)
-    io_start = device.stats.snapshot()
     if graph.m == 0:
-        return KTrussResult(k, [], device.stats.since(io_start), watch.elapsed())
+        return KTrussResult(k, [], IOStats(), watch.elapsed())
     if k == 2:
-        return KTrussResult(
-            k, graph.edge_pairs(), device.stats.since(io_start), watch.elapsed()
-        )
+        return KTrussResult(k, graph.edge_pairs(), IOStats(), watch.elapsed())
     memory = ctx.memory
     disk_graph = DiskGraph(graph, device, memory, name="G")
+    # Like every max-truss method, the bill starts once the graph is on disk.
+    io_start = device.stats.snapshot()
     scan = compute_supports(disk_graph)
     if scan.triangle_count == 0 or scan.max_support < k - 2:
         disk_graph.release()
+        device.flush()
         return KTrussResult(k, [], device.stats.since(io_start), watch.elapsed())
     edge_file = build_sorted_edge_file(scan)
-    heap_factory = make_lhdh_heap if lazy else make_plain_heap
+    heap_factory = partial(LHDH, capacity=max(1, graph.n)) if lazy else PlainDiskHeap
     try:
         pairs = materialise_truss(
-            disk_graph, edge_file, k, heap_factory, memory, budget,
-            capacity=max(1, graph.n),
+            disk_graph, edge_file, k, heap_factory, memory, budget
         )
     finally:
         edge_file.release()

@@ -19,12 +19,16 @@ deterministic (independent of heap insertion history).
 
 Two implementations exist:
 
-* :class:`PlainDiskHeap` — a bare :class:`~repro.structures.LinearHeap`
+* :class:`PlainDiskHeap` — a :class:`~repro.structures.LinearHeap`
   (the ``A_disk`` of SemiBinary / SemiGreedyCore): every support decrement
   is a disk-resident remove+insert, every aliveness probe a disk read.
 * :class:`~repro.structures.LHDH` — the lazy composite used by
   SemiLazyUpdate: hot edges migrate into the in-memory dynamic heap, so
   repeated decrements are free.
+
+A *heap kind* is passed around as its class: ``PlainDiskHeap``, or
+``functools.partial(LHDH, capacity=c)``. Either is called as
+``kind(device, eids, keys, memory=..., name=...)``.
 
 Triangle bookkeeping: when edge ``e`` is popped at support ``s``, exactly
 ``s`` still-alive triangles through it are destroyed. The kernel tallies
@@ -37,7 +41,7 @@ popped — adjacency lists are never physically rewritten).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -46,55 +50,32 @@ from ..errors import HeapEmptyError
 from ..graph.disk_graph import DiskGraph
 from ..observability.metrics import global_metrics
 from ..observability.tracer import trace_span
-from ..storage import BlockDevice, MemoryMeter
-from ..structures import LHDH, LinearHeap
+from ..structures import LinearHeap
 
 #: Peel-round widths are edge counts, not latencies — power-of-4 buckets.
 _PEEL_WIDTH_BUCKETS = (0, 4, 16, 64, 256, 1024, 4096, 16384, 65536)
 
 
-class PlainDiskHeap:
+class PlainDiskHeap(LinearHeap):
     """``A_disk``: the bin-sorted disk array with fully eager updates.
 
-    Satisfies the peel-heap protocol with every operation hitting the
-    simulated disk — this is what makes SemiBinary/SemiGreedyCore pay the
-    "reorder (u,w) and (v,w)" I/O that LHDH amortises away.
+    A :class:`~repro.structures.LinearHeap` that also speaks the peel-heap
+    protocol, with every operation hitting the simulated disk — this is
+    what makes SemiBinary/SemiGreedyCore pay the "reorder (u,w) and
+    (v,w)" I/O that LHDH amortises away.
     """
-
-    def __init__(
-        self,
-        device: BlockDevice,
-        eids: Iterable[int],
-        keys: Iterable[int],
-        memory: Optional[MemoryMeter] = None,
-        name: str = "adisk",
-    ) -> None:
-        self.lheap = LinearHeap.build(device, eids, keys, memory=memory, name=name)
-
-    def __len__(self) -> int:
-        return len(self.lheap)
-
-    def min_key(self) -> Optional[int]:
-        return self.lheap.min_key()
-
-    def pop_min(self) -> Tuple[int, int]:
-        return self.lheap.pop_min()
 
     def collect_min_class(self) -> Tuple[int, List[int]]:
         """The minimum key and its full support class in ascending edge-id
         order (one peel *wave*; charged bucket walk)."""
-        key = self.lheap.min_key()
+        key = self.min_key()
         if key is None:
             raise HeapEmptyError("collect_min_class() on empty heap")
-        return key, sorted(self.lheap.iter_bucket(key))
+        return key, sorted(self.iter_bucket(key))
 
     def pop_edge(self, eid: int) -> int:
         """Remove a specific (alive) edge; returns its key."""
-        return self.lheap.remove(eid)
-
-    def probe_keys(self, eids: np.ndarray) -> np.ndarray:
-        """Batched aliveness/key probe (``-1`` marks a dead edge)."""
-        return self.lheap.probe_keys(eids)
+        return self.remove(eid)
 
     def decrement_edges(self, eids: np.ndarray, keys: np.ndarray, level: int) -> None:
         """Batched decrement reusing the keys from :meth:`probe_keys`,
@@ -104,43 +85,10 @@ class PlainDiskHeap:
             np.asarray(keys, dtype=np.int64).tolist(),
         ):
             if key > level:
-                self.lheap.update_key(eid, key - 1)
+                self.update_key(eid, key - 1)
 
     def after_kernel(self) -> None:
         """No lazy component — nothing to maintain."""
-
-    def live_items(self):
-        return self.lheap.live_items()
-
-    def release(self) -> None:
-        self.lheap.release()
-
-
-def make_plain_heap(
-    device: BlockDevice,
-    eids: Iterable[int],
-    keys: Iterable[int],
-    memory: Optional[MemoryMeter] = None,
-    name: str = "adisk",
-    capacity: Optional[int] = None,
-) -> PlainDiskHeap:
-    """Heap factory for the eager algorithms (capacity ignored)."""
-    return PlainDiskHeap(device, eids, keys, memory=memory, name=name)
-
-
-def make_lhdh_heap(
-    device: BlockDevice,
-    eids: Iterable[int],
-    keys: Iterable[int],
-    memory: Optional[MemoryMeter] = None,
-    name: str = "lhdh",
-    capacity: Optional[int] = None,
-) -> LHDH:
-    """Heap factory for SemiLazyUpdate (capacity defaults to #edges)."""
-    eids = list(eids)
-    if capacity is None:
-        capacity = max(1, len(eids))
-    return LHDH(device, eids, keys, capacity=capacity, memory=memory, name=name)
 
 
 @dataclass

@@ -15,7 +15,8 @@ final upward verification sweep bounded by the smallest probe that ever
 failed. Both are no-ops / one extra probe when the paper's bound holds.
 
 The same search engine drives the *local* phase of SemiGreedyCore and
-SemiLazyUpdate (on ``G_cmax``), parameterised by the heap factory.
+SemiLazyUpdate (on ``G_cmax``), parameterised by the heap kind
+(``PlainDiskHeap`` or ``partial(LHDH, capacity=c)``).
 """
 
 from __future__ import annotations
@@ -41,13 +42,14 @@ from ..storage.external_sort import external_argsort_by_key
 from . import bounds
 from .peeling import (
     PeelStats,
+    PlainDiskHeap,
     extract_truss_pairs,
-    make_plain_heap,
     peel_below,
     surviving_edge_ids,
 )
 from .result import MaxTrussResult
 
+#: A heap kind: called as ``kind(device, eids, keys, memory=, name=)``.
 HeapFactory = Callable[..., object]
 
 
@@ -110,7 +112,6 @@ def _probe_subgraph(
     min_support: int,
     heap_factory: HeapFactory,
     memory: MemoryMeter,
-    capacity: Optional[int],
     tag: str,
 ):
     """Materialise H = edges with parent-support >= min_support, with its
@@ -130,12 +131,8 @@ def _probe_subgraph(
         # sequential read feeding the bin sort
         keys = h_scan.supports.to_numpy()
         heap = heap_factory(
-            parent.device,
-            range(subgraph.m),
-            keys,
-            memory=memory,
+            parent.device, range(subgraph.m), keys, memory=memory,
             name=f"heap.{tag}",
-            capacity=capacity,
         )
         return subgraph, node_map, edge_map, heap, h_scan
 
@@ -155,7 +152,6 @@ def binary_search_kmax(
     heap_factory: HeapFactory,
     memory: MemoryMeter,
     budget: Optional[WorkBudget] = None,
-    capacity: Optional[int] = None,
 ) -> SearchOutcome:
     """The shared binary-search engine (Alg 1 lines 6–26 / Alg 3 lines 2–17).
 
@@ -170,7 +166,7 @@ def binary_search_kmax(
         mid = (lb + ub) // 2
         outcome.probes += 1
         probe = _probe_subgraph(
-            parent, edge_file, mid - 2, heap_factory, memory, capacity,
+            parent, edge_file, mid - 2, heap_factory, memory,
             tag=f"p{outcome.probes}",
         )
         if probe is None:
@@ -211,13 +207,10 @@ def probe_truss_exists(
     heap_factory: HeapFactory,
     memory: MemoryMeter,
     budget: Optional[WorkBudget] = None,
-    capacity: Optional[int] = None,
     tag: str = "verify",
 ) -> bool:
     """One emptiness test: does a k-truss exist? (rebuild + peel)."""
-    probe = _probe_subgraph(
-        parent, edge_file, k - 2, heap_factory, memory, capacity, tag=tag
-    )
+    probe = _probe_subgraph(parent, edge_file, k - 2, heap_factory, memory, tag=tag)
     if probe is None:
         return False
     subgraph, _node_map, _edge_map, heap, _h_scan = probe
@@ -235,13 +228,10 @@ def materialise_truss(
     heap_factory: HeapFactory,
     memory: MemoryMeter,
     budget: Optional[WorkBudget] = None,
-    capacity: Optional[int] = None,
 ) -> List[Tuple[int, int]]:
     """Rebuild at level *k*, peel, and return the truss edge pairs in the
     parent graph's vertex labelling (Alg 1 line 27's output step)."""
-    probe = _probe_subgraph(
-        parent, edge_file, k - 2, heap_factory, memory, capacity, tag="out"
-    )
+    probe = _probe_subgraph(parent, edge_file, k - 2, heap_factory, memory, tag="out")
     if probe is None:
         return []
     subgraph, node_map, edge_map, heap, _h_scan = probe
@@ -262,7 +252,6 @@ def verified_kmax(
     heap_factory: HeapFactory,
     memory: MemoryMeter,
     budget: Optional[WorkBudget] = None,
-    capacity: Optional[int] = None,
 ) -> Tuple[int, SearchOutcome]:
     """Apply both safety nets around a search outcome; returns exact k_max.
 
@@ -273,7 +262,7 @@ def verified_kmax(
     if outcome.k_max is None and initial_lb > 3:
         retry_ub = min(ub, initial_lb - 1)
         retry = binary_search_kmax(
-            parent, edge_file, 3, retry_ub, heap_factory, memory, budget, capacity
+            parent, edge_file, 3, retry_ub, heap_factory, memory, budget
         )
         retry.probes += outcome.probes
         retry.scans += outcome.scans
@@ -286,15 +275,14 @@ def verified_kmax(
         # Triangles exist, so a 3-truss must: certify it directly.
         outcome.scans += 1
         outcome.k_max = 3 if probe_truss_exists(
-            parent, edge_file, 3, heap_factory, memory, budget, capacity
+            parent, edge_file, 3, heap_factory, memory, budget
         ) else 2
     k = outcome.k_max + 1
     while outcome.failed_min is None or k < outcome.failed_min:
         outcome.probes += 1
         outcome.scans += 1
         if probe_truss_exists(
-            parent, edge_file, k, heap_factory, memory, budget, capacity,
-            tag=f"up{k}",
+            parent, edge_file, k, heap_factory, memory, budget, tag=f"up{k}"
         ):
             outcome.k_max = k
             k += 1
@@ -372,7 +360,6 @@ def _widen_upward(
     heap_factory: HeapFactory,
     memory: MemoryMeter,
     budget: Optional[WorkBudget] = None,
-    capacity: Optional[int] = None,
 ) -> SearchOutcome:
     """Widen-and-retry when the search maxed out a narrowed interval.
 
@@ -397,7 +384,7 @@ def _widen_upward(
         outcome.scans += 1
         if not probe_truss_exists(
             parent, edge_file, candidate, heap_factory, memory, budget,
-            capacity, tag=f"w{candidate}",
+            tag=f"w{candidate}",
         ):
             outcome.failed_min = min(
                 outcome.failed_min or candidate, candidate
@@ -410,7 +397,7 @@ def _widen_upward(
             continue
         more = binary_search_kmax(
             parent, edge_file, candidate + 1, search_ub, heap_factory,
-            memory, budget, capacity,
+            memory, budget,
         )
         outcome.probes += more.probes
         outcome.scans += more.scans
@@ -428,7 +415,6 @@ def _widen_upward(
 def semi_binary(
     graph: Graph,
     budget: Optional[WorkBudget] = None,
-    sort_memory_elems: int = 1 << 16,
     context: Optional[ContextLike] = None,
     estimate_bounds: bool = False,
 ) -> MaxTrussResult:
@@ -442,8 +428,6 @@ def semi_binary(
     budget:
         Optional work cap (the "INF" emulation for benchmarks); defaults
         to the context's ``work_limit``.
-    sort_memory_elems:
-        Memory budget for the external sort building ``T_edge``.
     context:
         :class:`~repro.engine.ExecutionContext` (or bare
         :class:`~repro.engine.EngineConfig`) selecting the storage backend
@@ -476,6 +460,7 @@ def semi_binary(
     if scan.triangle_count == 0:
         # No triangles: every edge has trussness 2.
         pairs = graph.edge_pairs()
+        device.flush()
         return MaxTrussResult(
             "SemiBinary", 2, pairs, device.stats.since(io_start),
             memory.peak_bytes, watch.elapsed(),
@@ -487,7 +472,7 @@ def semi_binary(
     )
     ub = bounds.support_upper_bound(scan.max_support)
     lb, ub = bounds.clamp_bounds(lb, ub)
-    edge_file = build_sorted_edge_file(scan, sort_memory_elems)
+    edge_file = build_sorted_edge_file(scan)
 
     search_lb, search_ub = lb, ub
     estimate_extras: dict = {}
@@ -496,16 +481,16 @@ def semi_binary(
             disk_graph, edge_file, ctx.config, lb, ub
         )
     outcome = binary_search_kmax(
-        disk_graph, edge_file, search_lb, search_ub, make_plain_heap,
+        disk_graph, edge_file, search_lb, search_ub, PlainDiskHeap,
         memory, budget,
     )
     if estimate_bounds:
         outcome = _widen_upward(
             disk_graph, edge_file, outcome, search_lb, search_ub, ub,
-            make_plain_heap, memory, budget,
+            PlainDiskHeap, memory, budget,
         )
     k_max, outcome = verified_kmax(
-        disk_graph, edge_file, outcome, search_lb, ub, make_plain_heap,
+        disk_graph, edge_file, outcome, search_lb, ub, PlainDiskHeap,
         memory, budget,
     )
     if k_max <= 2:
@@ -513,7 +498,7 @@ def semi_binary(
         k_max = 2
     else:
         truss_pairs = materialise_truss(
-            disk_graph, edge_file, k_max, make_plain_heap, memory, budget
+            disk_graph, edge_file, k_max, PlainDiskHeap, memory, budget
         )
     device.flush()
     extras = {

@@ -18,7 +18,7 @@ for LHDH — both are produced by :func:`greedy_core_flow`.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -31,19 +31,18 @@ from ..semiexternal.support import compute_supports
 from ..storage import MemoryMeter
 from . import bounds
 from .peeling import (
+    PlainDiskHeap,
     extract_truss_pairs,
-    make_plain_heap,
     peel_below,
     surviving_edge_ids,
 )
 from .result import MaxTrussResult
 from .semi_binary import (
+    HeapFactory,
     binary_search_kmax,
     build_sorted_edge_file,
     verified_kmax,
 )
-
-HeapFactory = Callable[..., object]
 
 
 def _local_kmax_search(
@@ -52,8 +51,6 @@ def _local_kmax_search(
     heap_factory: HeapFactory,
     memory: MemoryMeter,
     budget: Optional[WorkBudget],
-    capacity: Optional[int],
-    sort_memory_elems: int,
 ):
     """Binary search inside ``G_cmax`` (Alg 2 lines 4–9 / Alg 3 lines 1–17).
 
@@ -70,14 +67,13 @@ def _local_kmax_search(
     )
     ub = min(bounds.support_upper_bound(scan.max_support), c_max + 1)
     lb, ub = bounds.clamp_bounds(lb, ub)
-    edge_file = build_sorted_edge_file(scan, sort_memory_elems)
+    edge_file = build_sorted_edge_file(scan)
     try:
         outcome = binary_search_kmax(
-            g_cmax, edge_file, lb, ub, heap_factory, memory, budget, capacity
+            g_cmax, edge_file, lb, ub, heap_factory, memory, budget
         )
         k_prime, outcome = verified_kmax(
-            g_cmax, edge_file, outcome, lb, ub, heap_factory, memory, budget,
-            capacity,
+            g_cmax, edge_file, outcome, lb, ub, heap_factory, memory, budget
         )
     finally:
         edge_file.release()
@@ -90,15 +86,14 @@ def greedy_core_flow(
     algorithm: str,
     heap_factory: HeapFactory,
     budget: Optional[WorkBudget] = None,
-    capacity: Optional[int] = None,
-    sort_memory_elems: int = 1 << 16,
     context: Optional[ContextLike] = None,
 ) -> MaxTrussResult:
     """The shared Algorithm 2 / Algorithm 3 pipeline.
 
-    ``heap_factory`` selects the peel structure: eager ``A_disk``
-    (:func:`make_plain_heap`, Algorithm 2) or lazy LHDH
-    (:func:`make_lhdh_heap`, Algorithm 3). Storage comes from *context*.
+    ``heap_factory`` is the peel heap's kind: eager ``A_disk``
+    (:class:`~repro.core.peeling.PlainDiskHeap`, Algorithm 2) or lazy
+    LHDH (``partial(LHDH, capacity=c)``, Algorithm 3). Storage comes from
+    *context*.
     """
     watch = Stopwatch()
     ctx = resolve_context(context)
@@ -126,7 +121,7 @@ def greedy_core_flow(
         v_cmax, name="Gcmax"
     )
     k_prime, local_probes, cmax_triangles = _local_kmax_search(
-        g_cmax, c_max, heap_factory, memory, budget, capacity, sort_memory_elems
+        g_cmax, c_max, heap_factory, memory, budget
     )
     cmax_edge_count = g_cmax.m
     g_cmax.release()
@@ -150,8 +145,7 @@ def greedy_core_flow(
     scan = compute_supports(candidate, name="hsup")
     keys = scan.supports.to_numpy()
     heap = heap_factory(
-        device, range(candidate.m), keys, memory=memory, name="heap.final",
-        capacity=capacity,
+        device, range(candidate.m), keys, memory=memory, name="heap.final"
     )
 
     # Step 4: upward peel (Alg 2 lines 15-26 / Alg 3 lines 19-25).
@@ -206,15 +200,9 @@ def greedy_core_flow(
 def semi_greedy_core(
     graph: Graph,
     budget: Optional[WorkBudget] = None,
-    sort_memory_elems: int = 1 << 16,
     context: Optional[ContextLike] = None,
 ) -> MaxTrussResult:
     """Compute the ``k_max``-truss with SemiGreedyCore (Algorithm 2)."""
     return greedy_core_flow(
-        graph,
-        "SemiGreedyCore",
-        make_plain_heap,
-        budget=budget,
-        sort_memory_elems=sort_memory_elems,
-        context=context,
+        graph, "SemiGreedyCore", PlainDiskHeap, budget=budget, context=context
     )

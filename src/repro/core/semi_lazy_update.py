@@ -17,8 +17,9 @@ from typing import Optional
 
 from .._util import WorkBudget
 from ..engine.context import ContextLike
+from ..errors import CapacityError
 from ..graph.memgraph import Graph
-from .peeling import make_lhdh_heap
+from ..structures import LHDH
 from .result import MaxTrussResult
 from .semi_greedy_core import greedy_core_flow
 
@@ -27,7 +28,6 @@ def semi_lazy_update(
     graph: Graph,
     budget: Optional[WorkBudget] = None,
     capacity: Optional[int] = None,
-    sort_memory_elems: int = 1 << 16,
     context: Optional[ContextLike] = None,
 ) -> MaxTrussResult:
     """Compute the ``k_max``-truss with SemiLazyUpdate (Algorithm 3).
@@ -37,28 +37,19 @@ def semi_lazy_update(
     capacity:
         Dynamic-heap size limit; defaults to ``max(n, 1)`` as in the paper.
         Smaller values trade memory for extra spill I/O (see the LHDH
-        capacity ablation benchmark).
+        capacity ablation benchmark). A value below 1 raises
+        :class:`~repro.errors.CapacityError` before any I/O.
     """
     if capacity is None:
         capacity = max(graph.n, 1)
-    factory = partial(_capped_factory, capacity)
+    if capacity < 1:
+        raise CapacityError(f"LHDH capacity must be at least 1, got {capacity}")
     result = greedy_core_flow(
         graph,
         "SemiLazyUpdate",
-        factory,
+        partial(LHDH, capacity=capacity),
         budget=budget,
-        capacity=capacity,
-        sort_memory_elems=sort_memory_elems,
         context=context,
     )
     result.extras["dheap_capacity"] = capacity
     return result
-
-
-def _capped_factory(default_capacity, device, eids, keys, memory=None,
-                    name="lhdh", capacity=None):
-    """LHDH factory honouring the algorithm-level capacity default."""
-    return make_lhdh_heap(
-        device, eids, keys, memory=memory, name=name,
-        capacity=capacity if capacity is not None else default_capacity,
-    )

@@ -25,13 +25,14 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.peeling import make_lhdh_heap, peel_below
+from ..core.peeling import peel_below
 from ..engine.context import ContextLike, resolve_context
 from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph, MutableGraph
 from ..observability.tracer import trace_span
 from ..semiexternal.core_decomp import core_decomposition_inmemory
 from ..semiexternal.support import compute_supports
+from ..structures import LHDH
 from .adjacency_file import AdjacencyFile
 
 EdgePair = Tuple[int, int]
@@ -276,10 +277,10 @@ class DynamicMaxTruss:
             disk_sub = DiskGraph(subgraph, self.device, self.memory, name="dyn.H")
             scan = compute_supports(disk_sub, name="dyn.hsup")
             keys = scan.supports.to_numpy()
-            heap = make_lhdh_heap(
+            heap = LHDH(
                 self.device, range(subgraph.m), keys,
-                memory=self.memory, name="dyn.heap",
-                capacity=max(1, self.graph.n),
+                capacity=max(1, self.graph.n), memory=self.memory,
+                name="dyn.heap",
             )
             current_k = lb
             snapshot: List[Tuple[int, int]] = []

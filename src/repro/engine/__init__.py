@@ -3,7 +3,7 @@
 The one way algorithms choose and share storage:
 
 * :class:`EngineConfig` — the declarative recipe (backend, block size,
-  cache size/policy, work budget, trace hooks);
+  cache size/policy, work budget);
 * :class:`ExecutionContext` — the live run state (device construction,
   I/O + memory aggregation, phases);
 * the **backend registry** — ``simulated`` / ``reference`` / ``inmemory``
@@ -21,7 +21,7 @@ Typical use::
     print(context.stats, context.memory)
 """
 
-from .config import EngineConfig, TraceHook
+from .config import EngineConfig
 from .backends import (
     BackendFactory,
     list_backends,
@@ -35,7 +35,6 @@ __all__ = [
     "EngineConfig",
     "ExecutionContext",
     "ContextLike",
-    "TraceHook",
     "BackendFactory",
     "list_backends",
     "make_device",

@@ -15,17 +15,18 @@ purpose).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import DeviceError
 from ..storage import DEFAULT_BLOCK_SIZE
+from ..storage.cache_policies import POLICY_CLASSES
 
-#: Trace hook signature: ``hook(event_name, payload_dict)``.
-TraceHook = Callable[[str, Dict[str, Any]], None]
+#: Block replacement policies, in the order of the cache-policy registry.
+CACHE_POLICIES = tuple(POLICY_CLASSES)
 
-_POLICIES = ("lru", "fifo", "clock")
-_FSYNC_POLICIES = ("never", "close", "always")
+#: When the ``file`` backend fsyncs its spill file.
+FSYNC_POLICIES = ("never", "close", "always")
 
 #: Backpressure policies of :class:`repro.dynamic.ingest.IngestPipeline`.
 #: Defined here (not in the ingest module) so config validation needs no
@@ -88,9 +89,6 @@ class EngineConfig:
         Capacity in MiB of the ``mmap`` backend's LRU cold tier (the
         physical-residency model for adjacency/edge pages). Ignored by
         the other backends; never affects the charged bill.
-    trace:
-        Optional hook called as ``trace(event, payload)`` at engine events
-        (device construction, phase boundaries).
     ingest_batch_size:
         Micro-batch flush threshold of
         :class:`repro.dynamic.ingest.IngestPipeline`; also the WAL
@@ -147,7 +145,6 @@ class EngineConfig:
     fsync_policy: str = "close"
     hot_extents: Tuple[str, ...] = DEFAULT_HOT_EXTENTS
     cold_cache_mb: float = DEFAULT_COLD_CACHE_MB
-    trace: Optional[TraceHook] = field(default=None, repr=False)
     ingest_batch_size: int = 64
     ingest_queue_capacity: int = 1024
     ingest_backpressure: str = "block"
@@ -174,19 +171,19 @@ class EngineConfig:
             raise DeviceError(
                 f"cache_blocks must be positive or None, got {self.cache_blocks}"
             )
-        if self.cache_policy not in _POLICIES:
+        if self.cache_policy not in CACHE_POLICIES:
             raise DeviceError(
                 f"unknown cache policy {self.cache_policy!r}; "
-                f"known: {', '.join(_POLICIES)}"
+                f"known: {', '.join(CACHE_POLICIES)}"
             )
         if self.work_limit is not None and self.work_limit <= 0:
             raise DeviceError(
                 f"work_limit must be positive or None, got {self.work_limit}"
             )
-        if self.fsync_policy not in _FSYNC_POLICIES:
+        if self.fsync_policy not in FSYNC_POLICIES:
             raise DeviceError(
                 f"unknown fsync policy {self.fsync_policy!r}; "
-                f"known: {', '.join(_FSYNC_POLICIES)}"
+                f"known: {', '.join(FSYNC_POLICIES)}"
             )
         if not isinstance(self.hot_extents, (tuple, list)) or not all(
             isinstance(pattern, str) and pattern for pattern in self.hot_extents

@@ -11,12 +11,11 @@ An :class:`ExecutionContext` owns the live half of an
   and one :class:`~repro.storage.MemoryMeter` for the context's lifetime,
   with :meth:`phase` snapshots for per-phase deltas;
 * **work budgets** minted from ``config.work_limit``;
-* **trace hooks** (``config.trace``) fired at device construction and
-  phase boundaries;
 * **structured tracing** — :meth:`attach_tracer` binds a
   :class:`~repro.observability.Tracer` to the context's counters, after
   which :meth:`phase` / :meth:`span` scopes become spans carrying exact
-  charged-I/O, per-extent and wall-clock deltas. With no tracer attached
+  charged-I/O, per-extent and wall-clock deltas, and device construction
+  and phase boundaries become ``event`` records. With no tracer attached
   every tracing path is a no-op branch, so the charged ledger is
   bit-identical to an untraced run.
 
@@ -152,9 +151,7 @@ class ExecutionContext:
         return self
 
     def emit(self, event: str, **payload) -> None:
-        """Fire the config's trace hook (no-op when unset)."""
-        if self.config.trace is not None:
-            self.config.trace(event, payload)
+        """Record an event on the attached tracer (no-op when none)."""
         if self.tracer is not None and not self.tracer.finished:
             self.tracer.event(event, payload)
 

@@ -40,12 +40,10 @@ import shutil
 import tempfile
 from typing import Optional, Tuple
 
+from ..engine.config import FSYNC_POLICIES
 from ..errors import DeviceError
 from ..storage import IOStats, PhysicalIOStats, ReferenceBlockDevice
 from ..storage.device import DEFAULT_BLOCK_SIZE, DEFAULT_CACHE_BLOCKS
-
-#: Accepted values for the fsync policy knob.
-FSYNC_POLICIES = ("never", "close", "always")
 
 
 class FileBlockDevice(ReferenceBlockDevice):

@@ -8,8 +8,7 @@ from .triangles import (
     local_clustering,
     global_clustering,
 )
-from .truss_decomp import HIndexDecomposition, h_index_truss_decomposition
-from .orientation import compute_supports_oriented
+from .truss_decomp import HIndexDecomposition, h_index_round, h_index_truss_decomposition
 from .wcc import ComponentResult, semi_external_components, split_edges_semi_external
 from .core_decomp import (
     CoreDecompositionResult,
@@ -35,8 +34,8 @@ __all__ = [
     "max_core_subgraph",
     "h_index",
     "HIndexDecomposition",
+    "h_index_round",
     "h_index_truss_decomposition",
-    "compute_supports_oriented",
     "ComponentResult",
     "semi_external_components",
     "split_edges_semi_external",

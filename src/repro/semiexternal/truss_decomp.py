@@ -13,8 +13,10 @@ starting from ``t(e) = sup(e)``. Each iterate stays an upper bound on
 sequential pass over the adjacency file — friendly to the I/O model — and
 the number of rounds is typically small.
 
-This module exposes the converged algorithm as a second, independent
-semi-external decomposition; tests cross-check it against peeling.
+This module exposes the round (:func:`h_index_round`, which Top-Down runs
+twice for its bounds) and the converged algorithm as a second,
+independent semi-external decomposition; tests cross-check it against
+peeling.
 """
 
 from __future__ import annotations
@@ -42,17 +44,23 @@ class HIndexDecomposition:
     k_max: int
 
 
-def _edge_round(
+def h_index_round(
     disk_graph: DiskGraph,
     values: DiskArray,
-    marker: np.ndarray,
-    marker_eid: np.ndarray,
-    budget: Optional[WorkBudget],
+    budget: Optional[WorkBudget] = None,
 ) -> bool:
-    """One full pass updating every edge's h-index estimate.
+    """One pass lowering every edge's value to its triangles' h-index.
 
-    Returns whether any estimate decreased.
+    For each edge ``(u, v)`` that closes a triangle, ``values[uv]`` drops
+    to the h-index of ``min(values[uw], values[vw])`` over its triangles
+    when that is lower. The partner cells are read in one gather,
+    interleaved ``uw, vw, uw, vw, …`` — the order of enumerating the
+    triangles one at a time. A triangle-free edge is neither read nor
+    written: its value starts at its support, 0, and no round raises it.
+    Returns whether any value decreased.
     """
+    marker = np.full(disk_graph.n, -1, dtype=np.int64)
+    marker_eid = np.zeros(disk_graph.n, dtype=np.int64)
     changed = False
     for u in range(disk_graph.n):
         if disk_graph.degree(u) == 0:
@@ -66,19 +74,16 @@ def _edge_round(
                 continue
             if budget is not None:
                 budget.spend()
-            uv_eid = int(eids[position])
             v_nbrs, v_eids = disk_graph.load_neighbors_with_eids(v)
             hits = marker[v_nbrs] == u
             if not hits.any():
-                if values.get(uv_eid) != 0:
-                    values.set(uv_eid, 0)
-                    changed = True
                 continue
-            partner = np.minimum(
-                values.gather(marker_eid[v_nbrs[hits]]),
-                values.gather(v_eids[hits]),
-            )
-            candidate = h_index(partner)
+            partners = np.empty(2 * int(np.count_nonzero(hits)), dtype=np.int64)
+            partners[0::2] = marker_eid[v_nbrs[hits]]
+            partners[1::2] = v_eids[hits]
+            cells = values.gather(partners)
+            candidate = h_index(np.minimum(cells[0::2], cells[1::2]))
+            uv_eid = int(eids[position])
             if candidate < values.get(uv_eid):
                 values.set(uv_eid, candidate)
                 changed = True
@@ -112,14 +117,11 @@ def h_index_truss_decomposition(
         return HIndexDecomposition(np.zeros(0, dtype=np.int64), 0, 0)
     scan = compute_supports(disk_graph)
     values = scan.supports  # iterate in place: starts at sup(e) = ub on τ-2
-    marker = np.full(graph.n, -1, dtype=np.int64)
-    marker_eid = np.zeros(graph.n, dtype=np.int64)
-    memory.charge("hindex.markers", marker.nbytes + marker_eid.nbytes)
+    memory.charge("hindex.markers", 16 * graph.n)  # the round's two int64 markers
     rounds = 0
     while True:
         rounds += 1
-        changed = _edge_round(disk_graph, values, marker, marker_eid, budget)
-        if not changed:
+        if not h_index_round(disk_graph, values, budget):
             break
         if max_rounds is not None and rounds >= max_rounds:
             break

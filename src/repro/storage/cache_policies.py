@@ -258,13 +258,14 @@ class ClockCache:
         self._hand = 0
 
 
-_POLICIES = {"lru": LRUCache, "fifo": FIFOCache, "clock": ClockCache}
+#: The policy registry: every name a config, the CLI or a device accepts.
+POLICY_CLASSES = {"lru": LRUCache, "fifo": FIFOCache, "clock": ClockCache}
 
 
 def make_cache(policy: str, capacity: int):
     """Instantiate a cache by policy name (``lru`` / ``fifo`` / ``clock``)."""
     try:
-        return _POLICIES[policy](capacity)
+        return POLICY_CLASSES[policy](capacity)
     except KeyError:
-        known = ", ".join(sorted(_POLICIES))
+        known = ", ".join(sorted(POLICY_CLASSES))
         raise ValueError(f"unknown cache policy {policy!r}; known: {known}") from None

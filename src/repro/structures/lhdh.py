@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..errors import HeapEmptyError
+from ..errors import CapacityError, HeapEmptyError
 from ..storage import BlockDevice, MemoryMeter
 from .dynamic_heap import DynamicHeap
 from .linear_heap import LinearHeap
@@ -54,7 +54,7 @@ class LHDH:
         writeback: bool = False,
     ) -> None:
         if capacity < 1:
-            raise ValueError("LHDH capacity must be at least 1")
+            raise CapacityError(f"LHDH capacity must be at least 1, got {capacity}")
         self.capacity = int(capacity)
         self.memory = memory
         self.name = name
@@ -67,9 +67,7 @@ class LHDH:
         #: therefore off by default and kept available for the ablation
         #: benchmark (bench_ablation_lhdh).
         self.writeback = writeback
-        self.lheap = LinearHeap.build(
-            device, eids, keys, memory=memory, name=f"{name}.lheap"
-        )
+        self.lheap = LinearHeap(device, eids, keys, memory=memory, name=f"{name}.lheap")
         self.dheap = DynamicHeap()
 
     # ------------------------------------------------------------------ #

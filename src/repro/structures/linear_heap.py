@@ -8,9 +8,11 @@ feasible to retain the information of the head node ... in memory", since
 max support < n).
 
 This structure is also used *alone* by SemiBinary and SemiGreedyCore as
-``A_disk``, the bin-sorted edge array whose "reorder (u,w) and (v,w)
-according to their new support" steps each pay disk I/O — the cost the
-dynamic heap of :mod:`repro.structures.lhdh` exists to avoid.
+``A_disk`` (its peel-protocol subclass
+:class:`~repro.core.peeling.PlainDiskHeap`), the bin-sorted edge array
+whose "reorder (u,w) and (v,w) according to their new support" steps each
+pay disk I/O — the cost the dynamic heap of :mod:`repro.structures.lhdh`
+exists to avoid.
 """
 
 from __future__ import annotations
@@ -29,26 +31,47 @@ _DEAD = -2     # edge removed from the heap
 class LinearHeap:
     """Disk-resident bucket queue over edge ids keyed by support.
 
+    Built from parallel ``eids`` / ``keys`` sequences: the final structure
+    is exactly what inserting the sequence in reverse would produce (each
+    bucket lists its edge ids in the given order), but the link fields are
+    computed vectorized and written to disk through the batch path in one
+    bin-sort write pass (Alg 1 line 10) instead of ``O(m)`` individual
+    link updates.
+
     Parameters
     ----------
     device:
         Block device holding the link arrays.
-    num_edges:
-        Capacity: edge ids must lie in ``[0, num_edges)``.
-    max_key:
-        Largest representable key (bucket count − 1).
+    eids, keys:
+        The initial population (empty by default).
     memory:
         Optional meter charged for the in-memory bucket heads.
+    max_key:
+        Largest representable key (bucket count − 1); defaults to the
+        largest initial key.
+    num_edges:
+        Capacity: edge ids must lie in ``[0, num_edges)``; defaults to one
+        past the largest initial edge id.
     """
 
     def __init__(
         self,
         device: BlockDevice,
-        num_edges: int,
-        max_key: int,
+        eids: Iterable[int] = (),
+        keys: Iterable[int] = (),
         memory: Optional[MemoryMeter] = None,
         name: str = "lheap",
+        max_key: Optional[int] = None,
+        num_edges: Optional[int] = None,
     ) -> None:
+        eid_array = np.asarray(list(eids), dtype=np.int64)
+        key_array = np.asarray(list(keys), dtype=np.int64)
+        if len(eid_array) != len(key_array):
+            raise HeapError("eids and keys must have equal length")
+        if max_key is None:
+            max_key = int(key_array.max()) if len(key_array) else 0
+        if num_edges is None:
+            num_edges = int(eid_array.max()) + 1 if len(eid_array) else 0
         if max_key < 0:
             raise HeapError("max_key must be non-negative")
         self.device = device
@@ -66,42 +89,9 @@ class LinearHeap:
         self._min_cursor = 0
         if memory is not None:
             memory.charge(f"{name}.heads", self.heads.nbytes + self.counts.nbytes)
-
-    # ------------------------------------------------------------------ #
-    # bulk construction
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def build(
-        cls,
-        device: BlockDevice,
-        eids: Iterable[int],
-        keys: Iterable[int],
-        max_key: Optional[int] = None,
-        num_edges: Optional[int] = None,
-        memory: Optional[MemoryMeter] = None,
-        name: str = "lheap",
-    ) -> "LinearHeap":
-        """Build a heap from parallel ``eids`` / ``keys`` sequences.
-
-        The final structure is exactly what inserting the sequence in
-        reverse would produce (each bucket lists its edge ids in the given
-        order), but the link fields are computed vectorized and written to
-        disk through the batch path in one bin-sort write pass (Alg 1
-        line 10) instead of ``O(m)`` individual link updates.
-        """
-        eid_array = np.asarray(list(eids), dtype=np.int64)
-        key_array = np.asarray(list(keys), dtype=np.int64)
-        if len(eid_array) != len(key_array):
-            raise HeapError("eids and keys must have equal length")
-        if max_key is None:
-            max_key = int(key_array.max()) if len(key_array) else 0
-        if num_edges is None:
-            num_edges = int(eid_array.max()) + 1 if len(eid_array) else 0
-        heap = cls(device, num_edges, max_key, memory=memory, name=name)
         count = len(eid_array)
         if count == 0:
-            return heap
+            return
         if key_array.min() < 0 or key_array.max() > max_key:
             raise HeapError(f"key outside [0, {max_key}]")
         # Stable sort groups each bucket while preserving the sequence
@@ -116,13 +106,12 @@ class LinearHeap:
         same_as_next = np.zeros(count, dtype=bool)
         same_as_next[:-1] = same_as_prev[1:]
         next_vals = np.where(same_as_next, np.roll(sorted_eids, -1), _NIL)
-        # In-memory bucket heads / occupancy (the semi-external allowance).
         bucket_firsts = ~same_as_prev
-        heap.heads[sorted_keys[bucket_firsts]] = sorted_eids[bucket_firsts]
-        heap.counts[:] = np.bincount(
-            key_array, minlength=heap.max_key + 1
-        )[: heap.max_key + 1]
-        heap._size = count
+        self.heads[sorted_keys[bucket_firsts]] = sorted_eids[bucket_firsts]
+        self.counts[:] = np.bincount(
+            key_array, minlength=self.max_key + 1
+        )[: self.max_key + 1]
+        self._size = count
         # Disk write pass: one batched scatter per link array, in ascending
         # edge-id order (near-sequential on the common dense id ranges).
         ascending = np.argsort(sorted_eids, kind="stable")
@@ -131,14 +120,13 @@ class LinearHeap:
             write_eids, np.arange(num_edges, dtype=np.int64)
         ):
             # Dense case: full sequential rewrite, no read-modify-write.
-            heap.keys.write_slice(0, sorted_keys[ascending])
-            heap.prev.write_slice(0, prev_vals[ascending])
-            heap.next.write_slice(0, next_vals[ascending])
+            self.keys.write_slice(0, sorted_keys[ascending])
+            self.prev.write_slice(0, prev_vals[ascending])
+            self.next.write_slice(0, next_vals[ascending])
         else:
-            heap.keys.scatter(write_eids, sorted_keys[ascending])
-            heap.prev.scatter(write_eids, prev_vals[ascending])
-            heap.next.scatter(write_eids, next_vals[ascending])
-        return heap
+            self.keys.scatter(write_eids, sorted_keys[ascending])
+            self.prev.scatter(write_eids, prev_vals[ascending])
+            self.next.scatter(write_eids, next_vals[ascending])
 
     # ------------------------------------------------------------------ #
     # primitive operations (each link touch is charged I/O)

@@ -17,7 +17,11 @@ difference shows), what each charged path answers and what it bills:
   each update's ``k_max`` and mode, and the stream's whole bill;
 * ``serve`` — one request per query op (exact, plus the approximate
   point ops) with the result cache off: the envelope's ``io`` and a
-  digest of its ``result``.
+  digest of its ``result``;
+* ``decompositions`` — on the same graphs and policies, the h-index
+  truss decomposition (a digest of every edge's trussness, its round
+  count and its whole bill) and the semi-external k-truss query at
+  ``k = 3`` and ``k = k_max`` (edge count and bill).
 
 Regenerate after a change that alters a bill on purpose (and say why in
 the change log)::
@@ -97,6 +101,45 @@ def _method_row(graph, method: str, policy: str, **kwargs) -> Dict[str, Any]:
     }
 
 
+def _h_index_row(graph, policy: str) -> Dict[str, Any]:
+    from repro import ExecutionContext
+    from repro.semiexternal.truss_decomp import h_index_truss_decomposition
+
+    context = ExecutionContext(_config(policy))
+    try:
+        result = h_index_truss_decomposition(graph, context=context)
+    finally:
+        context.close()
+    return {
+        "k_max": result.k_max,
+        "rounds": result.rounds,
+        "trussness_sha256": hashlib.sha256(
+            json.dumps(result.trussness.tolist()).encode()
+        ).hexdigest()[:16],
+        "read_ios": context.stats.read_ios,
+        "write_ios": context.stats.write_ios,
+        "io_by_extent": _extents(context.device),
+    }
+
+
+def _k_truss_row(graph, k: int, policy: str) -> Dict[str, Any]:
+    from repro import ExecutionContext
+    from repro.core.k_truss import k_truss_semi_external
+
+    context = ExecutionContext(_config(policy))
+    try:
+        result = k_truss_semi_external(graph, k, context=context)
+    finally:
+        context.close()
+    return {
+        "k": k,
+        "edges": result.edge_count,
+        "read_ios": result.io.read_ios,
+        "write_ios": result.io.write_ios,
+        "io_by_extent": _extents(context.device),
+    }
+
+
 def _maintenance_row(graph, policy: str) -> Dict[str, Any]:
     from repro import ExecutionContext
     from repro.dynamic.state import DynamicMaxTruss
@@ -161,7 +204,7 @@ def _serve_rows(graph) -> Dict[str, Any]:
 def compute_table() -> Dict[str, Any]:
     """Recompute every row of the table from the current code."""
     graphs = _graphs()
-    methods, estimated, maintenance = {}, {}, {}
+    methods, estimated, maintenance, decompositions = {}, {}, {}, {}
     for graph_name, graph in graphs.items():
         for method in METHODS:
             for policy in POLICIES:
@@ -170,6 +213,13 @@ def compute_table() -> Dict[str, Any]:
             estimated[f"{graph_name}/semi-binary/{policy}"] = _method_row(
                 graph, "semi-binary", policy, estimate_bounds=True
             )
+            h_index = decompositions[f"{graph_name}/h-index/{policy}"] = _h_index_row(
+                graph, policy
+            )
+            for label, k in (("3", 3), ("k_max", h_index["k_max"])):
+                decompositions[f"{graph_name}/k-truss-{label}/{policy}"] = _k_truss_row(
+                    graph, k, policy
+                )
     for policy in POLICIES:
         maintenance[f"chung_lu/{policy}"] = _maintenance_row(graphs["chung_lu"], policy)
     return {
@@ -178,6 +228,7 @@ def compute_table() -> Dict[str, Any]:
         "estimate_bounds": estimated,
         "maintenance": maintenance,
         "serve": _serve_rows(graphs["planted"]),
+        "decompositions": decompositions,
     }
 
 

@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import re
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.engine.config import CACHE_POLICIES, FSYNC_POLICIES, INGEST_BACKPRESSURE_POLICIES
 from repro.graph.edgelist import write_text_edgelist
 from repro.graph.generators import paper_example_graph
 
@@ -217,6 +219,27 @@ class TestErrorPaths:
             main(["compute", example_file, "--fsync", "sometimes"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_engine_enum_choices_are_the_configs(self):
+        """Every subcommand's --cache-policy, --fsync and --backpressure
+        accept exactly what config validation accepts."""
+        expected = {
+            "--cache-policy": tuple(CACHE_POLICIES),
+            "--fsync": tuple(FSYNC_POLICIES),
+            "--backpressure": tuple(INGEST_BACKPRESSURE_POLICIES),
+        }
+        seen = {flag: set() for flag in expected}
+
+        def walk(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for subparser in action.choices.values():
+                        walk(subparser)
+                for flag in set(action.option_strings) & set(expected):
+                    seen[flag].add(tuple(action.choices))
+
+        walk(build_parser())
+        assert seen == {flag: {choices} for flag, choices in expected.items()}
 
 
 class TestTrace:

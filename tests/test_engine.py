@@ -11,7 +11,7 @@ Three families of guarantees:
   ``simulated`` bill.
 * **Engine mechanics** — backend registry errors, context resolution,
   work budgets minted from the config, phase aggregation across a shared
-  context, and trace hooks.
+  context, and the engine events an attached tracer records.
 """
 
 from __future__ import annotations
@@ -303,12 +303,14 @@ class TestContextMechanics:
         assert total_phase_ios == context.stats.total_ios
 
     def test_trace_hook_sees_device_and_phases(self, example):
-        events = []
-        config = EngineConfig(trace=lambda event, payload: events.append(event))
-        max_truss(example, method="semi-binary", context=ExecutionContext(config))
-        assert events[0] == "phase_start"
-        assert "device" in events
-        assert events[-1] == "phase_end"
+        tracer = Tracer()
+        with ExecutionContext(EngineConfig()).attach_tracer(tracer) as context:
+            max_truss(example, method="semi-binary", context=context)
+        events = [r for r in tracer.records if r["type"] == "event"]
+        assert [r["name"] for r in events] == ["phase_start", "device", "phase_end"]
+        assert events[0]["payload"] == {"name": "semi-binary"}
+        assert events[1]["payload"]["backend"] == "simulated"
+        assert events[2]["payload"]["read_ios"] == context.stats.read_ios
 
     def test_context_close_is_idempotent(self):
         graph = gnm_random(30, 90, seed=1)
@@ -351,7 +353,9 @@ class TestEnsureDevice:
         assert context.stats.write_ios > 0  # materialisation was charged
 
     def test_linear_heap_accepts_a_config(self):
-        heap = LinearHeap(make_device(EngineConfig(backend="inmemory"), 16), 16, 4)
+        heap = LinearHeap(
+            make_device(EngineConfig(backend="inmemory"), 16), num_edges=16, max_key=4
+        )
         heap.insert(0, 2)
         assert heap.pop_min() == (0, 2)
 

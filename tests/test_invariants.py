@@ -5,18 +5,24 @@ explicitly against randomized inputs so a regression in any subsystem
 trips a named invariant rather than an incidental assertion.
 """
 
+from functools import partial
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from repro import EngineConfig, ExecutionContext, max_truss, semi_lazy_update
 from repro.baselines import max_truss_edges, truss_decomposition
 from repro.core import bounds
-from repro.core.peeling import make_lhdh_heap, make_plain_heap, peel_below, surviving_edge_ids
+from repro.core.k_truss import k_truss_semi_external
+from repro.core.peeling import PlainDiskHeap, peel_below, surviving_edge_ids
 from repro.graph.disk_graph import DiskGraph
+from repro.graph.generators import cycle_graph, gnm_random, paper_example_graph, star_graph
 from repro.graph.memgraph import Graph
 from repro.semiexternal.core_decomp import core_decomposition_inmemory
 from repro.semiexternal.support import compute_supports
 from repro.storage import BlockDevice, MemoryMeter
+from repro.structures import LHDH
 
 from conftest import small_graphs, triangle_rich_graphs
 
@@ -65,7 +71,7 @@ class TestInvariantPeelLevels:
         device = BlockDevice(block_size=512, cache_blocks=32)
         disk_graph = DiskGraph(g, device, MemoryMeter())
         scan = compute_supports(disk_graph)
-        heap = make_plain_heap(device, range(g.m), scan.supports.to_numpy())
+        heap = PlainDiskHeap(device, range(g.m), scan.supports.to_numpy())
         previous = None
         for threshold in range(0, int(trussness.max())):
             peel_below(heap, disk_graph, threshold)
@@ -84,7 +90,7 @@ class TestInvariantHeapEquivalence:
     @settings(max_examples=10)
     def test_same_survivors(self, g):
         outcomes = []
-        for factory in (make_plain_heap, make_lhdh_heap):
+        for factory in (PlainDiskHeap, partial(LHDH, capacity=max(1, g.m))):
             device = BlockDevice(block_size=512, cache_blocks=32)
             disk_graph = DiskGraph(g, device, MemoryMeter())
             scan = compute_supports(disk_graph)
@@ -117,6 +123,39 @@ class TestInvariant7IOAccounting:
         writes = device.stats.write_ios
         device.flush()
         assert device.stats.write_ios == writes
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "clock"])
+    def test_every_charged_run_bills_its_write_backs(self, policy):
+        """Each charged computation returns with its dirty blocks written
+        back, early returns (triangle-free graph, no k-truss) included: a
+        flush afterwards charges nothing."""
+        runs = {
+            method: partial(max_truss, method=method)
+            for method in (
+                "semi-binary", "semi-greedy-core", "semi-lazy-update",
+                "bottom-up", "top-down",
+            )
+        }
+        for k in (3, 4, 8):
+            runs[f"k-truss k={k}"] = partial(k_truss_semi_external, k=k)
+        graphs = {
+            "cycle(40)": cycle_graph(40),
+            "star(30)": star_graph(30),
+            "paper": paper_example_graph(),
+            "gnm(40,220)": gnm_random(40, 220, seed=1),
+        }
+        left_dirty = []
+        for graph_name, graph in graphs.items():
+            for run_name, run in runs.items():
+                context = ExecutionContext(
+                    EngineConfig(block_size=256, cache_blocks=8, cache_policy=policy)
+                )
+                run(graph, context=context)
+                before = context.stats.snapshot()
+                context.device.flush()
+                if context.stats != before:
+                    left_dirty.append((graph_name, run_name))
+        assert left_dirty == []
 
 
 class TestInvariantClassSubgraphCoreness:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import HeapEmptyError
+from repro.errors import CapacityError, HeapEmptyError
 from repro.storage import BlockDevice, MemoryMeter
 from repro.structures import LHDH
 
@@ -41,7 +41,7 @@ class TestBasics:
 
     def test_capacity_validation(self):
         device = BlockDevice(block_size=64, cache_blocks=16)
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError):
             LHDH(device, [], [], capacity=0)
 
 

@@ -11,7 +11,7 @@ from repro.structures import LinearHeap
 
 def _build(eids, keys, **kwargs):
     device = BlockDevice(block_size=64, cache_blocks=16)
-    return LinearHeap.build(device, eids, keys, **kwargs), device
+    return LinearHeap(device, eids, keys, **kwargs), device
 
 
 class TestBuild:
@@ -22,7 +22,7 @@ class TestBuild:
     def test_build_length_mismatch(self):
         device = BlockDevice(block_size=64, cache_blocks=16)
         with pytest.raises(HeapError):
-            LinearHeap.build(device, [0, 1], [1])
+            LinearHeap(device, [0, 1], [1])
 
     def test_empty_build(self):
         heap, _ = _build([], [])
@@ -32,7 +32,7 @@ class TestBuild:
     def test_memory_charge(self):
         device = BlockDevice(block_size=64, cache_blocks=16)
         memory = MemoryMeter()
-        LinearHeap.build(device, [0], [0], memory=memory)
+        LinearHeap(device, [0], [0], memory=memory)
         assert memory.current_bytes > 0
 
 
@@ -121,7 +121,7 @@ class TestOperations:
 class TestAccounting:
     def test_operations_charge_io(self):
         device = BlockDevice(block_size=64, cache_blocks=2)
-        heap = LinearHeap.build(device, range(100), [i % 7 for i in range(100)])
+        heap = LinearHeap(device, range(100), [i % 7 for i in range(100)])
         device.stats.reset()
         heap.pop_min()
         assert device.stats.total_ios >= 0  # cached small case
@@ -132,7 +132,7 @@ class TestAccounting:
 
     def test_min_key_scan_is_free(self):
         device = BlockDevice(block_size=64, cache_blocks=4)
-        heap = LinearHeap.build(device, range(10), [9] * 10, max_key=100)
+        heap = LinearHeap(device, range(10), [9] * 10, max_key=100)
         device.drop_cache()
         device.stats.reset()
         assert heap.min_key() == 9  # in-memory head scan

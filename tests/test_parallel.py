@@ -11,18 +11,16 @@ tally.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from repro.core.peeling import (
-    PlainDiskHeap,
-    make_lhdh_heap,
-    make_plain_heap,
-    peel_below,
-)
+from repro.core.peeling import PlainDiskHeap, peel_below
 from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import gnm_random
 from repro.semiexternal.support import compute_supports
 from repro.storage import BlockDevice, MemoryMeter, count_block_touches
+from repro.structures import LHDH
 
 
 def _peel_order(graph, heap_factory, permute_seed=None):
@@ -55,18 +53,15 @@ class TestDeterministicPeelOrder:
 
     def test_insertion_order_is_irrelevant(self):
         graph = gnm_random(60, 400, seed=13)
-        baseline = _peel_order(graph, make_plain_heap)
+        baseline = _peel_order(graph, PlainDiskHeap)
         for permute_seed in (1, 2):
-            assert (
-                _peel_order(graph, make_plain_heap, permute_seed) == baseline
-            )
+            assert _peel_order(graph, PlainDiskHeap, permute_seed) == baseline
 
     def test_plain_heap_and_lhdh_agree(self):
         """Two different heap structures, one canonical removal sequence."""
         graph = gnm_random(60, 400, seed=13)
-        assert _peel_order(graph, make_lhdh_heap) == _peel_order(
-            graph, make_plain_heap
-        )
+        lhdh = partial(LHDH, capacity=graph.m)
+        assert _peel_order(graph, lhdh) == _peel_order(graph, PlainDiskHeap)
 
     def test_waves_are_ascending_edge_id_within_a_class(self):
         device = BlockDevice.for_semi_external(8)

@@ -1,12 +1,13 @@
 """Tests for the shared peeling kernels."""
 
+from functools import partial
+
 import pytest
 
 from repro._util import WorkBudget
 from repro.core.peeling import (
     PeelStats,
-    make_lhdh_heap,
-    make_plain_heap,
+    PlainDiskHeap,
     peel_below,
     surviving_edge_ids,
 )
@@ -15,6 +16,10 @@ from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import complete_graph, paper_example_graph
 from repro.semiexternal.support import compute_supports
 from repro.storage import BlockDevice, MemoryMeter
+from repro.structures import LHDH
+
+#: An LHDH whose dynamic heap never spills on these small graphs.
+UNSPILLED_LHDH = partial(LHDH, capacity=1 << 20)
 
 
 def _setup(graph, factory):
@@ -25,7 +30,10 @@ def _setup(graph, factory):
     return dg, heap, scan
 
 
-@pytest.mark.parametrize("factory", [make_plain_heap, make_lhdh_heap])
+# The ids keep these cases' names from when heap kinds were factory functions.
+@pytest.mark.parametrize(
+    "factory", [PlainDiskHeap, UNSPILLED_LHDH], ids=["make_plain_heap", "make_lhdh_heap"]
+)
 class TestPeelBelow:
     def test_no_op_when_threshold_zero(self, factory):
         dg, heap, _ = _setup(paper_example_graph(), factory)
@@ -88,8 +96,8 @@ class TestHeapEquivalence:
     def test_plain_and_lhdh_agree_on_survivors(self):
         g = complete_graph(7)
         for threshold in (2, 4, 5):
-            dg1, plain, _ = _setup(g, make_plain_heap)
-            dg2, lazy, _ = _setup(g, make_lhdh_heap)
+            dg1, plain, _ = _setup(g, PlainDiskHeap)
+            dg2, lazy, _ = _setup(g, UNSPILLED_LHDH)
             peel_below(plain, dg1, threshold)
             peel_below(lazy, dg2, threshold)
             assert surviving_edge_ids(plain) == surviving_edge_ids(lazy)
@@ -109,4 +117,4 @@ class TestHeapEquivalence:
             peel_below(heap, dg, 10_000)
             return device.stats.total_ios
 
-        assert run(make_lhdh_heap) < run(make_plain_heap)
+        assert run(UNSPILLED_LHDH) < run(PlainDiskHeap)

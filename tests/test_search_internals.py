@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.peeling import make_plain_heap
+from repro.core.peeling import PlainDiskHeap
 from repro.core.result import MaintenanceResult, MaxTrussResult
 from repro.core.semi_binary import (
     SearchOutcome,
@@ -56,14 +56,14 @@ class TestProbes:
         _g, disk_graph, edge_file, memory = machinery
         for k, expected in ((3, True), (6, True), (7, False)):
             assert probe_truss_exists(
-                disk_graph, edge_file, k, make_plain_heap, memory
+                disk_graph, edge_file, k, PlainDiskHeap, memory
             ) is expected
 
     def test_materialise_truss_levels(self, machinery):
         _g, disk_graph, edge_file, memory = machinery
-        top = materialise_truss(disk_graph, edge_file, 6, make_plain_heap, memory)
+        top = materialise_truss(disk_graph, edge_file, 6, PlainDiskHeap, memory)
         assert len(top) == 15  # the planted K6
-        nothing = materialise_truss(disk_graph, edge_file, 7, make_plain_heap, memory)
+        nothing = materialise_truss(disk_graph, edge_file, 7, PlainDiskHeap, memory)
         assert nothing == []
 
 
@@ -72,7 +72,7 @@ class TestBinarySearch:
         _g, disk_graph, edge_file, memory = machinery
         outcome = binary_search_kmax(
             disk_graph, edge_file, 3, edge_file.max_support + 2,
-            make_plain_heap, memory,
+            PlainDiskHeap, memory,
         )
         assert outcome.k_max == 6
         assert outcome.probes >= 1
@@ -81,7 +81,7 @@ class TestBinarySearch:
         """All probes fail: k_max stays None, failed_min recorded."""
         _g, disk_graph, edge_file, memory = machinery
         outcome = binary_search_kmax(
-            disk_graph, edge_file, 8, 12, make_plain_heap, memory
+            disk_graph, edge_file, 8, 12, PlainDiskHeap, memory
         )
         assert outcome.k_max is None
         assert outcome.failed_min is not None and outcome.failed_min <= 12
@@ -96,7 +96,7 @@ class TestBinarySearch:
         """
         _g, disk_graph, edge_file, memory = machinery
         outcome = binary_search_kmax(
-            disk_graph, edge_file, 3, 4, make_plain_heap, memory
+            disk_graph, edge_file, 3, 4, PlainDiskHeap, memory
         )
         assert outcome.k_max in (3, 4)
 
@@ -107,12 +107,12 @@ class TestVerifiedKmax:
         _g, disk_graph, edge_file, memory = machinery
         overshoot_lb = 8  # true k_max is 6
         outcome = binary_search_kmax(
-            disk_graph, edge_file, overshoot_lb, 12, make_plain_heap, memory
+            disk_graph, edge_file, overshoot_lb, 12, PlainDiskHeap, memory
         )
         assert outcome.k_max is None
         k_max, outcome = verified_kmax(
             disk_graph, edge_file, outcome, overshoot_lb, 12,
-            make_plain_heap, memory,
+            PlainDiskHeap, memory,
         )
         assert k_max == 6
 
@@ -121,7 +121,7 @@ class TestVerifiedKmax:
         _g, disk_graph, edge_file, memory = machinery
         fake = SearchOutcome(k_max=4, failed_min=None, probes=0)
         k_max, _ = verified_kmax(
-            disk_graph, edge_file, fake, 3, 12, make_plain_heap, memory
+            disk_graph, edge_file, fake, 3, 12, PlainDiskHeap, memory
         )
         assert k_max == 6
 
@@ -130,7 +130,7 @@ class TestVerifiedKmax:
         _g, disk_graph, edge_file, memory = machinery
         outcome = SearchOutcome(k_max=6, failed_min=7, probes=3)
         k_max, verified = verified_kmax(
-            disk_graph, edge_file, outcome, 3, 12, make_plain_heap, memory
+            disk_graph, edge_file, outcome, 3, 12, PlainDiskHeap, memory
         )
         assert k_max == 6
         assert verified.probes == 3  # nothing re-probed

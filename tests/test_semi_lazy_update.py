@@ -1,6 +1,9 @@
 """Tests for SemiLazyUpdate (Algorithm 3)."""
 
-from repro import EngineConfig, semi_greedy_core, semi_lazy_update
+import pytest
+
+from repro import EngineConfig, ExecutionContext, semi_greedy_core, semi_lazy_update
+from repro.errors import CapacityError
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import (
     complete_graph,
@@ -40,6 +43,16 @@ class TestResults:
         for capacity in (1, 2, 8, 64):
             result = semi_lazy_update(g, capacity=capacity)
             assert result.k_max == 8
+
+    @pytest.mark.parametrize("capacity", [0, -3])
+    def test_bad_capacity_raises_before_any_io(self, capacity):
+        context = ExecutionContext(EngineConfig(block_size=256, cache_blocks=8))
+        with pytest.raises(CapacityError):
+            semi_lazy_update(
+                planted_kmax_truss(7, periphery_n=60, seed=2),
+                capacity=capacity, context=context,
+            )
+        assert context.stats.total_ios == 0
 
 
 class TestIOAdvantage:

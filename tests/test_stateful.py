@@ -23,7 +23,7 @@ class LinearHeapMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         device = BlockDevice(block_size=64, cache_blocks=8)
-        self.heap = LinearHeap(device, MAX_EDGES, MAX_KEY)
+        self.heap = LinearHeap(device, num_edges=MAX_EDGES, max_key=MAX_KEY)
         self.model = {}
 
     @rule(eid=st.integers(0, MAX_EDGES - 1), key=st.integers(0, MAX_KEY))
