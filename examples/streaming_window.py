@@ -1,9 +1,9 @@
 """Streaming: the k_max-truss of a sliding window, with checkpointing.
 
 Feeds a timestamped interaction stream (synthetic: waves of community
-activity over a noisy background) through SlidingWindowTruss, watching
-k_max rise and fall as dense bursts enter and age out of the window —
-then checkpoints the underlying maintenance state and resumes it.
+activity over a noisy background) through a windowed IngestPipeline,
+watching k_max rise and fall as dense bursts enter and age out of the
+window — then checkpoints the underlying maintenance state and resumes it.
 
 Run:  python examples/streaming_window.py
 """
@@ -13,8 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.dynamic import SlidingWindowTruss, load_checkpoint, save_checkpoint
+from repro.dynamic import (
+    DynamicMaxTruss,
+    IngestPipeline,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.graph.generators import complete_graph
+from repro.graph.memgraph import Graph
 
 
 def interaction_stream(seed=0):
@@ -36,28 +42,40 @@ def interaction_stream(seed=0):
 
 
 def main() -> None:
-    stream = SlidingWindowTruss(window=120, batch_size=10)
-    print(f"window={stream.window}, batch={stream.batch_size}\n")
+    state = DynamicMaxTruss(Graph.empty(0))
+    peak = 0
+
+    def record_peak(_ops: int) -> None:
+        nonlocal peak
+        peak = max(peak, state.k_max)
+
+    pipe = IngestPipeline(
+        state, window=120, batch_size=10, on_batch_applied=record_peak
+    )
+    print(f"window={pipe.window}, batch={pipe.batch_size}\n")
     events = interaction_stream()
     checkpoints = {len(events) // 2}
     path = Path(tempfile.mkdtemp()) / "window.ckpt"
+    stats = pipe.stats
 
     for index, (u, v) in enumerate(events, 1):
-        stream.push(u, v)
+        pipe.submit(u, v)
         if index % 40 == 0:
-            print(f"  after {index:>3} events: k_max={stream.k_max} "
-                  f"(live edges: {stream.live_edge_count()})")
+            k_max = pipe.k_max  # flushes the queued arrivals first
+            print(f"  after {index:>3} events: k_max={k_max} "
+                  f"(live edges: {stats.arrivals - stats.expirations})")
         if index in checkpoints:
-            stream.flush()
-            size = save_checkpoint(stream.state, path)
+            pipe.flush()
+            size = save_checkpoint(state, path)
             print(f"  -- checkpointed maintenance state at event {index} "
                   f"({size} bytes)")
 
-    print(f"\nfinal k_max: {stream.k_max}")
-    print(f"peak k_max over the stream: {stream.stats.k_max_peak}")
-    print(f"arrivals={stream.stats.arrivals} "
-          f"expirations={stream.stats.expirations} "
-          f"duplicates={stream.stats.duplicates_skipped}")
+    pipe.close()
+    print(f"\nfinal k_max: {state.k_max}")
+    print(f"peak k_max over the stream: {peak}")
+    print(f"arrivals={stats.arrivals} "
+          f"expirations={stats.expirations} "
+          f"duplicates={stats.duplicates_skipped}")
 
     restored = load_checkpoint(path)
     print(f"\nrestored mid-stream state: k_max={restored.k_max} "

@@ -8,11 +8,11 @@ Subcommands
 * ``generate`` — write a stand-in dataset (or generator output) to a file.
 * ``convert`` — re-encode a graph between formats (text/metis/compressed/
   the binary ``.rgr`` CSR image — the paper's offline preprocessing step).
-* ``maintain`` — apply an update stream (``+u v`` / ``-u v`` lines) to a
-  graph, reporting per-op maintenance cost.
-* ``ingest`` — pump an edge stream through the pipelined ingestion front
-  end (bounded queue, micro-batches, backpressure), optionally durable
-  (group-commit WAL) and/or sliding-window.
+* ``maintain`` — apply an update stream to a graph, reporting per-op
+  maintenance cost.
+* ``ingest`` — pump an update stream through the pipelined ingestion
+  front end (bounded queue, micro-batches, backpressure), optionally
+  durable (group-commit WAL) and/or sliding-window.
 * ``trace`` — summarize or diff recorded trace files (``compute`` and
   ``maintain`` record one with ``--trace FILE``).
 * ``serve`` — answer truss queries over TCP (newline-delimited JSON)
@@ -20,9 +20,12 @@ Subcommands
   promotion), or a sharded partition directory.
 * ``partition`` — cut a graph into vertex-range shards for ``serve``.
 
-Graph operands accept dataset names, edge-list files, and ``.rgr`` images
-everywhere; ``--backend file`` runs any engine command against the real
-file-backed device (identical charged I/O, plus physical byte counters).
+Graph operands accept dataset names and every file ``convert`` writes
+(:data:`repro.graph.formats.GRAPH_FORMATS`) everywhere; ``--backend
+file`` runs any engine command against the real file-backed device
+(identical charged I/O, plus physical byte counters). ``maintain`` and
+``ingest`` read one update-line grammar, ``[+|-]u v`` (unsigned lines
+insert).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import sys
 from typing import List, Optional
 
@@ -40,8 +44,14 @@ from .engine import EngineConfig, ExecutionContext, list_backends
 from .engine.config import CACHE_POLICIES, FSYNC_POLICIES, INGEST_BACKPRESSURE_POLICIES
 from .errors import GraphFormatError, ReproError
 from .graph.datasets import dataset_names, load_dataset
-from .graph.edgelist import read_edgelist, write_text_edgelist
-from .graph.formats import is_rgr, read_rgr, read_rgr_mapped
+from .graph.edgelist import write_text_edgelist
+from .graph.formats import (
+    GRAPH_FORMATS,
+    format_for_suffix,
+    graph_format,
+    read_graph,
+    read_rgr_mapped,
+)
 from .graph.memgraph import Graph
 
 
@@ -56,17 +66,52 @@ def _load_graph(source: str, seed: int, backend: str = None) -> Graph:
     if source in dataset_names():
         return load_dataset(source, seed=seed)
     try:
-        if is_rgr(source):
-            if backend == "mmap":
-                return read_rgr_mapped(source)
-            return read_rgr(source)
-        return read_edgelist(source)
+        if backend == "mmap" and graph_format(source) == "rgr":
+            return read_rgr_mapped(source)
+        return read_graph(source)
     except (UnicodeDecodeError, ValueError) as exc:
         # Binary garbage fed to the text parser (or vice versa) must be a
         # one-line typed error at the CLI, never a traceback.
         raise GraphFormatError(
             f"{source}: not a recognisable graph file ({exc})"
         ) from exc
+
+
+#: ``[+|-]u v``: a signed or unsigned pair of non-negative vertex ids.
+_UPDATE_LINE = re.compile(r"([+-]?)\s*([0-9]+)\s+([0-9]+)")
+
+
+class _BadUpdate(Exception):
+    """An update line outside the grammar; ``main`` exits with status 2."""
+
+
+def _read_updates(path: Optional[str], deletes: bool = True):
+    """Yield ``(op, u, v)`` per line of the update stream *path* (stdin if
+    ``None``): the one grammar of ``maintain`` and ``ingest``.
+
+    A line is ``[+|-]u v``; an unsigned line inserts. Blank lines and
+    ``#`` lines are skipped. Any other line, or a ``-`` line when
+    *deletes* is false, raises :class:`_BadUpdate`.
+    """
+    stream = open(path, "r", encoding="utf-8") if path else sys.stdin
+    try:
+        for line_number, line in enumerate(stream, 1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            match = _UPDATE_LINE.fullmatch(text)
+            if match is None:
+                raise _BadUpdate(f"line {line_number}: malformed update {text!r}")
+            sign, u, v = match.groups()
+            if sign == "-" and not deletes:
+                raise _BadUpdate(
+                    f"line {line_number}: explicit deletes are invalid with "
+                    "--window (expirations are automatic)"
+                )
+            yield ("delete" if sign == "-" else "insert"), int(u), int(v)
+    finally:
+        if path:
+            stream.close()
 
 
 @contextlib.contextmanager
@@ -353,34 +398,17 @@ def _run_maintain(
     state = DynamicMaxTruss(graph, context=engine_context)
     print(f"engine: {config.summary()}")
     print(f"initial k_max: {state.k_max}")
-    stream = open(args.updates, "r", encoding="utf-8") if args.updates else sys.stdin
     operations = []
-    try:
-        for line_number, line in enumerate(stream, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            sign = stripped[0]
-            try:
-                u, v = (int(x) for x in stripped[1:].split())
-            except ValueError:
-                print(f"line {line_number}: malformed update {stripped!r}",
-                      file=sys.stderr)
-                return 2
-            if args.batch:
-                operations.append(
-                    ("insert" if sign == "+" else "delete", u, v)
-                )
-                continue
-            result = state.insert(u, v) if sign == "+" else state.delete(u, v)
-            print(
-                f"{result.operation} ({u},{v}): k_max {result.k_max_before} -> "
-                f"{result.k_max_after} [{result.mode}] "
-                f"io={result.io.total_ios} {result.elapsed_seconds * 1e3:.2f}ms"
-            )
-    finally:
-        if args.updates:
-            stream.close()
+    for op, u, v in _read_updates(args.updates):
+        if args.batch:
+            operations.append((op, u, v))
+            continue
+        result = state.insert(u, v) if op == "insert" else state.delete(u, v)
+        print(
+            f"{result.operation} ({u},{v}): k_max {result.k_max_before} -> "
+            f"{result.k_max_after} [{result.mode}] "
+            f"io={result.io.total_ios} {result.elapsed_seconds * 1e3:.2f}ms"
+        )
     if args.batch and operations:
         batch = state.apply_batch(operations)
         print(
@@ -425,29 +453,28 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         from .persistence.recovery import DurableMaintenance
 
         sink = DurableMaintenance(state, args.durable)
-    stream = (
-        open(args.updates, "r", encoding="utf-8") if args.updates else sys.stdin
-    )
+    window = args.window is not None
     try:
-        pipe = IngestPipeline.from_config(sink, config, window=args.window)
-        if args.threaded:
-            pipe.start()
-        status = _pump_stream(pipe, stream, window=args.window is not None)
-        pipe.close()
+        with IngestPipeline.from_config(
+            sink, config, window=args.window
+        ) as pipe:
+            if args.threaded:
+                pipe.start()
+            for op, u, v in _read_updates(args.updates, deletes=not window):
+                if window:
+                    pipe.submit(u, v)
+                else:
+                    pipe.submit_op(op, u, v)
     finally:
-        if args.updates:
-            stream.close()
         if args.durable:
             sink.close()
         engine_context.close()
-    if status != 0:
-        return status
     stats = pipe.stats
     print(
         f"stream: {stats.submitted} submitted, {stats.accepted} accepted, "
         f"{stats.dropped} dropped, {stats.rejected} rejected"
         + (f", {stats.duplicates_skipped} duplicates, "
-           f"{stats.expirations} expired" if args.window is not None else "")
+           f"{stats.expirations} expired" if window else "")
     )
     triggers = ", ".join(
         f"{count} by {trigger}"
@@ -464,36 +491,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         f"{stats.apply_seconds:.3f}s applying)"
     )
     print(f"final k_max: {state.k_max} ({state.truss_edge_count()} class edges)")
-    return 0
-
-
-def _pump_stream(pipe, stream, window: bool) -> int:
-    """Feed ``[+|-]u v`` lines into *pipe*; exit status 2 on bad input."""
-    for line_number, line in enumerate(stream, 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        sign = "+"
-        if stripped[0] in "+-":
-            sign, stripped = stripped[0], stripped[1:]
-        try:
-            u, v = (int(x) for x in stripped.split())
-        except ValueError:
-            print(f"line {line_number}: malformed update {line.strip()!r}",
-                  file=sys.stderr)
-            return 2
-        if window:
-            if sign == "-":
-                print(
-                    f"line {line_number}: explicit deletes are invalid with "
-                    "--window (expirations are automatic)", file=sys.stderr,
-                )
-                return 2
-            pipe.submit(u, v)
-        elif sign == "+":
-            pipe.submit_op("insert", u, v)
-        else:
-            pipe.submit_op("delete", u, v)
     return 0
 
 
@@ -607,23 +604,9 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    from .graph import formats
-
-    writers = {
-        "text": write_text_edgelist,
-        "rgr": formats.write_rgr,
-        "metis": formats.write_metis,
-        "compressed": formats.write_compressed,
-    }
-    to = args.to
-    if to is None:
-        # Infer from the output extension; .rgr is the common case (the
-        # paper's offline binary-adjacency preprocessing).
-        suffix = args.output.rsplit(".", 1)[-1].lower()
-        to = {"rgr": "rgr", "metis": "metis", "graph": "metis",
-              "cgr": "compressed"}.get(suffix, "text")
+    to = args.to or format_for_suffix(args.output)
     graph = _load_graph(args.input, args.seed)
-    writers[to](graph, args.output)
+    GRAPH_FORMATS[to][1](graph, args.output)
     print(f"converted {args.input} (n={graph.n}, m={graph.m}) "
           f"to {to}: {args.output}")
     return 0
@@ -699,11 +682,12 @@ def build_parser() -> argparse.ArgumentParser:
         "convert",
         help="re-encode a graph (text/metis/compressed/.rgr binary CSR)",
     )
-    convert.add_argument("input", help="edge-list/.rgr file or dataset name")
+    convert.add_argument("input", help="graph file or dataset name")
     convert.add_argument("output", help="output path")
     convert.add_argument(
-        "--to", default=None, choices=["text", "metis", "compressed", "rgr"],
-        help="output format (default: inferred from the output extension)",
+        "--to", default=None, choices=list(GRAPH_FORMATS),
+        help="output format (default: by the output extension: .rgr, "
+             ".metis/.graph, .cgr, anything else text)",
     )
     convert.add_argument("--seed", type=int, default=0)
     convert.set_defaults(func=_cmd_convert)
@@ -711,7 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
     maintain = sub.add_parser("maintain", help="apply an update stream")
     maintain.add_argument("graph", help="edge-list file or dataset name")
     maintain.add_argument(
-        "--updates", help="file of '+u v' / '-u v' lines (default: stdin)"
+        "--updates", help="file of '[+|-]u v' lines; unsigned lines insert "
+                          "(default: stdin)"
     )
     maintain.add_argument(
         "--batch", action="store_true",
@@ -735,8 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
              "default: empty graph)",
     )
     ingest.add_argument(
-        "--updates", help="edge stream file of 'u v' (insert/arrival) and "
-                          "'-u v' (delete) lines (default: stdin)",
+        "--updates", help="file of '[+|-]u v' lines; unsigned lines insert "
+                          "(arrive, under --window) (default: stdin)",
     )
     ingest.add_argument(
         "--window", type=int, default=None, metavar="N",
@@ -892,6 +877,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _BadUpdate as error:
+        print(error, file=sys.stderr)
+        return 2
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -7,7 +7,6 @@ from .insertion import insert_edge
 from .batch import BatchResult, apply_batch
 from .checkpoint import save_checkpoint, load_checkpoint
 from .ingest import IngestPipeline, IngestStats
-from .stream import BoundedHistory, SlidingWindowTruss, StreamStats
 from .ylj import YLJMaintenance
 from . import workload
 
@@ -20,11 +19,8 @@ __all__ = [
     "apply_batch",
     "save_checkpoint",
     "load_checkpoint",
-    "BoundedHistory",
     "IngestPipeline",
     "IngestStats",
-    "SlidingWindowTruss",
-    "StreamStats",
     "YLJMaintenance",
     "workload",
 ]

@@ -31,16 +31,20 @@ Exactness is non-negotiable either way: for any accepted event sequence
 the final decomposition is bit-identical to per-op maintenance of that
 sequence (property-tested in ``tests/test_ingest.py``).
 
-With ``window=N`` the pipeline additionally maintains sliding-window
-semantics over *arrivals* (same rules as
-:class:`~repro.dynamic.stream.SlidingWindowTruss`: duplicate live edges
-skipped, the oldest live edge expires beyond the window). The window
-transformation runs at drain time, in queue order, so dropping a queued
-arrival under ``drop-oldest`` can never strand a half-applied edge.
+With ``window=N`` the pipeline is the sliding-window stream: it keeps
+the ``k_max``-truss of the last ``N`` distinct edge *arrivals* alive. An
+arrival of an edge that is already live is skipped (counted in
+``stats.duplicates_skipped``), and once more than ``N`` edges are live the
+oldest one expires as a delete in the same batch. Per-event streaming is
+``batch_size=1``; larger batches give the same exact answers with fewer
+global recomputes. The window transformation runs at drain time, in
+queue order, so dropping a queued arrival under ``drop-oldest`` can never
+strand a half-applied edge.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from collections import deque
@@ -334,6 +338,11 @@ class IngestPipeline:
 
     def __exit__(self, exc_type, *_exc) -> None:
         if exc_type is None:
+            self.close()
+            return
+        # The block's own exception propagates, not a secondary one from
+        # draining what it left queued.
+        with contextlib.suppress(Exception):
             self.close()
 
     # ------------------------------------------------------------------ #

@@ -2,16 +2,11 @@
 
 from .memgraph import Graph, MutableGraph, canonical_edge_array
 from .disk_graph import DiskGraph
-from .edgelist import (
-    read_edgelist,
-    read_text_edgelist,
-    write_text_edgelist,
-    read_binary,
-    write_binary,
-    graph_to_bytes,
-    graph_from_bytes,
-    sniff_format,
-)
+from .edgelist import read_text_edgelist, write_text_edgelist
+# ``formats`` is imported by path, never from here: it pulls in
+# repro.persistence, whose devices and repro.engine import each other, a
+# cycle that resolves only when repro.engine loads first, and
+# ``import repro`` loads this package before it.
 from . import generators, datasets
 
 __all__ = [
@@ -19,14 +14,8 @@ __all__ = [
     "MutableGraph",
     "DiskGraph",
     "canonical_edge_array",
-    "read_edgelist",
     "read_text_edgelist",
     "write_text_edgelist",
-    "read_binary",
-    "write_binary",
-    "graph_to_bytes",
-    "graph_from_bytes",
-    "sniff_format",
     "generators",
     "datasets",
 ]

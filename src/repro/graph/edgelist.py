@@ -1,22 +1,15 @@
-"""Edge-list file I/O: text and binary formats, with format sniffing.
+"""Text edge-list file I/O.
 
-Supported formats
------------------
-* **text** — one ``u v`` pair per line; ``#`` and ``%`` comment lines are
-  skipped (SNAP / KONECT conventions). Vertices may be arbitrary
-  non-negative integers; :func:`read_edgelist` can optionally compact them.
-* **binary** — the library's on-disk image: a 16-byte header
-  (``magic, version, n, m``) followed by ``m`` little-endian int64 pairs,
-  canonicalised. This mirrors the paper's preprocessing step ("converted
-  into a binary adjacency list form ... using the standard external-memory
-  sorting algorithm"); conversion cost is excluded from algorithm timings,
-  exactly as the paper excludes it.
+One ``u v`` pair per line; ``#`` and ``%`` comment lines are skipped
+(SNAP / KONECT conventions). Vertices may be arbitrary non-negative
+integers; :func:`read_text_edgelist` can optionally compact them. The
+binary images (``.rgr``, compressed) and METIS live in
+:mod:`repro.graph.formats`, whose ``GRAPH_FORMATS`` table reads and
+writes every graph file ``repro convert`` produces.
 """
 
 from __future__ import annotations
 
-import io
-import struct
 from pathlib import Path
 from typing import List, Tuple, Union
 
@@ -24,10 +17,6 @@ import numpy as np
 
 from ..errors import GraphFormatError
 from .memgraph import Graph, canonical_edge_array
-
-_MAGIC = 0x54525553  # "TRUS"
-_VERSION = 1
-_HEADER = struct.Struct("<IIQQ")
 
 PathLike = Union[str, Path]
 
@@ -77,68 +66,3 @@ def write_text_edgelist(graph: Graph, path: PathLike) -> None:
         handle.write(f"# repro edge list: n={graph.n} m={graph.m}\n")
         for u, v in graph.edges:
             handle.write(f"{u} {v}\n")
-
-
-def write_binary(graph: Graph, path: PathLike) -> None:
-    """Write *graph* in the library's binary image format."""
-    with open(path, "wb") as handle:
-        handle.write(_HEADER.pack(_MAGIC, _VERSION, graph.n, graph.m))
-        handle.write(graph.edges.astype("<i8").tobytes())
-
-
-def read_binary(path: PathLike) -> Graph:
-    """Read a graph written by :func:`write_binary`."""
-    with open(path, "rb") as handle:
-        header = handle.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise GraphFormatError(f"{path}: truncated header")
-        magic, version, n, m = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise GraphFormatError(f"{path}: bad magic 0x{magic:08x}")
-        if version != _VERSION:
-            raise GraphFormatError(f"{path}: unsupported version {version}")
-        payload = handle.read(16 * m)
-        if len(payload) < 16 * m:
-            raise GraphFormatError(f"{path}: truncated edge payload")
-        edges = np.frombuffer(payload, dtype="<i8").reshape(-1, 2).astype(np.int64)
-    return Graph(n, edges)
-
-
-def sniff_format(path: PathLike) -> str:
-    """Return ``"binary"`` or ``"text"`` by inspecting the file head."""
-    with open(path, "rb") as handle:
-        head = handle.read(4)
-    if len(head) == 4 and struct.unpack("<I", head)[0] == _MAGIC:
-        return "binary"
-    return "text"
-
-
-def read_edgelist(path: PathLike) -> Graph:
-    """Read a graph from *path*, auto-detecting the format."""
-    if sniff_format(path) == "binary":
-        return read_binary(path)
-    return read_text_edgelist(path)
-
-
-def graph_to_bytes(graph: Graph) -> bytes:
-    """Serialise to the binary image format in memory (for tests/transport)."""
-    buffer = io.BytesIO()
-    buffer.write(_HEADER.pack(_MAGIC, _VERSION, graph.n, graph.m))
-    buffer.write(graph.edges.astype("<i8").tobytes())
-    return buffer.getvalue()
-
-
-def graph_from_bytes(payload: bytes) -> Graph:
-    """Inverse of :func:`graph_to_bytes`."""
-    if len(payload) < _HEADER.size:
-        raise GraphFormatError("payload shorter than header")
-    magic, version, n, m = _HEADER.unpack(payload[: _HEADER.size])
-    if magic != _MAGIC:
-        raise GraphFormatError(f"bad magic 0x{magic:08x}")
-    if version != _VERSION:
-        raise GraphFormatError(f"unsupported version {version}")
-    body = payload[_HEADER.size : _HEADER.size + 16 * m]
-    if len(body) < 16 * m:
-        raise GraphFormatError("truncated edge payload")
-    edges = np.frombuffer(body, dtype="<i8").reshape(-1, 2).astype(np.int64)
-    return Graph(n, edges)

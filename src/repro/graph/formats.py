@@ -1,17 +1,25 @@
-"""Additional graph file formats: METIS, compressed binary, and ``.rgr``.
+"""Graph file formats and the one table that reads and writes them all.
 
-* **METIS** — the classic partitioner format: a header line ``n m`` then
-  one line per vertex listing its (1-based) neighbours. Widely produced by
-  graph toolchains, so a reproduction repo should read and write it.
-* **Compressed binary** — a delta + varint encoding of the canonical edge
-  list. Edges are lexicographically sorted, so consecutive rows share
-  prefixes; the encoding stores ``(Δu, v − u)`` per edge with LEB128
-  varints, typically 3-6× smaller than the fixed 16-byte rows of
-  :func:`repro.graph.edgelist.write_binary`.
-* **``.rgr``** — the checksummed binary CSR image
+:data:`GRAPH_FORMATS` maps each format name to its ``(reader, writer)``
+pair; ``repro convert`` writes through it and every CLI graph operand is
+read through :func:`read_graph`.
+
+* **text** — ``u v`` per line (:mod:`repro.graph.edgelist`); the default
+  for any suffix not listed below.
+* **rgr** (``.rgr``) — the checksummed binary CSR image
   (:mod:`repro.persistence.graph_file`): loads with no per-edge Python,
-  the analogue of the paper's offline "binary adjacency list" conversion,
-  re-exported here.
+  the analogue of the paper's offline "binary adjacency list" conversion.
+* **metis** (``.metis``, ``.graph``) — the classic partitioner format: a
+  header line ``n m`` then one line per vertex listing its (1-based)
+  neighbours. Widely produced by graph toolchains.
+* **compressed** (``.cgr``) — a delta + varint encoding of the canonical
+  edge list. Edges are lexicographically sorted, so consecutive rows
+  share prefixes; the encoding stores ``(Δu, v − u)`` per edge with
+  LEB128 varints, typically 3-6× smaller than 16 bytes per edge.
+
+The two binary images carry a magic number, so :func:`graph_format`
+recognises them under any name; METIS and text share a character set,
+so METIS is told apart by its suffix.
 """
 
 from __future__ import annotations
@@ -24,7 +32,14 @@ import numpy as np
 
 from ..errors import GraphFormatError
 # The .rgr functions live in repro.persistence.graph_file; re-exported here.
-from ..persistence.graph_file import is_rgr, read_rgr, read_rgr_mapped, write_rgr  # noqa: F401
+from ..persistence.graph_file import (  # noqa: F401
+    RGR_MAGIC,
+    is_rgr,
+    read_rgr,
+    read_rgr_mapped,
+    write_rgr,
+)
+from .edgelist import read_text_edgelist, write_text_edgelist
 from .memgraph import Graph
 
 PathLike = Union[str, Path]
@@ -168,3 +183,45 @@ def read_compressed(path: PathLike) -> Graph:
     """Read a graph written by :func:`write_compressed`."""
     with open(path, "rb") as handle:
         return decompress_graph(handle.read())
+
+
+# --------------------------------------------------------------------- #
+# the format table
+# --------------------------------------------------------------------- #
+
+#: Format name -> ``(reader(path) -> Graph, writer(graph, path))``.
+GRAPH_FORMATS = {
+    "text": (read_text_edgelist, write_text_edgelist),
+    "rgr": (read_rgr, write_rgr),
+    "metis": (read_metis, write_metis),
+    "compressed": (read_compressed, write_compressed),
+}
+
+_SUFFIX_FORMATS = {
+    ".rgr": "rgr",
+    ".metis": "metis",
+    ".graph": "metis",
+    ".cgr": "compressed",
+}
+
+_MAGIC_FORMATS = {RGR_MAGIC: "rgr", struct.pack("<I", _CMAGIC): "compressed"}
+
+
+def format_for_suffix(path: PathLike) -> str:
+    """The format ``repro convert`` writes to *path*, by its suffix."""
+    return _SUFFIX_FORMATS.get(Path(path).suffix.lower(), "text")
+
+
+def graph_format(path: PathLike) -> str:
+    """The format of the existing file *path*: a binary image's magic
+    first, then METIS by suffix, else text."""
+    with open(path, "rb") as handle:
+        head = handle.read(4)
+    if head in _MAGIC_FORMATS:
+        return _MAGIC_FORMATS[head]
+    return "metis" if format_for_suffix(path) == "metis" else "text"
+
+
+def read_graph(path: PathLike) -> Graph:
+    """Read a graph file in whichever format :func:`graph_format` finds."""
+    return GRAPH_FORMATS[graph_format(path)][0](path)

@@ -43,16 +43,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..engine.config import DEFAULT_COLD_CACHE_MB, DEFAULT_HOT_EXTENTS
 from ..errors import DeviceError
 from ..storage import IOStats, PhysicalIOStats
 from ..storage.device import BlockDevice, DEFAULT_BLOCK_SIZE, DEFAULT_CACHE_BLOCKS
-
-#: Kept in sync with ``repro.engine.config`` (which owns the CLI-facing
-#: copies). No import in either direction: the engine package pulls this
-#: module in during its own init, so a module-level import here would
-#: cycle. ``tests/test_mmap_device.py`` pins the two pairs equal.
-DEFAULT_HOT_EXTENTS = ("truss", "tau", "heap", "offsets")
-DEFAULT_COLD_CACHE_MB = 64.0
 
 
 class MmapBlockDevice(BlockDevice):

@@ -9,7 +9,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.engine.config import CACHE_POLICIES, FSYNC_POLICIES, INGEST_BACKPRESSURE_POLICIES
 from repro.graph.edgelist import write_text_edgelist
-from repro.graph.generators import paper_example_graph
+from repro.graph.generators import complete_graph, paper_example_graph
 
 
 @pytest.fixture
@@ -126,6 +126,14 @@ class TestMaintain:
         updates.write_text("-0 7\n")  # absent edge
         assert main(["maintain", example_file, "--updates", str(updates)]) == 1
 
+    def test_unsigned_line_inserts(self, example_file, tmp_path, capsys):
+        updates = tmp_path / "updates.txt"
+        updates.write_text("0 4\n")
+        assert main(["maintain", example_file, "--updates", str(updates)]) == 0
+        out = capsys.readouterr().out
+        assert "insert (0,4): k_max 4 -> 5" in out
+        assert "final k_max: 5" in out
+
     def test_batch_mode(self, example_file, tmp_path, capsys):
         updates = tmp_path / "updates.txt"
         updates.write_text("+0 4\n")
@@ -135,6 +143,45 @@ class TestMaintain:
         out = capsys.readouterr().out
         assert "batch of 1 ops" in out
         assert "final k_max: 5" in out
+
+
+class TestUpdateGrammar:
+    """``maintain`` and ``ingest`` read one grammar: ``[+|-]u v``."""
+
+    @pytest.mark.parametrize("command", ["maintain", "ingest"])
+    @pytest.mark.parametrize("line", ["+x y", "x0 1", "+0 1 2", "+0"])
+    def test_malformed_line_exits_2(
+        self, example_file, tmp_path, capsys, command, line
+    ):
+        updates = tmp_path / "updates.txt"
+        updates.write_text(f"# stream\n\n{line}\n")
+        assert main([command, example_file, "--updates", str(updates)]) == 2
+        assert "line 3: malformed update" in capsys.readouterr().err
+
+    def test_window_rejects_deletes(self, tmp_path, capsys):
+        updates = tmp_path / "updates.txt"
+        updates.write_text("0 1\n-0 1\n")
+        assert main(["ingest", "--updates", str(updates), "--window", "4"]) == 2
+        assert "line 2: explicit deletes" in capsys.readouterr().err
+
+    def test_ingest_reads_signed_and_unsigned_lines(
+        self, example_file, tmp_path, capsys
+    ):
+        updates = tmp_path / "updates.txt"
+        updates.write_text("0 4\n-0 4\n+0 4\n")
+        assert main(["ingest", example_file, "--updates", str(updates)]) == 0
+        assert "final k_max: 5" in capsys.readouterr().out
+
+
+class TestGraphFiles:
+    @pytest.mark.parametrize("suffix", [".txt", ".rgr", ".metis", ".graph", ".cgr"])
+    def test_compute_reads_what_convert_writes(self, tmp_path, capsys, suffix):
+        source = tmp_path / "k6-source.txt"
+        write_text_edgelist(complete_graph(6), source)
+        target = tmp_path / f"k6{suffix}"
+        assert main(["convert", str(source), str(target)]) == 0
+        assert main(["compute", str(target)]) == 0
+        assert "k_max: 6" in capsys.readouterr().out
 
 
 class TestCommunity:

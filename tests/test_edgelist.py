@@ -1,17 +1,14 @@
-"""Tests for edge-list file I/O."""
+"""Tests for edge-list file I/O and the format table's reader."""
 
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph.edgelist import (
-    graph_from_bytes,
-    graph_to_bytes,
-    read_binary,
-    read_edgelist,
-    read_text_edgelist,
-    sniff_format,
-    write_binary,
-    write_text_edgelist,
+from repro.graph.edgelist import read_text_edgelist, write_text_edgelist
+from repro.graph.formats import (
+    GRAPH_FORMATS,
+    format_for_suffix,
+    graph_format,
+    read_graph,
 )
 from repro.graph.generators import complete_graph, paper_example_graph
 
@@ -67,61 +64,33 @@ class TestText:
             read_text_edgelist(path)
 
 
-class TestBinary:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "g.bin"
-        g = complete_graph(6)
-        write_binary(g, path)
-        back = read_binary(path)
+class TestReadGraph:
+    @pytest.mark.parametrize(
+        "suffix, expected",
+        [(".txt", "text"), (".rgr", "rgr"), (".metis", "metis"),
+         (".graph", "metis"), (".cgr", "compressed")],
+    )
+    def test_roundtrip_by_suffix(self, tmp_path, suffix, expected):
+        path = tmp_path / f"g{suffix}"
+        g = paper_example_graph()
+        assert format_for_suffix(path) == expected
+        GRAPH_FORMATS[expected][1](g, path)
+        assert graph_format(path) == expected
+        back = read_graph(path)
         assert back.n == g.n
         assert back.edge_pairs() == g.edge_pairs()
 
-    def test_truncated_header(self, tmp_path):
-        path = tmp_path / "g.bin"
-        path.write_bytes(b"\x00\x01")
-        with pytest.raises(GraphFormatError):
-            read_binary(path)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "g.bin"
-        path.write_bytes(b"\x00" * 24)
-        with pytest.raises(GraphFormatError):
-            read_binary(path)
-
-    def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "g.bin"
-        g = complete_graph(4)
-        write_binary(g, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(GraphFormatError):
-            read_binary(path)
-
-    def test_bytes_roundtrip(self):
-        g = paper_example_graph()
-        assert graph_from_bytes(graph_to_bytes(g)).edge_pairs() == g.edge_pairs()
-
-    def test_bytes_errors(self):
-        with pytest.raises(GraphFormatError):
-            graph_from_bytes(b"short")
-
-
-class TestSniffing:
-    def test_sniff_binary(self, tmp_path):
-        path = tmp_path / "g.bin"
-        write_binary(complete_graph(3), path)
-        assert sniff_format(path) == "binary"
-
-    def test_sniff_text(self, tmp_path):
+    @pytest.mark.parametrize("name", ["rgr", "compressed"])
+    def test_binary_image_detected_by_magic(self, tmp_path, name):
         path = tmp_path / "g.txt"
-        path.write_text("0 1\n")
-        assert sniff_format(path) == "text"
+        g = complete_graph(6)
+        GRAPH_FORMATS[name][1](g, path)
+        assert graph_format(path) == name
+        assert read_graph(path).edge_pairs() == g.edge_pairs()
 
-    def test_read_edgelist_dispatch(self, tmp_path):
-        g = complete_graph(4)
-        binary_path = tmp_path / "g.bin"
-        text_path = tmp_path / "g.txt"
-        write_binary(g, binary_path)
-        write_text_edgelist(g, text_path)
-        assert read_edgelist(binary_path).edge_pairs() == g.edge_pairs()
-        assert read_edgelist(text_path).edge_pairs() == g.edge_pairs()
+    def test_unknown_suffix_reads_as_text(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("0 1\n1 2\n")
+        assert format_for_suffix(path) == "text"
+        assert graph_format(path) == "text"
+        assert read_graph(path).edge_pairs() == [(0, 1), (1, 2)]

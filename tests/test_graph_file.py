@@ -137,11 +137,11 @@ class TestCli:
         assert main(["convert", "cagrqc-s", str(rgr)]) == 0
         assert main(["convert", str(rgr), str(text), "--to", "text"]) == 0
         direct = read_rgr(rgr)
-        from repro.graph.edgelist import read_edgelist
+        from repro.graph.edgelist import read_text_edgelist
 
         # Text edge lists compact vertex ids (isolated vertices vanish),
         # so compare label-invariant structure: size and decomposition.
-        round_tripped = read_edgelist(text)
+        round_tripped = read_text_edgelist(text)
         assert round_tripped.m == direct.m
         assert max_truss(round_tripped).k_max == max_truss(direct).k_max
 

@@ -7,11 +7,13 @@ decomposition must be bit-identical to per-op maintenance of exactly the
 events the pipeline *accepted* — which an in-memory oracle recomputes
 from scratch. The hypothesis sweep drives random edge streams across
 window sizes, batch sizes and backpressure policies; targeted tests pin
-down each policy, the age/pressure flush triggers, the threaded consumer,
-and error propagation.
+down the window rules, each policy, the age/pressure flush triggers, the
+threaded consumer, and error propagation.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import max_truss_edges
-from repro.dynamic import DynamicMaxTruss, IngestPipeline, SlidingWindowTruss
+from repro.dynamic import DynamicMaxTruss, IngestPipeline
 from repro.dynamic.workload import mixed_churn
 from repro.engine import EngineConfig
 from repro.errors import IngestError
@@ -35,6 +37,22 @@ def _random_edges(seed, count=60, n=12):
         if u != v:
             edges.append((u, v))
     return edges
+
+
+def _per_op_window(arrivals, window):
+    """Per-op reference: one ``insert`` per arrival of an edge that is not
+    live, one ``delete`` per expiration past the window."""
+    state = DynamicMaxTruss(Graph.empty(0))
+    live = deque()
+    for u, v in arrivals:
+        pair = (min(u, v), max(u, v))
+        if pair in live:
+            continue
+        state.insert(*pair)
+        live.append(pair)
+        if len(live) > window:
+            state.delete(*live.popleft())
+    return state
 
 
 def _window_oracle(arrivals, window):
@@ -62,14 +80,13 @@ class TestWindowExactness:
     )
     @settings(max_examples=20, deadline=None)
     def test_pipeline_matches_per_op_and_oracle(self, seed, window, batch_size):
-        """stream x window x batch_size: pipeline == SlidingWindowTruss
-        (per-event) == in-memory oracle, bit-identically."""
+        """stream x window x batch_size: pipeline == per-op maintenance
+        == in-memory oracle, bit-identically."""
         edges = _random_edges(seed)
         state = DynamicMaxTruss(Graph.empty(0))
         with IngestPipeline(state, window=window, batch_size=batch_size) as pipe:
             pipe.submit_many(edges)
-        reference = SlidingWindowTruss(window=window)
-        reference.push_many(edges)
+        reference = _per_op_window(edges, window)
         assert state.k_max == reference.k_max
         assert state.truss_pairs() == reference.truss_pairs()
         oracle_k, oracle_edges = _window_oracle(edges, window)
@@ -109,11 +126,107 @@ class TestWindowExactness:
         if policy == "block":
             assert stats.dropped == 0 and stats.rejected == 0
             assert accepted == edges
-        reference = SlidingWindowTruss(window=window)
-        reference.push_many(accepted)
+        reference = _per_op_window(accepted, window)
         assert state.k_max == reference.k_max
         assert state.truss_pairs() == reference.truss_pairs()
         assert stats.accepted == len(accepted) + stats.dropped
+
+
+class TestWindowSemantics:
+    def test_window_below_capacity(self):
+        state = DynamicMaxTruss(Graph.empty(0))
+        pipe = IngestPipeline(state, window=10)
+        pipe.submit_many([(0, 1), (1, 2), (0, 2)])
+        assert pipe.k_max == 3  # flushes
+        assert pipe.stats.arrivals == 3
+        assert pipe.stats.expirations == 0
+        pipe.close()
+
+    def test_expiration(self):
+        state = DynamicMaxTruss(Graph.empty(0))
+        pipe = IngestPipeline(state, window=3)
+        pipe.submit(0, 1)
+        pipe.submit(1, 2)
+        pipe.submit(0, 2)    # triangle alive
+        assert pipe.k_max == 3
+        pipe.submit(5, 6)    # evicts (0, 1): triangle broken
+        assert pipe.k_max == 2
+        assert pipe.stats.arrivals - pipe.stats.expirations == 3
+        assert pipe.truss_pairs() == [(0, 2), (1, 2), (5, 6)]
+        pipe.close()
+
+    def test_duplicates_skipped(self):
+        state = DynamicMaxTruss(Graph.empty(0))
+        with IngestPipeline(state, window=5) as pipe:
+            pipe.submit(0, 1)
+            pipe.submit(1, 0)
+        assert pipe.stats.duplicates_skipped == 1
+        assert pipe.stats.arrivals == 1
+        assert state.truss_pairs() == [(0, 1)]
+
+    def test_self_loop_rejected(self):
+        with IngestPipeline(DynamicMaxTruss(Graph.empty(0)), window=5) as pipe:
+            with pytest.raises(IngestError, match="self-loop"):
+                pipe.submit(3, 3)
+        assert pipe.stats.arrivals == 0
+
+    def test_invalid_parameters(self):
+        state = DynamicMaxTruss(Graph.empty(0))
+        with pytest.raises(IngestError):
+            IngestPipeline(state, window=0)
+        with pytest.raises(IngestError):
+            IngestPipeline(state, window=5, batch_size=0)
+
+    def test_window_stats_after_flush(self):
+        state = DynamicMaxTruss(Graph.empty(0))
+        pipe = IngestPipeline(state, window=4)
+        pipe.submit_many([(0, 1), (1, 2), (0, 2)])
+        assert pipe.k_max == 3  # flushes
+        assert pipe.stats.arrivals == 3
+        assert pipe.stats.applied_ops == 3
+        assert pipe.stats.flushes["manual"] == 1
+        assert pipe.stats.batches == 1
+        pipe.close()
+
+
+@pytest.mark.parametrize("batch_size", [1, 4])
+@pytest.mark.parametrize("window", [5, 12])
+def test_matches_reference_on_random_stream(batch_size, window):
+    """The window's answer equals the oracle mid-stream, not only at close."""
+    rng = np.random.default_rng(8)
+    edges = []
+    state = DynamicMaxTruss(Graph.empty(0))
+    with IngestPipeline(state, window=window, batch_size=batch_size) as pipe:
+        for step in range(40):
+            u, v = int(rng.integers(0, 10)), int(rng.integers(0, 10))
+            if u == v:
+                continue
+            edges.append((u, v))
+            pipe.submit(u, v)
+            if step % 7 == 0:
+                expected_k, expected_edges = _window_oracle(edges, window)
+                assert pipe.k_max == expected_k
+                assert pipe.truss_pairs() == expected_edges
+    expected_k, expected_edges = _window_oracle(edges, window)
+    assert state.k_max == expected_k
+    assert state.truss_pairs() == expected_edges
+
+
+def test_batched_equals_per_event():
+    rng = np.random.default_rng(3)
+    pairs = []
+    for _ in range(30):
+        u, v = int(rng.integers(0, 9)), int(rng.integers(0, 9))
+        if u != v:
+            pairs.append((u, v))
+    per_event = DynamicMaxTruss(Graph.empty(0))
+    batched = DynamicMaxTruss(Graph.empty(0))
+    with IngestPipeline(per_event, window=8, batch_size=1) as pipe:
+        pipe.submit_many(pairs)
+    with IngestPipeline(batched, window=8, batch_size=5) as pipe:
+        pipe.submit_many(pairs)
+    assert per_event.k_max == batched.k_max
+    assert per_event.truss_pairs() == batched.truss_pairs()
 
 
 class TestRawOps:
@@ -252,13 +365,27 @@ class TestTriggersAndModes:
         pipe.submit_many(edges)  # must block, never drop
         pipe.close()
         assert pipe.stats.dropped == 0 and pipe.stats.rejected == 0
-        reference = SlidingWindowTruss(window=20)
-        reference.push_many(edges)
+        reference = _per_op_window(edges, 20)
         assert state.k_max == reference.k_max
         assert state.truss_pairs() == reference.truss_pairs()
 
 
 class TestLifecycleAndErrors:
+    def test_raising_block_still_closes(self):
+        """A ``with`` block that raises on a started pipeline re-raises its
+        own error, stops the consumer and closes the pipeline."""
+        pipe = IngestPipeline(DynamicMaxTruss(Graph.empty(0)), batch_size=64)
+        with pytest.raises(RuntimeError, match="producer failed"):
+            with pipe.start():
+                consumer = pipe._thread
+                pipe.submit(0, 1)
+                raise RuntimeError("producer failed")
+        assert consumer.name == "ingest-consumer"
+        assert not consumer.is_alive()
+        assert pipe.queue_depth() == 0
+        with pytest.raises(IngestError, match="closed"):
+            pipe.submit(1, 2)
+
     def test_submit_after_close_raises(self):
         pipe = IngestPipeline(DynamicMaxTruss(Graph.empty(0)))
         pipe.close()

@@ -9,31 +9,25 @@ from repro.baselines import max_truss_edges
 from repro.core.k_truss import k_truss_semi_external
 from repro.dynamic import (
     DynamicMaxTruss,
-    SlidingWindowTruss,
+    IngestPipeline,
     load_checkpoint,
     save_checkpoint,
 )
 from repro.graph.datasets import load_dataset
-from repro.graph.edgelist import read_edgelist, write_binary, write_text_edgelist
-from repro.graph.formats import read_compressed, write_compressed
+from repro.graph.formats import GRAPH_FORMATS, read_graph
 from repro.graph.generators import planted_kmax_truss
+from repro.graph.memgraph import Graph
 
 
 class TestFileToAnswerPipelines:
     def test_text_binary_compressed_agree(self, tmp_path):
-        """One graph through all three formats yields one answer."""
+        """One graph through every format of the table yields one answer."""
         graph = load_dataset("cagrqc-s", seed=0)
-        text_path = tmp_path / "g.txt"
-        binary_path = tmp_path / "g.bin"
-        compressed_path = tmp_path / "g.srtz"
-        write_text_edgelist(graph, text_path)
-        write_binary(graph, binary_path)
-        write_compressed(graph, compressed_path)
-        answers = {
-            max_truss(read_edgelist(text_path)).k_max,
-            max_truss(read_edgelist(binary_path)).k_max,
-            max_truss(read_compressed(compressed_path)).k_max,
-        }
+        answers = set()
+        for name, (_reader, writer) in GRAPH_FORMATS.items():
+            path = tmp_path / f"g.{name}"
+            writer(graph, path)
+            answers.add(max_truss(read_graph(path)).k_max)
         assert len(answers) == 1
 
     def test_compute_then_navigate_hierarchy(self):
@@ -99,16 +93,15 @@ class TestMaintenanceLifecycle:
     def test_stream_on_dataset_edges(self):
         """Windowed stream over a real stand-in's edge sequence."""
         graph = load_dataset("diseasome-s", seed=0)
-        stream = SlidingWindowTruss(window=200, batch_size=8)
-        stream.push_many(graph.edge_pairs()[:400])
-        assert stream.k_max >= 2
-        assert stream.live_edge_count() == 200
+        state = DynamicMaxTruss(Graph.empty(0))
+        with IngestPipeline(state, window=200, batch_size=8) as pipe:
+            pipe.submit_many(graph.edge_pairs()[:400])
+        assert state.k_max >= 2
+        assert pipe.stats.arrivals - pipe.stats.expirations == 200
         # The reported truss satisfies the definition intrinsically.
-        from repro.graph.memgraph import Graph
-
-        truss = Graph.from_edges(stream.truss_pairs())
-        if stream.k_max >= 3:
-            assert int(truss.edge_supports().min()) >= stream.k_max - 2
+        truss = Graph.from_edges(state.truss_pairs())
+        if state.k_max >= 3:
+            assert int(truss.edge_supports().min()) >= state.k_max - 2
 
 
 class TestDeviceSharingAcrossPhases:
