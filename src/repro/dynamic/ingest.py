@@ -438,9 +438,11 @@ class IngestPipeline:
         ).observe(len(ops))
         start = self._clock()
         self._apply_ops(ops)
-        self.stats.apply_seconds += self._clock() - start
+        seconds = self._clock() - start
+        self.stats.apply_seconds += seconds
         self.stats.applied_ops += len(ops)
         metrics.counter("ingest.ops_applied").inc(len(ops))
+        metrics.histogram("ingest.batch_seconds").observe(seconds)
         if self.on_batch_applied is not None:
             self.on_batch_applied(len(ops))
 

@@ -22,8 +22,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import ArrayBoundsError
 from ..storage import BlockDevice, DiskArray, MemoryMeter
-from .memgraph import Graph
+from .memgraph import Graph, distinct_ids
 
 
 class DiskGraph:
@@ -201,7 +202,11 @@ class DiskGraph:
         :meth:`load_endpoints_many`; the new graph's construction charges
         sequential writes.
         """
-        edge_ids = np.unique(np.asarray(list(edge_ids), dtype=np.int64))
+        edge_ids = distinct_ids(
+            list(edge_ids), self.m, ArrayBoundsError(
+                f"gather indices out of bounds for {self.edge_endpoints.name!r}"
+            ),
+        )
         if len(edge_ids):
             self.load_endpoints_many(edge_ids)
         sub, node_map, edge_map = self._graph.subgraph_by_edges(edge_ids)

@@ -47,6 +47,13 @@ LabelItems = Tuple[Tuple[str, str], ...]
 
 
 def _label_key(labels: Dict[str, Any]) -> LabelItems:
+    # Serving looks up several instruments per request, each with at most
+    # one label: those keys need no generator and no sort.
+    if not labels:
+        return ()
+    if len(labels) == 1:
+        ((key, value),) = labels.items()
+        return ((key, str(value)),)
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 

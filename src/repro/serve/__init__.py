@@ -13,7 +13,8 @@ queries against it while ingestion keeps writing:
   carrying its snapshot id and charged-I/O bill from a read-only
   :class:`~repro.engine.context.ExecutionContext`;
 * :mod:`~repro.serve.server` / :mod:`~repro.serve.client` — the asyncio
-  TCP server behind ``repro serve`` (newline-delimited JSON) and the
+  TCP server behind ``repro serve`` (newline-delimited JSON; exact point
+  queries run on its event loop, the rest on worker threads) and the
   blocking client used by tests and CI;
 * :mod:`~repro.serve.partition` / :mod:`~repro.serve.router` — the
   vertex-range shard manifest behind ``repro partition`` and the

@@ -129,6 +129,11 @@ class TrussClient:
     def stats(self, precision: str = "exact", **extra) -> QueryAnswer:
         return self.request({"op": "stats", "precision": precision, **extra})
 
+    def metrics(self, **extra) -> QueryAnswer:
+        """The server process's metrics registry snapshot as ``result``
+        (``{"counters", "gauges", "histograms"}``)."""
+        return self.request({"op": "metrics", **extra})
+
     def shutdown(self) -> Dict[str, Any]:
         """Ask the server to drain and exit; returns the raw ack."""
         return self.request_raw({"op": "shutdown"})

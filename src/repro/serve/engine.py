@@ -49,6 +49,37 @@ LATENCY_BUCKETS = (
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0,
 )
 
+#: Block-count buckets for the ``serve.request_io`` histogram.
+IO_BUCKETS = (0, 1, 2, 4, 8, 16, 64, 256, 1024, 4096, 16384)
+
+#: Ops the server may run on its event loop when exact: the point lookups
+#: read ``O(deg/B)`` blocks, ``stats`` none, ``metrics`` copies the registry.
+_LOOP_OPS = frozenset({"membership", "trussness", "stats", "metrics"})
+
+
+def metrics_envelope(request_id: Any) -> Dict[str, Any]:
+    """The ``metrics`` op's answer: the live registry snapshot. It reads
+    no snapshot and touches no device, so its bill is zero and it is never
+    memoised."""
+    return ok_envelope(
+        request_id, "metrics", global_metrics().snapshot(), {},
+        {"read_ios": 0, "write_ios": 0, "bytes_read": 0}, 0.0,
+    )
+
+
+def _observe(op: str, seconds: float, read_ios: int) -> None:
+    """Per-op request instruments. A cache hit observes 0 read I/Os: it
+    touches no device, though its envelope keeps the original bill."""
+    metrics = global_metrics()
+    metrics.counter("serve.requests", op=op).inc()
+    metrics.counter("serve.charged_read_ios", op=op).inc(read_ios)
+    metrics.histogram(
+        "serve.query_seconds", buckets=LATENCY_BUCKETS, op=op
+    ).observe(seconds)
+    metrics.histogram("serve.request_io", buckets=IO_BUCKETS, op=op).observe(
+        read_ios
+    )
+
 
 @dataclass(frozen=True)
 class QueryAnswer:
@@ -145,8 +176,8 @@ class QueryEngine:
     """Executes protocol requests against a :class:`SnapshotManager`.
 
     Thread-safe: each :meth:`execute` pins its own snapshot and builds its
-    own read-only context/device, so the server can dispatch queries onto
-    worker threads freely while the promoter publishes.
+    own read-only context/device, so the server can run queries on its
+    event loop and on worker threads at once while the promoter publishes.
     """
 
     def __init__(
@@ -178,6 +209,20 @@ class QueryEngine:
     # protocol entry point
     # ------------------------------------------------------------------ #
 
+    def answers_on_loop(self, request: Dict[str, Any]) -> bool:
+        """Whether :meth:`execute` may run *request* on the server's event
+        loop: exact ``membership`` / ``trussness`` / ``stats`` (cache hits
+        included) and ``metrics``. Everything else — linear-work queries and
+        approx requests, whose first one builds the estimator — goes to the
+        executor under the query timeout.
+        """
+        op = request.get("op")
+        return (
+            isinstance(op, str)
+            and op in _LOOP_OPS
+            and request.get("precision", "exact") == "exact"
+        )
+
     def execute(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Answer one request dict with a response envelope.
 
@@ -189,6 +234,8 @@ class QueryEngine:
         op, params = validate_request(request)
         if op == "shutdown":
             raise ServeError("shutdown is a server operation, not a query")
+        if op == "metrics":
+            return metrics_envelope(request_id)
         start = time.perf_counter()
         cache_key = None
         with self.manager.pinned() as snapshot:
@@ -201,7 +248,7 @@ class QueryEngine:
                     # hit itself touches no device.
                     hit["id"] = request_id
                     hit["cached"] = True
-                    global_metrics().counter("serve.requests", op=op).inc()
+                    _observe(op, time.perf_counter() - start, 0)
                     return hit
             context = ExecutionContext(self.config, readonly=True)
             try:
@@ -231,12 +278,7 @@ class QueryEngine:
                 stored = dict(envelope)
                 stored.pop("id", None)
                 self.cache.put(cache_key, stored)
-        metrics = global_metrics()
-        metrics.counter("serve.requests", op=op).inc()
-        metrics.counter("serve.charged_read_ios", op=op).inc(bill.read_ios)
-        metrics.histogram(
-            "serve.query_seconds", buckets=LATENCY_BUCKETS
-        ).observe(elapsed)
+        _observe(op, elapsed, bill.read_ios)
         return envelope
 
     def _dispatch(

@@ -39,7 +39,16 @@ consult per query.
                                  whole snapshot or one trussness level;
                                  the router's gather primitive
 ``stats``                      — snapshot metadata (n, m, k_max, ...)
+``metrics``                    — the server process's metrics registry
+                                 snapshot (``serve.*`` instruments and
+                                 the rest; zero bill, never cached)
 ``shutdown``                   — ask the server to drain and exit
+
+A request line may hold at most :data:`MAX_LINE_BYTES` bytes before its
+newline. The server enforces that one cap (it is the stream limit of
+``repro serve``'s listener): an over-long line is skipped through its
+newline and answered ``bad_request`` with ``id: null``, and the
+connection goes on with the next line.
 """
 
 from __future__ import annotations
@@ -60,6 +69,7 @@ OPERATIONS: Dict[str, Tuple[Tuple[str, ...], Dict[str, Any]]] = {
     "hierarchy": ((), {"k": None}),
     "export": ((), {"k": None}),
     "stats": ((), {"precision": "exact"}),
+    "metrics": ((), {}),
     "shutdown": ((), {}),
 }
 
@@ -70,15 +80,19 @@ _INT_PARAMS = ("u", "v", "q", "k")
 #: state with a confidence interval (sublinear charged I/O).
 PRECISIONS = ("exact", "approx")
 
-#: Maximum request line the server will parse (1 MiB is generous for a
-#: protocol whose largest request is a handful of integers).
+#: Maximum request line, newline excluded (1 MiB is generous for a
+#: protocol whose largest request is a handful of integers). This is the
+#: cap the server enforces: its listener's stream limit.
 MAX_LINE_BYTES = 1 << 20
+
+#: The ``bad_request`` message of a line past :data:`MAX_LINE_BYTES`.
+OVERSIZED_LINE = f"request line exceeds {MAX_LINE_BYTES} bytes"
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:
     """Parse one request line into a dict (bad input raises ServeError)."""
-    if len(line) > MAX_LINE_BYTES:
-        raise ServeError(f"request line exceeds {MAX_LINE_BYTES} bytes")
+    if len(line) - line.endswith(b"\n") > MAX_LINE_BYTES:
+        raise ServeError(OVERSIZED_LINE)
     try:
         request = json.loads(line)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

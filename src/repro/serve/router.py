@@ -19,6 +19,10 @@ either — but executes against the per-shard images of a
   the union of shard exports *is* the full answer set, so answers are
   bit-identical to an unsharded engine over the same graph.
 
+``metrics`` answers the process's registry snapshot, as the single-image
+engine does. The router has no ``answers_on_loop`` method, so the server
+runs every routed request on its executor.
+
 Sharded envelopes replace the single ``snapshot`` stamp with
 ``{"sharded": true, "parts": [...]}`` listing every consulted shard's
 snapshot, and ``io`` is the **sum** of the consulted shards' bills.
@@ -55,7 +59,7 @@ from ..errors import ServeError
 from ..graph.memgraph import Graph
 from ..observability.metrics import global_metrics
 from ..observability.tracer import trace_span
-from .engine import QueryEngine
+from .engine import QueryEngine, metrics_envelope
 from .partition import PartitionManifest, load_manifest
 from .protocol import ok_envelope, request_id_of, validate_request
 from .snapshot import SnapshotManager
@@ -112,6 +116,8 @@ class ShardedRouter:
         op, params = validate_request(request)
         if op == "shutdown":
             raise ServeError("shutdown is a server operation, not a query")
+        if op == "metrics":
+            return metrics_envelope(request_id)
         if params.get("precision") == "approx":
             raise ServeError(
                 "precision=approx is not available on a sharded deployment: "

@@ -1,20 +1,40 @@
 """Asyncio TCP front end of the query service (``repro serve``).
 
 One connection carries any number of newline-delimited JSON requests;
-responses come back in request order per connection. Query execution is
-CPU-bound python, so each request is dispatched to the default thread
-pool (`run_in_executor`) — the event loop stays free to accept and read
-other connections, and the engine's per-request pin/context design makes
-concurrent execution safe.
+responses come back in request order per connection (a connection
+answers one request at a time). Where a request runs is the engine's
+call, through one duck-typed method the server looks up once:
+
+* **on the event loop** — requests for which the engine's
+  ``answers_on_loop(request)`` is true. :class:`QueryEngine` says so for
+  exact ``membership`` / ``trussness`` / ``stats`` (their result-cache
+  hits included) and ``metrics``: a point lookup reads one adjacency
+  slice plus one trussness cell, ``O(deg/B)`` blocks, so handing it to a
+  thread would cost more than the answer. These requests have **no
+  timeout**; they cannot run long;
+* **on the default thread pool** (`run_in_executor`) under the
+  per-query timeout — everything else: ``community`` / ``hierarchy`` /
+  ``export``, ``precision: "approx"`` requests (the first one builds the
+  estimator), and every request of an engine without the method
+  (:class:`~repro.serve.router.ShardedRouter`, test doubles). The event
+  loop stays free to accept and read other connections meanwhile, and
+  the engine's per-request pin/context design makes concurrent execution
+  safe.
+
+``serve.dispatch{path=loop|executor}`` counts the two paths, each
+request once its answer is written.
 
 Lifecycle guarantees:
 
-* **per-query timeout** (``serve_query_timeout``): a query past budget is
-  answered with a ``timeout`` error envelope (its worker finishes in the
-  background; the connection stays usable);
+* **per-query timeout** (``serve_query_timeout``, executor path only): a
+  query past budget is answered with a ``timeout`` error envelope (its
+  worker finishes in the background; the connection stays usable);
 * **error envelopes**: malformed input and engine errors answer
   ``bad_request``, unexpected exceptions answer ``internal`` — a bad
-  request never kills the connection, let alone the server;
+  request never kills the connection, let alone the server. A line past
+  :data:`~repro.serve.protocol.MAX_LINE_BYTES` (the listener's stream
+  limit) is skipped through its newline and answered ``bad_request``
+  with ``id: null``;
 * **graceful shutdown** (the ``shutdown`` op, or :meth:`TrussServer.stop`):
   the listener closes first, in-flight requests drain and answer, then
   connections close and :meth:`serve_forever` returns.
@@ -24,12 +44,14 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ServeError
 from ..observability.metrics import global_metrics
 from .engine import QueryEngine
 from .protocol import (
+    MAX_LINE_BYTES,
+    OVERSIZED_LINE,
     decode_line,
     encode_envelope,
     error_envelope,
@@ -37,9 +59,36 @@ from .protocol import (
 )
 
 
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line (``b""`` at end of stream), or None for a
+    line past the stream limit, which is then skipped through its newline.
+
+    ``StreamReader.readline`` will not do: past the limit it raises
+    ``ValueError`` whether or not the newline has arrived yet, and when it
+    has not, the line's tail would read as the next request.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # an unterminated last line, or b"" at EOF
+    except asyncio.LimitOverrunError as exc:
+        overrun = exc.consumed
+    while True:
+        try:
+            await reader.readexactly(overrun)
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            overrun = exc.consumed
+
+
 class TrussServer:
     """The asyncio TCP server wrapping a :class:`QueryEngine`-compatible
-    executor (:class:`~repro.serve.router.ShardedRouter` fits too).
+    executor (:class:`~repro.serve.router.ShardedRouter` fits too). An
+    engine with an ``answers_on_loop(request)`` method has the requests it
+    accepts run on the event loop; the rest run on the thread pool.
 
     Example
     -------
@@ -57,6 +106,7 @@ class TrussServer:
         query_timeout: Optional[float] = 30.0,
     ) -> None:
         self.engine = engine
+        self._on_loop = getattr(engine, "answers_on_loop", None)
         self.host = host
         self.port = port
         self.query_timeout = query_timeout
@@ -79,7 +129,8 @@ class TrussServer:
         self._drained = asyncio.Event()
         self._drained.set()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port,
+            limit=MAX_LINE_BYTES,
         )
         self.address = self._server.sockets[0].getsockname()[:2]
         return self.address
@@ -124,19 +175,34 @@ class TrussServer:
         try:
             while not self.stopping:
                 try:
-                    line = await reader.readline()
-                except (ConnectionResetError, asyncio.LimitOverrunError):
+                    line = await _read_line(reader)
+                except ConnectionResetError:
                     break
-                if not line:
+                if line is None:
+                    global_metrics().counter(
+                        "serve.errors", type="bad_request"
+                    ).inc()
+                    writer.write(encode_envelope(
+                        error_envelope(None, "bad_request", OVERSIZED_LINE)
+                    ))
+                elif not line:
                     break
-                if not line.strip():
+                elif not line.strip():
                     continue
-                self._track(+1)
-                try:
-                    envelope = await self._answer(line)
-                finally:
-                    self._track(-1)
-                writer.write(encode_envelope(envelope))
+                else:
+                    # In flight until its answer is handed to the transport;
+                    # the dispatch is counted after that, off the answer's
+                    # path.
+                    self._track(+1)
+                    try:
+                        envelope, path = await self._answer(line)
+                        writer.write(encode_envelope(envelope))
+                    finally:
+                        self._track(-1)
+                    if path is not None:
+                        global_metrics().counter(
+                            "serve.dispatch", path=path
+                        ).inc()
                 try:
                     await writer.drain()
                 except ConnectionResetError:
@@ -146,8 +212,13 @@ class TrussServer:
                 writer.close()
                 await writer.wait_closed()
 
-    async def _answer(self, line: bytes) -> Dict[str, Any]:
+    async def _answer(
+        self, line: bytes
+    ) -> Tuple[Dict[str, Any], Optional[str]]:
+        """One request line's envelope, and the path the engine ran it on
+        (``"loop"`` / ``"executor"``; None when no engine ran)."""
         request: Optional[Dict[str, Any]] = None
+        path: Optional[str] = None
         try:
             request = decode_line(line)
             if request.get("op") == "shutdown":
@@ -157,28 +228,25 @@ class TrussServer:
                     "ok": True,
                     "op": "shutdown",
                     "result": {"draining": True},
-                }
-            loop = asyncio.get_running_loop()
-            future = loop.run_in_executor(None, self.engine.execute, request)
-            envelope = await asyncio.wait_for(future, self.query_timeout)
+                }, None
+            if self._on_loop is not None and self._on_loop(request):
+                path = "loop"
+                envelope = self.engine.execute(request)
+            else:
+                path = "executor"
+                loop = asyncio.get_running_loop()
+                future = loop.run_in_executor(None, self.engine.execute, request)
+                envelope = await asyncio.wait_for(future, self.query_timeout)
             self.requests_served += 1
-            return envelope
+            return envelope, path
         except asyncio.TimeoutError:
-            global_metrics().counter("serve.errors", type="timeout").inc()
-            return error_envelope(
-                request_id_of(request), "timeout",
-                f"query exceeded {self.query_timeout}s",
-            )
+            error = ("timeout", f"query exceeded {self.query_timeout}s")
         except ServeError as exc:
-            global_metrics().counter("serve.errors", type="bad_request").inc()
-            return error_envelope(request_id_of(request), "bad_request", str(exc))
+            error = ("bad_request", str(exc))
         except Exception as exc:  # noqa: BLE001 - a query must never kill the server
-            global_metrics().counter("serve.errors", type="internal").inc()
-            return error_envelope(
-                request_id_of(request), "internal",
-                f"{type(exc).__name__}: {exc}",
-            )
-
+            error = ("internal", f"{type(exc).__name__}: {exc}")
+        global_metrics().counter("serve.errors", type=error[0]).inc()
+        return error_envelope(request_id_of(request), *error), path
 
 def run_server(
     engine: QueryEngine,

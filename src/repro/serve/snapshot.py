@@ -363,7 +363,12 @@ class Promoter:
             return None
         frontier, n, edges = state
         current = self.manager.current()
-        if current is not None and frontier <= current.wal_seq:
+        # WAL records the served snapshot lacks at this tick (0 if current).
+        served = current.wal_seq if current is not None else 0
+        global_metrics().gauge("serve.snapshot_lag_records").set(
+            max(0, frontier - served)
+        )
+        if current is not None and frontier <= served:
             self.stats.skipped += 1
             return None
         graph = Graph.from_edges(sorted(edges), n=n)

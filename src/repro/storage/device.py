@@ -401,12 +401,18 @@ class BlockDevice:
             size = self._extents[extents][1]
             outside = int((offsets + lengths).max()) > size
         else:
-            known = np.unique(extents).tolist()
+            # Ids come from a counter, so a bincount over them is small;
+            # range-check first (a negative id cannot be counted).
+            low, high = int(extents.min()), int(extents.max())
+            if low < 0 or high >= self._next_extent:
+                raise DeviceError(f"unknown extent id {low if low < 0 else high}")
+            known = np.flatnonzero(np.bincount(extents)).tolist()
             for extent in known:
                 if extent not in self._extents:
                     raise DeviceError(f"unknown extent id {extent}")
-            sizes = np.array([self._extents[extent][1] for extent in known], dtype=np.int64)
-            outside = bool(np.any(offsets + lengths > sizes[np.searchsorted(known, extents)]))
+            sizes = np.zeros(high + 1, dtype=np.int64)
+            sizes[known] = [self._extents[extent][1] for extent in known]
+            outside = bool(np.any(offsets + lengths > sizes[extents]))
         scalar_length = isinstance(lengths, int)
         min_length = lengths if scalar_length else int(lengths.min())
         if outside or min_length < 0 or int(offsets.min()) < 0:

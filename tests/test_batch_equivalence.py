@@ -239,6 +239,7 @@ def test_replay_validates_before_charging(device_class):
         (np.array([0, 1, 2]), np.array([0, 10, 70]), np.array([8, 8, 8]), False),  # past the end
         (np.array([0, 1, 2]), np.array([0, 10, -1]), 4, False),  # negative offset
         (np.array([0, 1, 9]), np.array([0, 10, 0]), 8, False),  # unknown extent
+        (np.array([0, -1]), np.array([0, 10]), 8, False),  # negative extent id
         (np.array([0, 1]), np.array([0, 10]), np.array([8, -8]), False),  # negative length
     ]
     for bad in bad_traces:

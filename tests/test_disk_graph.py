@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import DeviceError
 from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import complete_graph, gnm_random, paper_example_graph
 from repro.storage import BlockDevice, MemoryMeter
@@ -88,6 +89,14 @@ class TestSubgraphs:
         sub, node_map, edge_map = dg.edge_subgraph([0, 1, 2])
         assert sub.m == 3
         assert list(edge_map) == [0, 1, 2]
+
+    def test_edge_subgraph_rejects_out_of_range_ids(self, setup):
+        dg, device, _ = setup
+        before = device.stats.snapshot()
+        for bad in ([0, -1], [0, dg.m]):
+            with pytest.raises(DeviceError):
+                dg.edge_subgraph(bad)
+        assert device.stats.snapshot() == before
 
     def test_release_frees_disk(self):
         device = BlockDevice(block_size=64, cache_blocks=8)

@@ -16,7 +16,14 @@ Three families of guarantees:
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro import EngineConfig, ExecutionContext, list_backends, max_truss
 from repro.core.api import available_methods
@@ -470,3 +477,38 @@ class TestTracingGuards:
         adj = next(e for e in summary["extents"] if e["extent"] == "G.adj")
         assert adj["touches"] >= adj["read_ios"]
         assert any(name.startswith("cache.hit_ratio") for name in gauges)
+
+
+#: A static computation per charged method and a dynamic global phase
+#: plus one delete/insert, then whether ``numpy.ma`` was ever imported.
+_FOOTPRINT_SCRIPT = """
+import sys
+from repro import EngineConfig, ExecutionContext, max_truss
+from repro.dynamic import DynamicMaxTruss
+from repro.graph.generators import gnm_random
+
+graph = gnm_random(60, 600, seed=3)
+for method in ("semi-binary", "semi-greedy-core", "semi-lazy-update"):
+    with ExecutionContext(EngineConfig()) as context:
+        max_truss(graph, method=method, context=context)
+state = DynamicMaxTruss(graph)
+state.global_phase(state.k_max)
+u, v = (int(x) for x in graph.edges[0])
+state.delete(u, v)
+state.insert(u, v)
+print("numpy.ma" in sys.modules)
+"""
+
+
+class TestImportFootprint:
+    def test_static_and_dynamic_paths_leave_numpy_ma_out(self):
+        # numpy 2.x's flag-free np.unique imports numpy.ma (about 1.3 MiB
+        # resident); the charged paths use mask/bincount forms instead.
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"

@@ -27,6 +27,7 @@ from repro.engine import EngineConfig
 from repro.errors import IngestError
 from repro.graph.generators import gnm_random, paper_example_graph
 from repro.graph.memgraph import Graph
+from repro.observability.metrics import global_metrics, pop_metrics, push_metrics
 
 
 def _random_edges(seed, count=60, n=12):
@@ -265,6 +266,21 @@ class TestRawOps:
         assert recovered.state.k_max == expected.k_max
         assert recovered.state.truss_pairs() == expected.truss_pairs()
         recovered.close()
+
+    def test_batch_metrics(self):
+        push_metrics()
+        try:
+            state = DynamicMaxTruss(Graph.empty(0))
+            with IngestPipeline(state, batch_size=2) as pipe:
+                for u, v in ((0, 1), (1, 2), (0, 2)):
+                    pipe.submit(u, v)
+            histograms = global_metrics().snapshot()["histograms"]
+        finally:
+            pop_metrics()
+        assert histograms["ingest.batch_size"]["sum"] == 3
+        timed = histograms["ingest.batch_seconds"]
+        assert timed["count"] == histograms["ingest.batch_size"]["count"] == 2
+        assert timed["sum"] == pytest.approx(pipe.stats.apply_seconds)
 
     def test_submit_defaults_to_insert(self):
         state = DynamicMaxTruss(Graph.empty(0))

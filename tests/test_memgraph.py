@@ -253,6 +253,11 @@ class TestSubgraphs:
             g.subgraph_by_nodes([5])
         with pytest.raises(GraphFormatError):
             g.subgraph_by_edges([10])
+        # a negative id must not wrap around to the last vertex or edge
+        with pytest.raises(GraphFormatError):
+            g.subgraph_by_nodes([0, -1])
+        with pytest.raises(GraphFormatError):
+            g.subgraph_by_edges([0, -1])
 
     def test_edge_induced_support(self):
         g = complete_graph(4)

@@ -8,6 +8,8 @@ server end to end (including timeout envelopes and graceful drain).
 
 from __future__ import annotations
 
+import json
+import logging
 import threading
 import time
 from queue import Queue
@@ -21,14 +23,22 @@ from repro.engine import EngineConfig, ExecutionContext
 from repro.errors import DeviceError, ServeError
 from repro.graph.generators import gnm_random, paper_example_graph
 from repro.graph.memgraph import Graph
+from repro.observability.metrics import pop_metrics, push_metrics
 from repro.persistence.recovery import DurableMaintenance, durable_from_graph
 from repro.serve import (
     Promoter,
     QueryEngine,
+    ShardedRouter,
     SnapshotManager,
     TrussClient,
+    write_partition,
 )
-from repro.serve.protocol import decode_line, request_id_of, validate_request
+from repro.serve.protocol import (
+    MAX_LINE_BYTES,
+    decode_line,
+    request_id_of,
+    validate_request,
+)
 from repro.serve.server import run_server
 from repro.storage.device import count_block_touches
 from repro.serve.snapshot import bootstrap_manager
@@ -136,6 +146,23 @@ class TestPromoter:
         assert snapshot.graph.m == 5
         oracle = truss_decomposition(snapshot.graph)
         assert (snapshot.trussness == oracle).all()
+        durable.close()
+
+    def test_promote_reports_snapshot_lag(self, tmp_path):
+        durable = durable_from_graph(triangle_graph(), tmp_path)
+        manager = bootstrap_manager(tmp_path)
+        promoter = Promoter(manager, tmp_path)
+        durable.insert(2, 3)
+        durable.insert(1, 3)
+        registry = push_metrics()
+        try:
+            promoter.promote_once()
+            lagged = registry.gauge("serve.snapshot_lag_records").value
+            promoter.promote_once()
+            caught_up = registry.gauge("serve.snapshot_lag_records").value
+        finally:
+            pop_metrics()
+        assert (lagged, caught_up) == (2, 0)
         durable.close()
 
     def test_promote_skips_stale_frontier(self, tmp_path):
@@ -481,6 +508,27 @@ def _serve_in_thread(engine, query_timeout=30.0):
     return thread, host, port
 
 
+class ThreadRecording(QueryEngine):
+    """A real engine that notes which thread ran each request (by id)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.threads = {}
+
+    def execute(self, request):
+        self.threads[request.get("id")] = threading.get_ident()
+        return super().execute(request)
+
+
+def _pipeline(host, port, requests):
+    """Send every request on one connection in one write; read the answers."""
+    with TrussClient(host, port) as client:
+        client._sock.sendall(b"".join(
+            json.dumps(request).encode() + b"\n" for request in requests
+        ))
+        return [json.loads(client._recv.readline()) for _ in requests]
+
+
 class TestServer:
     def test_end_to_end_queries_and_shutdown(self):
         graph = paper_example_graph()
@@ -593,3 +641,206 @@ class TestServer:
                 client.shutdown()
             thread.join(timeout=10)
         durable.close()
+
+    # Dispatch: exact point ops (and their cache hits) and ``metrics`` run
+    # on the event loop, everything else on the executor under the timeout.
+    LOOP = [
+        {"id": "m", "op": "membership", "u": 0, "v": 1, "k": 3},
+        {"id": "m-hit", "op": "membership", "u": 0, "v": 1, "k": 3},
+        {"id": "t", "op": "trussness", "u": 0, "v": 1},
+        {"id": "t-hit", "op": "trussness", "u": 0, "v": 1},
+        {"id": "s", "op": "stats"},
+        {"id": "s-hit", "op": "stats", "precision": "exact"},
+        {"id": "metrics", "op": "metrics"},
+    ]
+    EXECUTOR = [
+        {"id": "c", "op": "community", "q": 0},
+        {"id": "h", "op": "hierarchy"},
+        {"id": "e", "op": "export", "k": 3},
+        {"id": "am", "op": "membership", "u": 0, "v": 1, "k": 3,
+         "precision": "approx"},
+        {"id": "at", "op": "trussness", "u": 0, "v": 1, "precision": "approx"},
+        {"id": "as", "op": "stats", "precision": "approx"},
+    ]
+
+    def test_exact_point_ops_and_hits_run_on_the_loop_thread(self):
+        engine = ThreadRecording(SnapshotManager.initial(paper_example_graph()))
+        thread, host, port = _serve_in_thread(engine)
+        envelopes = _pipeline(host, port, self.LOOP + self.EXECUTOR)
+        assert all(envelope["ok"] for envelope in envelopes), envelopes
+        cached = {e["id"] for e in envelopes if e.get("cached")}
+        assert {"m-hit", "t-hit", "s-hit"} <= cached
+        for request in self.LOOP:
+            assert engine.threads[request["id"]] == thread.ident, request
+        for request in self.EXECUTOR:
+            assert engine.threads[request["id"]] != thread.ident, request
+        with TrussClient(host, port) as client:
+            client.shutdown()
+        thread.join(timeout=10)
+
+    def test_executor_ops_still_time_out_and_the_connection_goes_on(self):
+        release = threading.Event()
+
+        class SlowOffLoop(QueryEngine):
+            def execute(self, request):
+                if not self.answers_on_loop(request):
+                    release.wait(timeout=10)
+                return super().execute(request)
+
+        engine = SlowOffLoop(SnapshotManager.initial(paper_example_graph()))
+        thread, host, port = _serve_in_thread(engine, query_timeout=0.05)
+        try:
+            envelopes = _pipeline(host, port, self.EXECUTOR + [self.LOOP[0]])
+        finally:
+            release.set()
+        for envelope, request in zip(envelopes, self.EXECUTOR):
+            assert envelope["id"] == request["id"]
+            assert envelope["ok"] is False
+            assert envelope["error"]["type"] == "timeout"
+        assert envelopes[-1]["id"] == "m" and envelopes[-1]["ok"] is True
+        with TrussClient(host, port) as client:
+            client.shutdown()
+        thread.join(timeout=10)
+
+    def test_pipelined_mixed_requests_answer_in_order(self):
+        graph = paper_example_graph()
+        oracle = truss_decomposition(graph)
+        engine = QueryEngine(SnapshotManager.initial(graph))
+        thread, host, port = _serve_in_thread(engine)
+        requests = []
+        for eid in range(graph.m):
+            u, v = (int(x) for x in graph.edges[eid])
+            requests.append({"id": eid, "op": "trussness", "u": u, "v": v})
+            requests.append({"id": f"h{eid}", "op": "hierarchy"})
+        requests.append({"id": "bad", "op": "membership", "u": 0})
+        requests.append({"id": "last", "op": "stats"})
+        envelopes = _pipeline(host, port, requests)
+        assert [e["id"] for e in envelopes] == [r["id"] for r in requests]
+        for eid in range(graph.m):
+            assert envelopes[2 * eid]["result"]["trussness"] == int(oracle[eid])
+            assert envelopes[2 * eid + 1]["result"]["k_max"] == int(oracle.max())
+        assert envelopes[-2]["error"]["type"] == "bad_request"
+        assert envelopes[-1]["result"]["m"] == graph.m
+        with TrussClient(host, port) as client:
+            client.shutdown()
+        thread.join(timeout=10)
+
+    def test_inline_errors_are_wrapped_and_the_connection_stays_usable(self):
+        class Faulty(ThreadRecording):
+            def _stats(self, reader):
+                raise RuntimeError("inline boom")
+
+        graph = paper_example_graph()
+        engine = Faulty(SnapshotManager.initial(graph))
+        thread, host, port = _serve_in_thread(engine)
+        u, v = (int(x) for x in graph.edges[0])
+        envelopes = _pipeline(host, port, [
+            {"id": "range", "op": "trussness", "u": 0, "v": graph.n},
+            {"id": "boom", "op": "stats"},
+            {"id": "ok", "op": "trussness", "u": u, "v": v},
+        ])
+        assert envelopes[0]["error"]["type"] == "bad_request"
+        assert "out of range" in envelopes[0]["error"]["message"]
+        assert envelopes[1]["error"]["type"] == "internal"
+        assert "inline boom" in envelopes[1]["error"]["message"]
+        assert envelopes[2]["ok"] is True
+        assert {engine.threads[rid] for rid in ("range", "boom", "ok")} == {
+            thread.ident
+        }
+        with TrussClient(host, port) as client:
+            client.shutdown()
+        thread.join(timeout=10)
+
+    def test_metrics_op_counts_both_paths(self):
+        push_metrics()
+        try:
+            graph = paper_example_graph()
+            engine = QueryEngine(SnapshotManager.initial(graph))
+            thread, host, port = _serve_in_thread(engine)
+            u, v = (int(x) for x in graph.edges[0])
+            with TrussClient(host, port) as client:
+                for _ in range(3):
+                    client.membership(u, v, k=3)
+                client.hierarchy()
+                answer = client.metrics()
+                assert answer.op == "metrics"
+                assert answer.read_ios == 0
+                counters = answer.result["counters"]
+                histograms = answer.result["histograms"]
+                # counted once answered: the metrics request is not yet
+                assert counters["serve.dispatch{path=loop}"] == 3
+                assert counters["serve.dispatch{path=executor}"] == 1
+                assert counters["serve.requests{op=membership}"] == 3
+                # the two cache hits are timed too, and read no block
+                timed = histograms["serve.query_seconds{op=membership}"]
+                assert timed["count"] == 3
+                io = histograms["serve.request_io{op=membership}"]
+                assert io["count"] == 3
+                assert io["buckets"]["0.0"] == 2
+                assert io["sum"] == counters["serve.charged_read_ios{op=membership}"]
+                assert histograms["serve.request_io{op=hierarchy}"]["count"] == 1
+                client.shutdown()
+            thread.join(timeout=10)
+        finally:
+            pop_metrics()
+
+    def test_sharded_server_counts_only_executor_dispatch(self, tmp_path):
+        graph = gnm_random(40, 160, seed=2)
+        write_partition(graph, tmp_path, shards=3)
+        push_metrics()
+        try:
+            with ShardedRouter(str(tmp_path)) as router:
+                thread, host, port = _serve_in_thread(router)
+                u, v = (int(x) for x in graph.edges[0])
+                with TrussClient(host, port) as client:
+                    client.membership(u, v, k=3)
+                    client.stats()
+                    client.hierarchy()
+                    counters = client.metrics().result["counters"]
+                    client.shutdown()
+                thread.join(timeout=10)
+        finally:
+            pop_metrics()
+        assert counters["serve.dispatch{path=executor}"] == 3
+        assert "serve.dispatch{path=loop}" not in counters
+
+
+class TestLineCap:
+    """The protocol's 1 MiB line cap is the listener's stream limit."""
+
+    def test_a_70kb_line_is_parsed(self):
+        engine = QueryEngine(SnapshotManager.initial(paper_example_graph()))
+        thread, host, port = _serve_in_thread(engine)
+        padded = {"id": "big", "op": "stats", "pad": "x" * 70_000}
+        with TrussClient(host, port) as client:
+            envelope = client.request_raw(padded)
+            assert envelope["ok"] is True and envelope["id"] == "big"
+            client.shutdown()
+        thread.join(timeout=10)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_oversized_line_answers_bad_request_then_goes_on(self, caplog, split):
+        # split: the line's newline arrives after the server has already
+        # overrun its limit, so the tail must be skipped, not parsed.
+        engine = QueryEngine(SnapshotManager.initial(paper_example_graph()))
+        thread, host, port = _serve_in_thread(engine)
+        head = b'{"op": "stats", "pad": "' + b"x" * (MAX_LINE_BYTES + 4096)
+        tail = b'"}\n{"op": "stats", "id": "after"}\n'
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with TrussClient(host, port) as client:
+                if split:
+                    client._sock.sendall(head)
+                    time.sleep(0.2)
+                    client._sock.sendall(tail)
+                else:
+                    client._sock.sendall(head + tail)
+                rejected = json.loads(client._recv.readline())
+                assert rejected["ok"] is False
+                assert rejected["id"] is None
+                assert rejected["error"]["type"] == "bad_request"
+                assert str(MAX_LINE_BYTES) in rejected["error"]["message"]
+                answer = json.loads(client._recv.readline())
+                assert answer["id"] == "after" and answer["ok"] is True
+                client.shutdown()
+            thread.join(timeout=10)
+        assert not [r for r in caplog.records if "Unhandled" in r.getMessage()]
