@@ -20,7 +20,7 @@ from repro.core.semi_binary import (
 )
 from repro.graph.disk_graph import DiskGraph
 from repro.semiexternal.support import compute_supports
-from repro.storage import BlockDevice, MemoryMeter
+from repro.storage import DEFAULT_BLOCK_SIZE, BlockDevice, MemoryMeter, semi_external_cache_blocks
 
 from conftest import BenchReport
 
@@ -31,7 +31,9 @@ REPORT = BenchReport(
 
 
 def _search_with_bounds(graph, lower_bound_name):
-    device = BlockDevice.for_semi_external(graph.n)
+    device = BlockDevice(
+        cache_blocks=semi_external_cache_blocks(graph.n, DEFAULT_BLOCK_SIZE)
+    )
     memory = MemoryMeter()
     disk_graph = DiskGraph(graph, device, memory, name="G")
     scan = compute_supports(disk_graph)

@@ -88,13 +88,13 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro import EngineConfig, ExecutionContext, max_truss
+from repro.engine import make_device
 from repro.dynamic import DynamicMaxTruss, apply_batch
 from repro.dynamic.workload import mixed_churn
 from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import gnm_random
-from repro.persistence import FileBlockDevice, MmapBlockDevice
 from repro.semiexternal.support import compute_supports, compute_supports_reference
-from repro.storage import BlockDevice, MemoryMeter, ReferenceBlockDevice
+from repro.storage import MemoryMeter
 
 SPEEDUP_THRESHOLD = 3.0
 
@@ -120,6 +120,11 @@ SMOKE_SCAN_GRAPH = dict(n=120, m=2_000, seed=3)
 # --------------------------------------------------------------------- #
 # support-scan access trace (the microbenchmark workload)
 # --------------------------------------------------------------------- #
+
+
+def _semi_external_device(backend: str, num_vertices: int, **fields):
+    """A *backend* device with the semi-external pool for *num_vertices*."""
+    return make_device(EngineConfig(backend=backend, **fields), num_vertices)
 
 
 def _replay_support_trace(graph, device, batched: bool) -> float:
@@ -167,9 +172,9 @@ def bench_support_scan_accounting(graph, reps: int) -> dict:
     fast_times, ref_times = [], []
     total_ios = None
     for _ in range(reps):
-        fast_device = BlockDevice.for_semi_external(graph.n)
+        fast_device = _semi_external_device("simulated", graph.n)
         fast_times.append(_replay_support_trace(graph, fast_device, batched=True))
-        ref_device = ReferenceBlockDevice.for_semi_external(graph.n)
+        ref_device = _semi_external_device("reference", graph.n)
         ref_times.append(_replay_support_trace(graph, ref_device, batched=False))
         if fast_device.stats != ref_device.stats:
             raise AssertionError(
@@ -192,13 +197,13 @@ def bench_support_scan_e2e(graph, reps: int) -> dict:
     fast_times, ref_times = [], []
     triangles = total_ios = None
     for _ in range(reps):
-        fast_device = BlockDevice.for_semi_external(graph.n)
+        fast_device = _semi_external_device("simulated", graph.n)
         fast_dg = DiskGraph(graph, fast_device, MemoryMeter())
         start = time.perf_counter()
         fast_scan = compute_supports(fast_dg)
         fast_times.append(time.perf_counter() - start)
 
-        ref_device = ReferenceBlockDevice.for_semi_external(graph.n)
+        ref_device = _semi_external_device("reference", graph.n)
         ref_dg = DiskGraph(graph, ref_device, MemoryMeter())
         start = time.perf_counter()
         ref_scan = compute_supports_reference(ref_dg)
@@ -236,12 +241,10 @@ def bench_file_backend(graph, reps: int) -> dict:
     sim_times, file_times = [], []
     total_ios = physical_row = None
     for _ in range(reps):
-        sim_device = BlockDevice.for_semi_external(graph.n)
+        sim_device = _semi_external_device("simulated", graph.n)
         sim_times.append(_replay_support_trace(graph, sim_device, batched=True))
         sim_device.flush()
-        file_device = FileBlockDevice.for_semi_external(
-            graph.n, fsync_policy="never"
-        )
+        file_device = _semi_external_device("file", graph.n, fsync_policy="never")
         try:
             file_times.append(
                 _replay_support_trace(graph, file_device, batched=True)
@@ -291,12 +294,10 @@ def bench_mmap_backend(graph, reps: int, smoke: bool) -> dict:
     file_times, mmap_times = [], []
     total_ios = file_bytes = mmap_bytes = physical_row = None
     for _ in range(reps):
-        sim_device = BlockDevice.for_semi_external(graph.n)
+        sim_device = _semi_external_device("simulated", graph.n)
         _replay_support_trace(graph, sim_device, batched=True)
         sim_device.flush()
-        file_device = FileBlockDevice.for_semi_external(
-            graph.n, fsync_policy="never"
-        )
+        file_device = _semi_external_device("file", graph.n, fsync_policy="never")
         try:
             file_times.append(
                 _replay_support_trace(graph, file_device, batched=True)
@@ -307,7 +308,7 @@ def bench_mmap_backend(graph, reps: int, smoke: bool) -> dict:
             file_extents = file_device.io_by_extent()
         finally:
             file_device.close()
-        mmap_device = MmapBlockDevice.for_semi_external(graph.n)
+        mmap_device = _semi_external_device("mmap", graph.n)
         mmap_times.append(
             _replay_support_trace(graph, mmap_device, batched=True)
         )
@@ -748,7 +749,7 @@ def run(smoke: bool) -> dict:
     scan_graph = gnm_random(**scan_cfg)
     if not smoke:  # warm up allocator/JIT-ish caches so rep 1 isn't cold
         warm = gnm_random(n=200, m=10_000, seed=3)
-        _replay_support_trace(warm, BlockDevice.for_semi_external(warm.n), True)
+        _replay_support_trace(warm, _semi_external_device("simulated", warm.n), True)
 
     config = EngineConfig().validate()  # the active recipe, stamped once
 

@@ -9,7 +9,7 @@ capture and feed EXPERIMENTS.md.
 Conventions:
 
 * every algorithm run gets a fresh default ``EngineConfig()`` context, whose
-  ``BlockDevice.for_semi_external`` pool honours the semi-external model;
+  ``semi_external_cache_blocks`` pool honours the semi-external model;
 * the paper's 48-hour "INF" timeout is emulated with a
   :class:`~repro._util.WorkBudget`; algorithms that blow the cap are
   reported as ``INF``;

@@ -15,11 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .._util import Stopwatch, WorkBudget
+from .._util import WorkBudget
 from ..core.peeling import PlainDiskHeap, delete_edge_kernel
-from ..engine.context import ContextLike, resolve_context
 from ..core.result import MaxTrussResult
-from ..graph.disk_graph import DiskGraph
+from ..core.run import ChargedRun
+from ..engine.context import ContextLike
 from ..graph.memgraph import Graph
 from ..semiexternal.support import compute_supports
 from ..storage import DiskArray
@@ -51,23 +51,16 @@ def bottom_up(
     The complete trussness array is produced on disk as a by-product
     (``extras["trussness"]`` exposes it for tests).
     """
-    watch = Stopwatch()
-    ctx = resolve_context(context)
-    device = ctx.device_for(graph.n)
-    memory = ctx.memory
-    budget = ctx.new_budget(budget)
-    disk_graph = DiskGraph(graph, device, memory, name="G")
-    io_start = device.stats.snapshot()
-
+    run = ChargedRun("BottomUp", graph, context, budget)
+    disk_graph, device, budget = run.disk_graph, run.device, run.budget
     if graph.m == 0:
-        return MaxTrussResult(
-            "BottomUp", 0, [], device.stats.since(io_start),
-            memory.peak_bytes, watch.elapsed(),
-        )
+        return run.result(0, [])
 
     scan = compute_supports(disk_graph)
     keys = scan.supports.to_numpy()
-    heap = PlainDiskHeap(device, range(graph.m), keys, memory=memory, name="bu.adisk")
+    heap = PlainDiskHeap(
+        device, range(graph.m), keys, memory=run.memory, name="bu.adisk"
+    )
     trussness_file = DiskArray(device, graph.m, np.int64, name="bu.truss", fill=0)
 
     level = 0
@@ -87,13 +80,6 @@ def bottom_up(
     )
     heap.release()
     scan.supports.free()
-    device.flush()
-    return MaxTrussResult(
-        "BottomUp",
-        k_max,
-        pairs,
-        device.stats.since(io_start),
-        memory.peak_bytes,
-        watch.elapsed(),
-        extras={"trussness": trussness, "triangles": scan.triangle_count},
+    return run.result(
+        k_max, pairs, trussness=trussness, triangles=scan.triangle_count
     )

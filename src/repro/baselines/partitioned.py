@@ -33,10 +33,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .._util import Stopwatch, WorkBudget
+from .._util import WorkBudget
 from ..core.result import MaxTrussResult
-from ..engine.context import ContextLike, resolve_context
-from ..graph.disk_graph import DiskGraph
+from ..core.run import ChargedRun
+from ..engine.context import ContextLike
 from ..graph.memgraph import Graph
 from .inmemory import truss_decomposition
 
@@ -60,19 +60,10 @@ def partitioned_truss_decomposition(
     :func:`repro.baselines.bottom_up.bottom_up`, via per-partition
     in-memory lower bounds plus a residual exact pass.
     """
-    watch = Stopwatch()
-    ctx = resolve_context(context)
-    device = ctx.device_for(graph.n)
-    memory = ctx.memory
-    budget = ctx.new_budget(budget)
-    disk_graph = DiskGraph(graph, device, memory, name="G")
-    io_start = device.stats.snapshot()
-
+    run = ChargedRun("Partitioned", graph, context, budget)
+    disk_graph, memory, budget = run.disk_graph, run.memory, run.budget
     if graph.m == 0:
-        return MaxTrussResult(
-            "Partitioned", 0, [], device.stats.since(io_start),
-            memory.peak_bytes, watch.elapsed(),
-        )
+        return run.result(0, [])
 
     ranges = _partition_bounds(graph.n, partitions)
     # Per-partition internal trussness is a LOWER bound on the true value
@@ -112,22 +103,15 @@ def partitioned_truss_decomposition(
     pairs = sorted(
         (int(graph.edges[eid, 0]), int(graph.edges[eid, 1])) for eid in top
     )
-    device.flush()
-    return MaxTrussResult(
-        "Partitioned",
+    return run.result(
         k_max,
         pairs,
-        device.stats.since(io_start),
-        memory.peak_bytes,
-        watch.elapsed(),
-        extras={
-            "trussness": exact,
-            "partition_lower_bounds": lower,
-            "partitions": len(ranges),
-            "partition_edge_loads": partition_loads,
-            "load_imbalance": (
-                max(partition_loads) / max(1, min(partition_loads))
-                if partition_loads else 1.0
-            ),
-        },
+        trussness=exact,
+        partition_lower_bounds=lower,
+        partitions=len(ranges),
+        partition_edge_loads=partition_loads,
+        load_imbalance=(
+            max(partition_loads) / max(1, min(partition_loads))
+            if partition_loads else 1.0
+        ),
     )

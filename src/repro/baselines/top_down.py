@@ -26,9 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from .._util import Stopwatch, WorkBudget
+from .._util import WorkBudget
 from ..core.result import MaxTrussResult
-from ..engine.context import ContextLike, resolve_context
+from ..core.run import ChargedRun
+from ..engine.context import ContextLike
 from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph
 from ..semiexternal.support import compute_supports
@@ -74,27 +75,14 @@ def top_down(
     context: Optional[ContextLike] = None,
 ) -> MaxTrussResult:
     """Compute the ``k_max``-truss with the Top-Down baseline."""
-    watch = Stopwatch()
-    ctx = resolve_context(context)
-    device = ctx.device_for(graph.n)
-    memory = ctx.memory
-    budget = ctx.new_budget(budget)
-    disk_graph = DiskGraph(graph, device, memory, name="G")
-    io_start = device.stats.snapshot()
-
+    run = ChargedRun("TopDown", graph, context, budget)
+    disk_graph, memory, budget = run.disk_graph, run.memory, run.budget
     if graph.m == 0:
-        return MaxTrussResult(
-            "TopDown", 0, [], device.stats.since(io_start),
-            memory.peak_bytes, watch.elapsed(),
-        )
+        return run.result(0, [])
 
     scan = compute_supports(disk_graph)
     if scan.triangle_count == 0:
-        device.flush()
-        return MaxTrussResult(
-            "TopDown", 2, graph.edge_pairs(), device.stats.since(io_start),
-            memory.peak_bytes, watch.elapsed(),
-        )
+        return run.result(2, graph.edge_pairs())
 
     upper = _refine_upper_bounds(disk_graph, scan.supports, budget)
 
@@ -140,13 +128,6 @@ def top_down(
         theta -= 1
     upper.free()
     scan.supports.free()
-    device.flush()
-    return MaxTrussResult(
-        "TopDown",
-        k_max,
-        truss_pairs,
-        device.stats.since(io_start),
-        memory.peak_bytes,
-        watch.elapsed(),
-        extras={"partitions": partitions, "refine_rounds": _REFINE_ROUNDS},
+    return run.result(
+        k_max, truss_pairs, partitions=partitions, refine_rounds=_REFINE_ROUNDS
     )

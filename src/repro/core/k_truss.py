@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional, Tuple
 
-from .._util import Stopwatch, WorkBudget
-from ..engine.context import ContextLike, resolve_context
-from ..graph.disk_graph import DiskGraph
+from .._util import WorkBudget
+from ..engine.context import ContextLike
 from ..graph.memgraph import Graph
 from ..semiexternal.support import compute_supports
 from ..storage import IOStats
 from ..structures import LHDH
-from .peeling import PlainDiskHeap
+from .run import ChargedRun
 from .semi_binary import build_sorted_edge_file, materialise_truss
 
 EdgePair = Tuple[int, int]
@@ -58,7 +57,6 @@ def k_truss_semi_external(
     graph: Graph,
     k: int,
     budget: Optional[WorkBudget] = None,
-    lazy: bool = True,
     context: Optional[ContextLike] = None,
 ) -> KTrussResult:
     """Compute the maximal k-truss edge set under the semi-external model.
@@ -69,41 +67,31 @@ def k_truss_semi_external(
         Input graph.
     k:
         The truss level (``k >= 2``; ``k = 2`` returns every edge).
-    lazy:
-        Peel through LHDH (default) or the eager ``A_disk``.
 
-    The result is the union of all connected k-trusses (Definition 2's
-    components are recoverable via
+    The peel runs through LHDH. The result is the union of all connected
+    k-trusses (Definition 2's components are recoverable via
     :func:`repro.analysis.components.split_max_truss`).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    watch = Stopwatch()
-    ctx = resolve_context(context)
-    device = ctx.device_for(graph.n)
-    budget = ctx.new_budget(budget)
     if graph.m == 0:
-        return KTrussResult(k, [], IOStats(), watch.elapsed())
+        return KTrussResult(k, [])
     if k == 2:
-        return KTrussResult(k, graph.edge_pairs(), IOStats(), watch.elapsed())
-    memory = ctx.memory
-    disk_graph = DiskGraph(graph, device, memory, name="G")
-    # Like every max-truss method, the bill starts once the graph is on disk.
-    io_start = device.stats.snapshot()
+        return KTrussResult(k, graph.edge_pairs())
+    run = ChargedRun("KTruss", graph, context, budget)
+    disk_graph = run.disk_graph
     scan = compute_supports(disk_graph)
     if scan.triangle_count == 0 or scan.max_support < k - 2:
         disk_graph.release()
-        device.flush()
-        return KTrussResult(k, [], device.stats.since(io_start), watch.elapsed())
+        return KTrussResult(k, [], run.bill(), run.watch.elapsed())
     edge_file = build_sorted_edge_file(scan)
-    heap_factory = partial(LHDH, capacity=max(1, graph.n)) if lazy else PlainDiskHeap
     try:
         pairs = materialise_truss(
-            disk_graph, edge_file, k, heap_factory, memory, budget
+            disk_graph, edge_file, k, partial(LHDH, capacity=max(1, graph.n)),
+            run.memory, run.budget,
         )
     finally:
         edge_file.release()
         scan.supports.free()
         disk_graph.release()
-    device.flush()
-    return KTrussResult(k, pairs, device.stats.since(io_start), watch.elapsed())
+    return KTrussResult(k, pairs, run.bill(), run.watch.elapsed())

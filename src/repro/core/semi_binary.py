@@ -26,8 +26,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .._util import Stopwatch, WorkBudget
-from ..engine.context import ContextLike, resolve_context
+from .._util import WorkBudget
+from ..engine.context import ContextLike
 from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph
 from ..observability.tracer import trace_span
@@ -48,6 +48,7 @@ from .peeling import (
     surviving_edge_ids,
 )
 from .result import MaxTrussResult
+from .run import ChargedRun
 
 #: A heap kind: called as ``kind(device, eids, keys, memory=, name=)``.
 HeapFactory = Callable[..., object]
@@ -442,30 +443,15 @@ def semi_binary(
         missed). The estimator's own probes are charged to the same
         device, so the run's bill stays honest.
     """
-    watch = Stopwatch()
-    ctx = resolve_context(context)
-    device = ctx.device_for(graph.n)
-    memory = ctx.memory
-    budget = ctx.new_budget(budget)
-    disk_graph = DiskGraph(graph, device, memory, name="G")
-    io_start = device.stats.snapshot()
-
+    run = ChargedRun("SemiBinary", graph, context, budget)
+    disk_graph, memory, budget = run.disk_graph, run.memory, run.budget
     if graph.m == 0:
-        return MaxTrussResult(
-            "SemiBinary", 0, [], device.stats.since(io_start),
-            memory.peak_bytes, watch.elapsed(),
-        )
+        return run.result(0, [])
 
     scan = compute_supports(disk_graph)
     if scan.triangle_count == 0:
         # No triangles: every edge has trussness 2.
-        pairs = graph.edge_pairs()
-        device.flush()
-        return MaxTrussResult(
-            "SemiBinary", 2, pairs, device.stats.since(io_start),
-            memory.peak_bytes, watch.elapsed(),
-            extras={"triangles": 0},
-        )
+        return run.result(2, graph.edge_pairs(), triangles=0)
 
     lb = bounds.lemma1_lower_bound(
         scan.triangle_count, graph.m, scan.zero_support_edges
@@ -478,7 +464,7 @@ def semi_binary(
     estimate_extras: dict = {}
     if estimate_bounds:
         search_lb, search_ub, estimate_extras = _estimated_interval(
-            disk_graph, edge_file, ctx.config, lb, ub
+            disk_graph, edge_file, run.context.config, lb, ub
         )
     outcome = binary_search_kmax(
         disk_graph, edge_file, search_lb, search_ub, PlainDiskHeap,
@@ -500,25 +486,17 @@ def semi_binary(
         truss_pairs = materialise_truss(
             disk_graph, edge_file, k_max, PlainDiskHeap, memory, budget
         )
-    device.flush()
-    extras = {
-        "triangles": scan.triangle_count,
-        "initial_lb": search_lb,
-        "initial_ub": search_ub,
-        "search_probes": outcome.probes,
+    return run.result(
+        k_max,
+        truss_pairs,
+        triangles=scan.triangle_count,
+        initial_lb=search_lb,
+        initial_ub=search_ub,
+        search_probes=outcome.probes,
         # +1 for the opening global scan, +1 for materialising the
         # output truss — identical on both paths, so strictly-fewer
         # comparisons reduce to the search scans.
-        "support_scans": 1 + outcome.scans + (1 if k_max > 2 else 0),
-        "peeled_edges": outcome.peel.removed_edges,
-    }
-    extras.update(estimate_extras)
-    return MaxTrussResult(
-        "SemiBinary",
-        k_max,
-        truss_pairs,
-        device.stats.since(io_start),
-        memory.peak_bytes,
-        watch.elapsed(),
-        extras=extras,
+        support_scans=1 + outcome.scans + (1 if k_max > 2 else 0),
+        peeled_edges=outcome.peel.removed_edges,
+        **estimate_extras,
     )

@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .._util import Stopwatch, WorkBudget
-from ..engine.context import ContextLike, resolve_context
+from .._util import WorkBudget
+from ..engine.context import ContextLike
 from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph
 from ..semiexternal.core_decomp import semi_external_core_decomposition
@@ -37,6 +37,7 @@ from .peeling import (
     surviving_edge_ids,
 )
 from .result import MaxTrussResult
+from .run import ChargedRun
 from .semi_binary import (
     HeapFactory,
     binary_search_kmax,
@@ -95,19 +96,10 @@ def greedy_core_flow(
     LHDH (``partial(LHDH, capacity=c)``, Algorithm 3). Storage comes from
     *context*.
     """
-    watch = Stopwatch()
-    ctx = resolve_context(context)
-    device = ctx.device_for(graph.n)
-    memory = ctx.memory
-    budget = ctx.new_budget(budget)
-    disk_graph = DiskGraph(graph, device, memory, name="G")
-    io_start = device.stats.snapshot()
-
+    run = ChargedRun(algorithm, graph, context, budget)
+    disk_graph, memory, budget = run.disk_graph, run.memory, run.budget
     if graph.m == 0:
-        return MaxTrussResult(
-            algorithm, 0, [], device.stats.since(io_start),
-            memory.peak_bytes, watch.elapsed(),
-        )
+        return run.result(0, [])
 
     # Step 1: semi-external core decomposition (Alg 2 line 1).
     core_result = semi_external_core_decomposition(disk_graph)
@@ -135,17 +127,14 @@ def greedy_core_flow(
     if candidate.m == 0:
         # No vertex reaches the bound: only trivial trussness remains.
         memory.release("greedy.coreness")
-        device.flush()
-        return MaxTrussResult(
-            algorithm, 2, graph.edge_pairs(), device.stats.since(io_start),
-            memory.peak_bytes, watch.elapsed(),
-            extras={"local_kmax": k_prime, "cmax_edges": cmax_edge_count},
+        return run.result(
+            2, graph.edge_pairs(), local_kmax=k_prime, cmax_edges=cmax_edge_count
         )
 
     scan = compute_supports(candidate, name="hsup")
     keys = scan.supports.to_numpy()
     heap = heap_factory(
-        device, range(candidate.m), keys, memory=memory, name="heap.final"
+        run.device, range(candidate.m), keys, memory=memory, name="heap.final"
     )
 
     # Step 4: upward peel (Alg 2 lines 15-26 / Alg 3 lines 19-25).
@@ -174,26 +163,18 @@ def greedy_core_flow(
     scan.supports.free()
     candidate.release()
     memory.release("greedy.coreness")
-    device.flush()
-
-    return MaxTrussResult(
-        algorithm,
+    return run.result(
         k_max,
         truss_pairs,
-        device.stats.since(io_start),
-        memory.peak_bytes,
-        watch.elapsed(),
-        extras={
-            "local_kmax": k_prime,
-            "local_probes": local_probes,
-            "cmax_edges": cmax_edge_count,
-            "cmax_edge_fraction": cmax_edge_count / graph.m if graph.m else 0.0,
-            "c_max": c_max,
-            "core_rounds": core_result.rounds,
-            "candidate_edges": candidate.m,
-            "peeled_edges": peeled_edges,
-            "used_lb": lb,
-        },
+        local_kmax=k_prime,
+        local_probes=local_probes,
+        cmax_edges=cmax_edge_count,
+        cmax_edge_fraction=cmax_edge_count / graph.m,
+        c_max=c_max,
+        core_rounds=core_result.rounds,
+        candidate_edges=candidate.m,
+        peeled_edges=peeled_edges,
+        used_lb=lb,
     )
 
 

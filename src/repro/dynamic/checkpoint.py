@@ -36,7 +36,7 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -173,12 +173,12 @@ class CheckpointImage:
     edges: np.ndarray
 
 
-def read_checkpoint_image(path: PathLike) -> CheckpointImage:
-    """Parse *path* into a :class:`CheckpointImage` (validates the CRC).
+def _parse_checkpoint(path: PathLike) -> Tuple[CheckpointImage, int, _Reader]:
+    """Check *path*'s header, version and CRC and parse it through the
+    edge rows.
 
-    Read-only and side-effect free: safe against a live checkpoint file,
-    because :func:`save_checkpoint` replaces it atomically — a reader sees
-    either the old intact image or the new one.
+    Returns the image, the coreness staleness counter and a reader
+    positioned at the class rows.
     """
     with open(path, "rb") as handle:
         payload = handle.read()
@@ -199,11 +199,21 @@ def read_checkpoint_image(path: PathLike) -> CheckpointImage:
     reader = _Reader(payload[_HEADER.size:])
     n = reader.one()
     k_max = reader.one()
-    reader.one()  # insertions_since_refresh: irrelevant to the image
+    staleness = reader.one()
     wal_seq = reader.one() if version >= _VERSION else 0
-    edge_count = reader.one()
-    edge_rows = reader.ints(3 * edge_count).reshape(-1, 3)
-    return CheckpointImage(n=n, k_max=k_max, wal_seq=wal_seq, edges=edge_rows)
+    edge_rows = reader.ints(3 * reader.one()).reshape(-1, 3)
+    image = CheckpointImage(n=n, k_max=k_max, wal_seq=wal_seq, edges=edge_rows)
+    return image, staleness, reader
+
+
+def read_checkpoint_image(path: PathLike) -> CheckpointImage:
+    """Parse *path* into a :class:`CheckpointImage` (validates the CRC).
+
+    Read-only and side-effect free: safe against a live checkpoint file,
+    because :func:`save_checkpoint` replaces it atomically — a reader sees
+    either the old intact image or the new one.
+    """
+    return _parse_checkpoint(path)[0]
 
 
 def load_checkpoint(
@@ -226,50 +236,26 @@ def _load_checkpoint_impl(
     path: PathLike,
     context: Optional[ContextLike],
 ) -> DynamicMaxTruss:
-    with open(path, "rb") as handle:
-        payload = handle.read()
-    if len(payload) < _HEADER.size:
-        raise GraphFormatError(f"{path}: truncated checkpoint header")
-    magic, version = _HEADER.unpack(payload[: _HEADER.size])
-    if magic != _MAGIC:
-        raise GraphFormatError(f"{path}: bad checkpoint magic 0x{magic:08x}")
-    if version not in (_V1, _VERSION):
-        raise GraphFormatError(f"{path}: unsupported checkpoint version {version}")
-    if version >= _VERSION:
-        if len(payload) < _HEADER.size + _CRC.size:
-            raise GraphFormatError(f"{path}: truncated checkpoint trailer")
-        body, (crc,) = payload[: -_CRC.size], _CRC.unpack(payload[-_CRC.size:])
-        if zlib.crc32(body) != crc:
-            raise GraphFormatError(f"{path}: checkpoint checksum mismatch")
-        payload = body
-    reader = _Reader(payload[_HEADER.size:])
-    n = reader.one()
-    k_max = reader.one()
-    staleness = reader.one()
-    wal_seq = reader.one() if version >= _VERSION else 0
-    edge_count = reader.one()
-    edge_rows = reader.ints(3 * edge_count).reshape(-1, 3)
-    class_count = reader.one()
-    class_rows = reader.ints(2 * class_count).reshape(-1, 2)
-    core_count = reader.one()
-    coreness = reader.ints(core_count)
+    image, staleness, reader = _parse_checkpoint(path)
+    class_rows = reader.ints(2 * reader.one()).reshape(-1, 2)
+    coreness = reader.ints(reader.one())
 
     # Rebuild through the normal constructor on an empty graph, then
     # overwrite the logical state (keeps file/memory charging coherent).
-    state = DynamicMaxTruss(Graph.empty(n), context=context)
-    for u, v, eid in edge_rows:
+    state = DynamicMaxTruss(Graph.empty(image.n), context=context)
+    for u, v, eid in image.edges:
         state.graph._insert_with_eid(int(u), int(v), int(eid))
     state.adj_file.charge_rebuild(
-        [state.graph.degree(v) for v in range(max(state.graph.n, n))]
+        [state.graph.degree(v) for v in range(max(state.graph.n, image.n))]
     )
     class_support = {int(eid): int(sup) for eid, sup in class_rows}
     rows = []
     for eid, sup in class_support.items():
         u, v = state.graph.endpoints(eid)
         rows.append((u, v, eid, sup))
-    state.set_class(rows, k_max)
+    state.set_class(rows, image.k_max)
     state._coreness = coreness
     state._insertions_since_refresh = staleness
     state.memory.charge("dyn.coreness", coreness.nbytes)
-    state.recovered_wal_seq = wal_seq
+    state.recovered_wal_seq = image.wal_seq
     return state

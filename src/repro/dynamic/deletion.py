@@ -13,49 +13,36 @@ new class on the core-pruned candidate set (lines 20–26).
 from __future__ import annotations
 
 from collections import deque
-from .._util import Stopwatch
-from ..core.result import MaintenanceResult
+from typing import TYPE_CHECKING
+
 from ..errors import GraphFormatError
-from .state import DynamicMaxTruss
+
+if TYPE_CHECKING:  # the state imports this module
+    from .state import DynamicMaxTruss
 
 
-def delete_edge(state: DynamicMaxTruss, u: int, v: int) -> MaintenanceResult:
-    """Delete ``(u, v)`` from the graph and maintain the ``k_max``-class."""
-    watch = Stopwatch()
-    io_start = state.device.stats.snapshot()
-    k_before = state.k_max
+def delete_edge(state: DynamicMaxTruss, u: int, v: int) -> str:
+    """Delete ``(u, v)`` from the graph and maintain the ``k_max``-class.
+
+    Returns how the update was resolved: ``"untouched"``, ``"local"`` or
+    ``"global"``.
+    """
     if not state.graph.has_edge(u, v):
         raise GraphFormatError(f"cannot delete absent edge ({u}, {v})")
 
     in_class = state.truss_contains_edge(u, v)
     state.graph_delete(u, v)
-
     if not in_class:
-        mode = "untouched"
-        if state.k_max == 2:
-            # Trivial class = all edges; drop the edge from it if tracked.
-            if state.truss_contains_edge(u, v):  # pragma: no cover - guarded
-                state.remove_truss_edge(u, v)
-        return MaintenanceResult(
-            "delete", (u, v), k_before, state.k_max, mode,
-            state.device.stats.since(io_start), watch.elapsed(),
-        )
+        return "untouched"
 
     if state.k_max <= 2:
         # Triangle-free regime: class is all edges; just unlink.
         state.remove_truss_edge(u, v)
         if state.truss_edge_count() == 0:
             state.k_max = 0
-        return MaintenanceResult(
-            "delete", (u, v), k_before, state.k_max, "local",
-            state.device.stats.since(io_start), watch.elapsed(),
-        )
+        return "local"
 
-    mode = _local_cascade(state, u, v)
-    return MaintenanceResult(
-        "delete", (u, v), k_before, state.k_max, mode,
-        state.device.stats.since(io_start), watch.elapsed(),
-    )
+    return _local_cascade(state, u, v)
 
 
 def _local_cascade(state: DynamicMaxTruss, u: int, v: int) -> str:

@@ -22,19 +22,20 @@ Lemma 9 splits the work:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-from .._util import Stopwatch
-from ..core.result import MaintenanceResult
 from ..errors import GraphFormatError
-from .state import DynamicMaxTruss
+
+if TYPE_CHECKING:  # the state imports this module
+    from .state import DynamicMaxTruss
 
 
-def insert_edge(state: DynamicMaxTruss, u: int, v: int) -> MaintenanceResult:
-    """Insert ``(u, v)`` into the graph and maintain the ``k_max``-class."""
-    watch = Stopwatch()
-    io_start = state.device.stats.snapshot()
-    k_before = state.k_max
+def insert_edge(state: DynamicMaxTruss, u: int, v: int) -> str:
+    """Insert ``(u, v)`` into the graph and maintain the ``k_max``-class.
+
+    Returns how the update was resolved: ``"untouched"``, ``"local"`` or
+    ``"global"``.
+    """
     if u == v:
         raise GraphFormatError("self-loops are not allowed")
     if state.graph.has_edge(u, v):
@@ -43,14 +44,8 @@ def insert_edge(state: DynamicMaxTruss, u: int, v: int) -> MaintenanceResult:
     eid = state.graph_insert(u, v)
 
     if state.k_max <= 2:
-        mode = _bootstrap_insert(state, u, v, eid)
-    else:
-        mode = _maintain_insert(state, u, v, eid)
-
-    return MaintenanceResult(
-        "insert", (u, v), k_before, state.k_max, mode,
-        state.device.stats.since(io_start), watch.elapsed(),
-    )
+        return _bootstrap_insert(state, u, v, eid)
+    return _maintain_insert(state, u, v, eid)
 
 
 def _support_in_graph(state: DynamicMaxTruss, u: int, v: int) -> int:

@@ -25,7 +25,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from .._util import Stopwatch
 from ..core.peeling import peel_below
+from ..core.result import MaintenanceResult
 from ..engine.context import ContextLike, resolve_context
 from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph, MutableGraph
@@ -34,6 +36,8 @@ from ..semiexternal.core_decomp import core_decomposition_inmemory
 from ..semiexternal.support import compute_supports
 from ..structures import LHDH
 from .adjacency_file import AdjacencyFile
+from .deletion import delete_edge
+from .insertion import insert_edge
 
 EdgePair = Tuple[int, int]
 
@@ -322,19 +326,25 @@ class DynamicMaxTruss:
     # public update API (delegates to the algorithm modules)
     # ------------------------------------------------------------------ #
 
-    def insert(self, u: int, v: int):
+    def insert(self, u: int, v: int) -> MaintenanceResult:
         """Insert edge ``(u, v)`` and maintain the class (Algorithm 6)."""
-        from .insertion import insert_edge
+        return self._update("insert", insert_edge, u, v)
 
-        with self.context.span("maintain.insert", u=u, v=v):
-            return insert_edge(self, u, v)
-
-    def delete(self, u: int, v: int):
+    def delete(self, u: int, v: int) -> MaintenanceResult:
         """Delete edge ``(u, v)`` and maintain the class (Algorithm 5)."""
-        from .deletion import delete_edge
+        return self._update("delete", delete_edge, u, v)
 
-        with self.context.span("maintain.delete", u=u, v=v):
-            return delete_edge(self, u, v)
+    def _update(self, operation: str, apply, u: int, v: int) -> MaintenanceResult:
+        """Time and bill one update; *apply* returns its resolution mode."""
+        watch = Stopwatch()
+        io_start = self.device.stats.snapshot()
+        k_before = self.k_max
+        with self.context.span("maintain." + operation, u=u, v=v):
+            mode = apply(self, u, v)
+        return MaintenanceResult(
+            operation, (u, v), k_before, self.k_max, mode,
+            self.device.stats.since(io_start), watch.elapsed(),
+        )
 
     def apply_batch(self, operations):
         """Apply a mixed update batch with at most one global recompute

@@ -1,4 +1,4 @@
-"""Engine layer: one execution context + pluggable storage backends.
+"""Engine layer: one execution context over a table of storage backends.
 
 The one way algorithms choose and share storage:
 
@@ -6,9 +6,10 @@ The one way algorithms choose and share storage:
   cache size/policy, work budget);
 * :class:`ExecutionContext` — the live run state (device construction,
   I/O + memory aggregation, phases);
-* the **backend registry** — ``simulated`` / ``reference`` / ``inmemory``
-  built in, ``file`` / ``mmap`` from :mod:`repro.persistence`,
-  :func:`register_backend` for new ones.
+* :func:`make_device` — builds a backend's device from the config
+  (:data:`~repro.engine.config.BACKENDS` names them: ``simulated`` /
+  ``reference`` / ``inmemory``, and ``file`` / ``mmap`` from
+  :mod:`repro.persistence`).
 
 Typical use::
 
@@ -21,35 +22,16 @@ Typical use::
     print(context.stats, context.memory)
 """
 
-from .config import EngineConfig
-from .backends import (
-    BackendFactory,
-    list_backends,
-    make_device,
-    register_backend,
-    unregister_backend,
-)
+from .config import BACKENDS, EngineConfig
+from .backends import list_backends, make_device
 from .context import ContextLike, ExecutionContext, resolve_context
 
 __all__ = [
+    "BACKENDS",
     "EngineConfig",
     "ExecutionContext",
     "ContextLike",
-    "BackendFactory",
     "list_backends",
     "make_device",
-    "register_backend",
-    "unregister_backend",
     "resolve_context",
 ]
-
-# The "file" and "mmap" backends live in repro.persistence, which imports
-# back into the engine (graph formats -> graph package -> engine.context);
-# register them here, after the registry and context are fully initialised,
-# so the cycle is already resolved by the time the persistence package
-# loads.
-from ..persistence.file_device import register_file_backend  # noqa: E402
-from ..persistence.mmap_device import register_mmap_backend  # noqa: E402
-
-register_file_backend()
-register_mmap_backend()

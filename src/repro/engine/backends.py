@@ -1,81 +1,55 @@
-"""Storage-backend registry: names -> block-device factories.
+"""Storage backends: one table from backend name to device class.
 
 Backends decouple *what an algorithm does* from *what storage it charges*.
-A backend factory receives the :class:`~repro.engine.config.EngineConfig`,
-the vertex count of the graph being materialised (for semi-external pool
-auto-sizing) and a shared :class:`~repro.storage.IOStats`, and returns a
-ready :class:`~repro.storage.BlockDevice`. Every built-in factory goes
-through :func:`build_device`, so pool sizing is decided in one place.
+Every backend is a :class:`~repro.storage.BlockDevice` class built the
+same way — block size, pool size, the context's shared
+:class:`~repro.storage.IOStats` and the replacement policy — plus the
+:class:`~repro.engine.config.EngineConfig` fields its own constructor
+takes (the table's second column):
 
-Built-ins
----------
-``simulated``
-    :class:`~repro.storage.BlockDevice` — the block-I/O simulator with the
-    vectorized batch accounting.
-``reference``
-    :class:`~repro.storage.ReferenceBlockDevice` — the executable scalar
-    spec of the accounting contract; identical counts, no fast path.
-``inmemory``
-    :class:`~repro.storage.InMemoryBlockDevice` — null charging; for
-    ground-truth answers and CI-speed runs.
-``file`` / ``mmap``
-    Registered by :mod:`repro.persistence` (real spill file / tiered
-    page-cache model; charged bill identical to ``simulated``).
+* ``simulated`` — :class:`~repro.storage.BlockDevice`, the block-I/O
+  simulator with the vectorized batch accounting;
+* ``reference`` — :class:`~repro.storage.ReferenceBlockDevice`, the
+  executable scalar spec of the accounting contract (identical counts,
+  no fast path);
+* ``inmemory`` — :class:`~repro.storage.InMemoryBlockDevice`, null
+  charging;
+* ``file`` / ``mmap`` — :mod:`repro.persistence`'s real spill file and
+  tiered page-cache model, each with a charged bill identical to
+  ``simulated``.
 
-Third-party backends register through :func:`register_backend`; anything
-that builds a ``BlockDevice``-compatible object slots in without touching
-the algorithms.
+:data:`~repro.engine.config.BACKENDS` names the rows; config validation
+rejects any other name before a device is built.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
-from ..errors import DeviceError
+from ..persistence.file_device import FileBlockDevice
+from ..persistence.mmap_device import MmapBlockDevice
 from ..storage import (
     BlockDevice,
     InMemoryBlockDevice,
     IOStats,
     ReferenceBlockDevice,
+    semi_external_cache_blocks,
 )
-from .config import EngineConfig
+from .config import BACKENDS, EngineConfig
 
-#: ``factory(config, num_vertices, stats) -> BlockDevice``
-BackendFactory = Callable[[EngineConfig, int, Optional[IOStats]], BlockDevice]
-
-_REGISTRY: Dict[str, BackendFactory] = {}
-
-
-def register_backend(
-    name: str, factory: BackendFactory, replace: bool = False
-) -> None:
-    """Register *factory* under *name* (``replace=True`` to override)."""
-    if not name or not isinstance(name, str):
-        raise DeviceError(f"backend name must be a non-empty string, got {name!r}")
-    if name in _REGISTRY and not replace:
-        raise DeviceError(
-            f"backend {name!r} is already registered (pass replace=True to override)"
-        )
-    _REGISTRY[name] = factory
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registered backend (built-ins included — tests only)."""
-    if name not in _REGISTRY:
-        raise DeviceError(f"unknown storage backend {name!r}")
-    del _REGISTRY[name]
+#: backend name -> (device class, the config fields its constructor takes)
+_DEVICES = {
+    "simulated": (BlockDevice, ()),
+    "reference": (ReferenceBlockDevice, ()),
+    "inmemory": (InMemoryBlockDevice, ()),
+    "file": (FileBlockDevice, ("data_dir", "fsync_policy")),
+    "mmap": (MmapBlockDevice, ("hot_extents", "cold_cache_mb")),
+}
 
 
 def list_backends() -> List[str]:
-    """Sorted registered backend names.
-
-    The canonical enumeration surface: the CLI's ``--backend`` choices and
-    help text, report stamps, and the unknown-backend error message all go
-    through here, so a newly registered backend shows up everywhere at
-    once.
-    """
-    return sorted(_REGISTRY)
+    """Backend names, sorted: the CLI's ``--backend`` choices."""
+    return list(BACKENDS)
 
 
 def make_device(
@@ -83,43 +57,18 @@ def make_device(
     num_vertices: int,
     stats: Optional[IOStats] = None,
 ) -> BlockDevice:
-    """Build the device the config's backend describes."""
-    try:
-        factory = _REGISTRY[config.backend]
-    except KeyError:
-        raise DeviceError(
-            f"unknown storage backend {config.backend!r}; "
-            f"available: {', '.join(list_backends())}"
-        ) from None
-    config.validate()
-    return factory(config, num_vertices, stats)
-
-
-def build_device(
-    cls,
-    config: EngineConfig,
-    num_vertices: int,
-    stats: Optional[IOStats] = None,
-    **extras,
-) -> BlockDevice:
-    """Build a *cls* device for *config*.
+    """Build the device the config's backend describes.
 
     An explicit ``config.cache_blocks`` fixes the pool size; ``None``
-    keeps the semi-external auto-sizing of
-    :meth:`~repro.storage.BlockDevice.for_semi_external` for
-    *num_vertices*. *extras* are the backend's own constructor knobs.
+    sizes it with :func:`~repro.storage.semi_external_cache_blocks` for
+    *num_vertices*.
     """
-    if config.cache_blocks is not None:
-        return cls(
-            config.block_size, config.cache_blocks, stats=stats,
-            policy=config.cache_policy, **extras,
-        )
-    return cls.for_semi_external(
-        num_vertices, block_size=config.block_size, stats=stats,
-        policy=config.cache_policy, **extras,
+    config.validate()
+    cls, own_fields = _DEVICES[config.backend]
+    cache_blocks = config.cache_blocks
+    if cache_blocks is None:
+        cache_blocks = semi_external_cache_blocks(num_vertices, config.block_size)
+    return cls(
+        config.block_size, cache_blocks, stats=stats, policy=config.cache_policy,
+        **{name: getattr(config, name) for name in own_fields},
     )
-
-
-register_backend("simulated", partial(build_device, BlockDevice))
-register_backend("reference", partial(build_device, ReferenceBlockDevice))
-register_backend("inmemory", partial(build_device, InMemoryBlockDevice))

@@ -15,12 +15,16 @@ purpose).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import DeviceError
 from ..storage import DEFAULT_BLOCK_SIZE
 from ..storage.cache_policies import POLICY_CLASSES
+
+#: Storage backends, sorted by name; ``engine/backends.py`` maps each to
+#: its device class.
+BACKENDS = ("file", "inmemory", "mmap", "reference", "simulated")
 
 #: Block replacement policies, in the order of the cache-policy registry.
 CACHE_POLICIES = tuple(POLICY_CLASSES)
@@ -51,18 +55,16 @@ class EngineConfig:
     Parameters
     ----------
     backend:
-        Storage backend name from the registry
-        (:func:`repro.engine.backends.list_backends`): ``simulated``
+        Storage backend name, one of :data:`BACKENDS`: ``simulated``
         (the block-device simulator, default), ``reference`` (the scalar
         accounting spec), ``inmemory`` (null charging), ``file`` or
         ``mmap``.
     block_size:
         Bytes per block (``B`` in the I/O model).
     cache_blocks:
-        Buffer-pool frames (``M/B``). ``None`` (default) keeps the
-        semi-external auto-sizing of
-        :meth:`repro.storage.BlockDevice.for_semi_external`, scaled by
-        the vertex count of the first graph the context touches.
+        Buffer-pool frames (``M/B``). ``None`` (default) sizes the pool
+        with :func:`repro.storage.semi_external_cache_blocks` for the
+        vertex count of the first graph the context touches.
     cache_policy:
         Block replacement policy: ``lru`` / ``fifo`` / ``clock``.
     work_limit:
@@ -159,10 +161,15 @@ class EngineConfig:
     approx_seed: int = 0
 
     def validate(self) -> "EngineConfig":
-        """Check field ranges (backend names are checked by the registry).
+        """Check the backend name and field ranges.
 
         Returns ``self`` so construction sites can chain.
         """
+        if self.backend not in BACKENDS:
+            raise DeviceError(
+                f"unknown storage backend {self.backend!r}; "
+                f"available: {', '.join(BACKENDS)}"
+            )
         if self.block_size <= 0:
             raise DeviceError(
                 f"block_size must be positive, got {self.block_size}"
@@ -249,29 +256,9 @@ class EngineConfig:
 
     def describe(self) -> Dict[str, Any]:
         """JSON-serialisable summary (stamped into benchmark reports)."""
-        return {
-            "backend": self.backend,
-            "block_size": self.block_size,
-            "cache_blocks": self.cache_blocks,
-            "cache_policy": self.cache_policy,
-            "work_limit": self.work_limit,
-            "data_dir": self.data_dir,
-            "fsync_policy": self.fsync_policy,
-            "hot_extents": list(self.hot_extents),
-            "cold_cache_mb": self.cold_cache_mb,
-            "ingest_batch_size": self.ingest_batch_size,
-            "ingest_queue_capacity": self.ingest_queue_capacity,
-            "ingest_backpressure": self.ingest_backpressure,
-            "ingest_max_delay": self.ingest_max_delay,
-            "serve_host": self.serve_host,
-            "serve_port": self.serve_port,
-            "serve_query_timeout": self.serve_query_timeout,
-            "serve_promote_interval": self.serve_promote_interval,
-            "serve_cache_entries": self.serve_cache_entries,
-            "approx_epsilon": self.approx_epsilon,
-            "approx_confidence": self.approx_confidence,
-            "approx_seed": self.approx_seed,
-        }
+        summary = {field.name: getattr(self, field.name) for field in fields(self)}
+        summary["hot_extents"] = list(self.hot_extents)
+        return summary
 
     def summary(self) -> str:
         """One-line human-readable form (echoed by the CLI)."""

@@ -3,8 +3,8 @@
 An :class:`ExecutionContext` owns the live half of an
 :class:`~repro.engine.config.EngineConfig`:
 
-* **device construction** through the backend registry, lazily, sized for
-  the first graph that touches it — and then *shared*: every phase of a
+* **device construction** through :func:`~repro.engine.backends.make_device`,
+  lazily, sized for the first graph that touches it — and then *shared*: every phase of a
   run (support scan, sort, probes, peel) and every run threaded through
   the same context charges the same device;
 * **I/O and memory aggregation** — one :class:`~repro.storage.IOStats`
@@ -87,7 +87,7 @@ class ExecutionContext:
         return self._device
 
     def device_for(self, num_vertices: int) -> BlockDevice:
-        """The shared device, created on first call via the backend registry.
+        """The shared device, created on first call by :func:`make_device`.
 
         *num_vertices* only matters on that first call, and only when
         ``config.cache_blocks`` is ``None`` (semi-external pool
@@ -245,8 +245,8 @@ class ExecutionContext:
 def resolve_context(context: Optional[ContextLike] = None) -> ExecutionContext:
     """Normalise an algorithm's ``context=`` argument to a context.
 
-    ``None`` gives a fresh default context (the per-call
-    ``BlockDevice.for_semi_external`` sizing); an :class:`EngineConfig`
+    ``None`` gives a fresh default context (its pool sized by
+    :func:`~repro.storage.semi_external_cache_blocks`); an :class:`EngineConfig`
     gives a fresh context wrapping it; an :class:`ExecutionContext` is
     returned as is.
     """

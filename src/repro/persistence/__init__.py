@@ -20,17 +20,13 @@ of the paper's I/O model; this package adds the physical counterpart:
 
 Recovery symbols are exposed lazily (PEP 562): :mod:`.recovery` imports
 the dynamic-maintenance stack, which would cycle back into the engine if
-pulled in while ``repro.engine`` itself is still initialising (it
-registers the ``"file"`` backend from this package).
+pulled in while ``repro.engine`` itself is still initialising (its
+backend table imports the ``file`` and ``mmap`` devices from this
+package).
 """
 
 from .faults import FaultInjector, SimulatedCrash, corrupt_byte, tear_file
-from .file_device import (
-    FSYNC_POLICIES,
-    FileBlockDevice,
-    file_backend_factory,
-    register_file_backend,
-)
+from .file_device import FSYNC_POLICIES, FileBlockDevice
 from .graph_file import (
     RGR_EXTENSION,
     RGR_MAGIC,
@@ -42,11 +38,7 @@ from .graph_file import (
     read_rgr_mapped,
     write_rgr,
 )
-from .mmap_device import (
-    MmapBlockDevice,
-    mmap_backend_factory,
-    register_mmap_backend,
-)
+from .mmap_device import MmapBlockDevice
 from .wal import (
     OP_DELETE,
     OP_INSERT,
@@ -68,8 +60,6 @@ _RECOVERY_SYMBOLS = (
 __all__ = [
     "FSYNC_POLICIES",
     "FileBlockDevice",
-    "file_backend_factory",
-    "register_file_backend",
     "RGR_EXTENSION",
     "RGR_MAGIC",
     "RGR_VERSION",
@@ -80,8 +70,6 @@ __all__ = [
     "read_rgr_mapped",
     "write_rgr",
     "MmapBlockDevice",
-    "mmap_backend_factory",
-    "register_mmap_backend",
     "OP_DELETE",
     "OP_INSERT",
     "WalRecord",

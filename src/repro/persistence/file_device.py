@@ -227,20 +227,3 @@ class FileBlockDevice(ReferenceBlockDevice):
             f"fsync={self.fsync_policy!r}, file={state})"
         )
 
-
-def file_backend_factory(config, num_vertices: int, stats: Optional[IOStats]):
-    """Backend factory for the registry (``factory(config, n, stats)``)."""
-    from ..engine.backends import build_device
-
-    return build_device(
-        FileBlockDevice, config, num_vertices, stats,
-        data_dir=config.data_dir, fsync_policy=config.fsync_policy,
-    )
-
-
-def register_file_backend() -> None:
-    """Register the ``file`` backend (idempotent)."""
-    from ..engine.backends import list_backends, register_backend
-
-    if "file" not in list_backends():
-        register_backend("file", file_backend_factory)

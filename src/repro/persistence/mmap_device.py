@@ -321,20 +321,3 @@ class MmapBlockDevice(BlockDevice):
             f"mapped={len(self._mapped_views)})"
         )
 
-
-def mmap_backend_factory(config, num_vertices: int, stats: Optional[IOStats]):
-    """Backend factory for the registry (``factory(config, n, stats)``)."""
-    from ..engine.backends import build_device
-
-    return build_device(
-        MmapBlockDevice, config, num_vertices, stats,
-        hot_extents=tuple(config.hot_extents), cold_cache_mb=config.cold_cache_mb,
-    )
-
-
-def register_mmap_backend() -> None:
-    """Register the ``mmap`` backend (idempotent)."""
-    from ..engine.backends import list_backends, register_backend
-
-    if "mmap" not in list_backends():
-        register_backend("mmap", mmap_backend_factory)

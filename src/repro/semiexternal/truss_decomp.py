@@ -27,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .._util import WorkBudget
-from ..engine.context import ContextLike, resolve_context
+from ..core.run import ChargedRun
+from ..engine.context import ContextLike
 from ..graph.disk_graph import DiskGraph
 from ..graph.memgraph import Graph
 from ..storage import DiskArray
@@ -108,12 +109,10 @@ def h_index_truss_decomposition(
         Optional early stop for bound-only use (Top-Down uses 2 rounds);
         the returned values are then still sound *upper bounds* on τ.
     """
-    ctx = resolve_context(context)
-    device = ctx.device_for(graph.n)
-    memory = ctx.memory
-    budget = ctx.new_budget(budget)
-    disk_graph = DiskGraph(graph, device, memory, name="G")
+    run = ChargedRun("HIndex", graph, context, budget)
+    disk_graph, memory, budget = run.disk_graph, run.memory, run.budget
     if graph.m == 0:
+        run.bill()
         return HIndexDecomposition(np.zeros(0, dtype=np.int64), 0, 0)
     scan = compute_supports(disk_graph)
     values = scan.supports  # iterate in place: starts at sup(e) = ub on τ-2
@@ -129,5 +128,5 @@ def h_index_truss_decomposition(
     memory.release("hindex.markers")
     values.free()
     disk_graph.release()
-    k_max = int(trussness.max()) if len(trussness) else 0
-    return HIndexDecomposition(trussness, rounds, k_max)
+    run.bill()
+    return HIndexDecomposition(trussness, rounds, int(trussness.max()))

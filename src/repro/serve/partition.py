@@ -16,16 +16,14 @@ serve the graph piecewise:
   vertices), so routing needs no id translation — the manifest's ranges
   are the whole routing table.
 * each shard gets a ``.tau`` trussness sidecar aligned with its image's
-  edge ids, and the manifest records the **cut-edge table** — edges whose
-  endpoints live in different shards — the structure a future
-  multi-process deployment needs for neighbourhood expansion.
+  edge ids, and the manifest counts the **cut edges** — edges whose
+  endpoints live in different shards — per shard and in total.
 
 Layout of a partition directory::
 
     manifest.json          ranges, file names, counts, k_max
     shard-0000.rgr ...     per-shard CSR images (global ids)
     shard-0000.tau ...     per-shard trussness sidecars
-    cuts.bin               (u, v, owner, peer) rows, CRC-framed
 """
 
 from __future__ import annotations
@@ -49,11 +47,9 @@ from ..persistence.graph_file import read_rgr, write_rgr
 PathLike = Union[str, Path]
 
 MANIFEST_NAME = "manifest.json"
-CUT_TABLE_NAME = "cuts.bin"
 _MANIFEST_VERSION = 1
 
 _TAU_MAGIC = b"RTAU"
-_CUT_MAGIC = b"RCUT"
 _SIDE_HEADER = struct.Struct("<4sIQ")  # magic, version, row count
 _CRC = struct.Struct("<I")
 
@@ -70,26 +66,6 @@ def write_tau_sidecar(path: PathLike, values: np.ndarray) -> int:
 
 def read_tau_sidecar(path: PathLike) -> np.ndarray:
     """Read (and CRC-check) a trussness sidecar."""
-    rows = _read_sidecar(path, _TAU_MAGIC, row_ints=1)
-    return rows.reshape(-1)
-
-
-def write_cut_table(path: PathLike, rows: np.ndarray) -> int:
-    """Write the cut-edge table: ``(u, v, owner, peer)`` int64 rows."""
-    rows = np.asarray(rows, dtype="<i8").reshape(-1, 4)
-    body = _SIDE_HEADER.pack(_CUT_MAGIC, 1, len(rows)) + rows.tobytes()
-    payload = body + _CRC.pack(zlib.crc32(body))
-    with open(path, "wb") as handle:
-        handle.write(payload)
-    return len(payload)
-
-
-def read_cut_table(path: PathLike) -> np.ndarray:
-    """Read (and CRC-check) the cut-edge table as an ``(c, 4)`` array."""
-    return _read_sidecar(path, _CUT_MAGIC, row_ints=4)
-
-
-def _read_sidecar(path: PathLike, magic: bytes, row_ints: int) -> np.ndarray:
     with open(path, "rb") as handle:
         payload = handle.read()
     if len(payload) < _SIDE_HEADER.size + _CRC.size:
@@ -98,18 +74,16 @@ def _read_sidecar(path: PathLike, magic: bytes, row_ints: int) -> np.ndarray:
     if zlib.crc32(body) != crc:
         raise PartitionError(f"{path}: sidecar checksum mismatch")
     found, version, count = _SIDE_HEADER.unpack_from(body)
-    if found != magic:
+    if found != _TAU_MAGIC:
         raise PartitionError(f"{path}: bad sidecar magic {found!r}")
     if version != 1:
         raise PartitionError(f"{path}: unsupported sidecar version {version}")
-    expected = _SIDE_HEADER.size + 8 * row_ints * count
+    expected = _SIDE_HEADER.size + 8 * count
     if len(body) != expected:
         raise PartitionError(
             f"{path}: sidecar length {len(body)} != declared {expected}"
         )
-    return np.frombuffer(
-        body, dtype="<i8", offset=_SIDE_HEADER.size
-    ).astype(np.int64).reshape(-1, row_ints)
+    return np.frombuffer(body, dtype="<i8", offset=_SIDE_HEADER.size).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -136,7 +110,6 @@ class PartitionManifest:
     k_max: int
     boundaries: Tuple[int, ...]   #: len(shards) + 1, [0, ..., n]
     shards: Tuple[ShardInfo, ...]
-    cut_table: str
     cut_edges: int
 
     def shard_of(self, v: int) -> int:
@@ -232,10 +205,6 @@ def write_partition(
         if graph.m else np.zeros(0, dtype=np.int64)
     )
     cut_mask = owners != peers
-    cut_rows = np.column_stack([
-        graph.edges[cut_mask], owners[cut_mask], peers[cut_mask],
-    ]) if graph.m else np.zeros((0, 4), dtype=np.int64)
-    write_cut_table(os.path.join(directory, CUT_TABLE_NAME), cut_rows)
 
     infos: List[ShardInfo] = []
     for shard_id in range(shards):
@@ -269,7 +238,6 @@ def write_partition(
         k_max=int(trussness.max()) if graph.m else 0,
         boundaries=tuple(boundaries),
         shards=tuple(infos),
-        cut_table=CUT_TABLE_NAME,
         cut_edges=int(cut_mask.sum()),
     )
     _write_manifest(manifest)
@@ -283,7 +251,6 @@ def _write_manifest(manifest: PartitionManifest) -> None:
         "m": manifest.m,
         "k_max": manifest.k_max,
         "boundaries": list(manifest.boundaries),
-        "cut_table": manifest.cut_table,
         "cut_edges": manifest.cut_edges,
         "shards": [
             {
@@ -311,7 +278,8 @@ def load_manifest(path: PathLike) -> PartitionManifest:
     the routing invariants the router relies on — monotone boundaries
     covering ``[0, n]``, contiguous shard ranges, edge counts summing to
     ``m`` — not the shard payloads (their ``.rgr``/sidecar CRCs are
-    checked when loaded).
+    checked when loaded). Older manifests also name a cut-edge table
+    file; that key is ignored.
     """
     path = str(path)
     if os.path.isdir(path):
@@ -354,7 +322,6 @@ def load_manifest(path: PathLike) -> PartitionManifest:
             k_max=int(payload["k_max"]),
             boundaries=boundaries,
             shards=shards,
-            cut_table=str(payload["cut_table"]),
             cut_edges=int(payload["cut_edges"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

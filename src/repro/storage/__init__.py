@@ -12,6 +12,7 @@ from .device import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_CACHE_BLOCKS,
     count_block_touches,
+    semi_external_cache_blocks,
 )
 from .disk_array import DiskArray
 from .external_sort import external_sort, external_argsort_by_key, external_sort_by_key
@@ -31,6 +32,7 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_CACHE_BLOCKS",
     "count_block_touches",
+    "semi_external_cache_blocks",
     "LRUCache",
     "FIFOCache",
     "ClockCache",

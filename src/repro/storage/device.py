@@ -67,6 +67,20 @@ def count_block_touches(offsets, lengths, block_size: int) -> int:
     return int(spans.sum())
 
 
+def semi_external_cache_blocks(num_vertices: int, block_size: int) -> int:
+    """Buffer-pool frames that respect the semi-external model.
+
+    The model allows ``O(n)`` node-indexed state in memory while
+    edge-indexed state must live on disk; a buffer pool that holds the
+    whole edge file would silently convert every algorithm into an
+    in-memory one and erase the I/O differences the paper measures. The
+    pool is ``32 * n`` bytes (four node arrays of 8-byte cells), at least
+    64 KiB and at least 8 frames.
+    """
+    cache_bytes = max(64 * 1024, 32 * max(num_vertices, 1))
+    return max(8, cache_bytes // block_size)
+
+
 def _per_extent(keys) -> Dict[int, int]:
     """Count ``(extent, block)`` keys per extent."""
     return Counter(map(itemgetter(0), keys))
@@ -126,33 +140,6 @@ class BlockDevice:
         # keeps every hot path on its historical branch: tracing cannot
         # perturb the charged ledger unless explicitly enabled.
         self._touch_counts: Dict[str, int] = None
-
-    @classmethod
-    def for_semi_external(
-        cls,
-        num_vertices: int,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        headroom: float = 4.0,
-        stats: IOStats = None,
-        policy: str = "lru",
-        **extras,
-    ) -> "BlockDevice":
-        """A device whose buffer pool respects the semi-external model.
-
-        The model allows ``O(n)`` node-indexed state in memory while
-        edge-indexed state must live on disk; a buffer pool that holds the
-        whole edge file would silently convert every algorithm into an
-        in-memory one and erase the I/O differences the paper measures.
-        This constructor sizes the pool at ``headroom * 8 * n`` bytes
-        (minimum 64 KiB), i.e. a few node-arrays' worth of pages.
-        Subclass constructor knobs (e.g. the file backend's ``data_dir``)
-        pass through *extras*.
-        """
-        cache_bytes = max(64 * 1024, int(headroom * 8 * max(num_vertices, 1)))
-        return cls(
-            block_size, max(8, cache_bytes // block_size), stats=stats,
-            policy=policy, **extras,
-        )
 
     # ------------------------------------------------------------------ #
     # extent management

@@ -2,14 +2,14 @@
 
 Three families of guarantees:
 
-* **Answer round-trip** — every registered backend runs all six
+* **Answer round-trip** — every backend in the table runs all six
   ``max_truss`` methods and insert/delete maintenance and agrees on
   ``k_max`` and the truss edge set.
 * **Bit-identity** — the ``simulated`` backend driven through an
   :class:`ExecutionContext` charges exactly the ``IOStats`` and per-extent
   breakdown of a caller-built device, and ``mmap`` charges exactly the
   ``simulated`` bill.
-* **Engine mechanics** — backend registry errors, context resolution,
+* **Engine mechanics** — unknown-backend errors, context resolution,
   work budgets minted from the config, phase aggregation across a shared
   context, and the engine events an attached tracer records.
 """
@@ -28,12 +28,7 @@ import repro
 from repro import EngineConfig, ExecutionContext, list_backends, max_truss
 from repro.core.api import available_methods
 from repro.dynamic import DynamicMaxTruss
-from repro.engine import (
-    make_device,
-    register_backend,
-    resolve_context,
-    unregister_backend,
-)
+from repro.engine import make_device, resolve_context
 from repro.errors import DeviceError, WorkLimitExceeded
 from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import barabasi_albert, gnm_random, paper_example_graph
@@ -230,7 +225,7 @@ class TestMmapBitIdentity:
 
 
 # --------------------------------------------------------------------- #
-# registry mechanics
+# backend table
 # --------------------------------------------------------------------- #
 
 
@@ -239,30 +234,9 @@ class TestRegistry:
         with pytest.raises(DeviceError, match="unknown storage backend"):
             make_device(EngineConfig(backend="holographic"), 10)
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(DeviceError, match="already registered"):
-            register_backend("simulated", lambda *a: None)
-
-    def test_unregister_unknown_rejected(self):
+    def test_context_rejects_unknown_backend_before_any_device(self):
         with pytest.raises(DeviceError, match="unknown storage backend"):
-            unregister_backend("holographic")
-
-    def test_custom_backend_slots_in(self, example, truth):
-        def tiny_pool(config, num_vertices, stats):
-            return BlockDevice(
-                config.block_size, 8, stats=stats, policy=config.cache_policy
-            )
-
-        register_backend("tiny", tiny_pool)
-        try:
-            assert "tiny" in list_backends()
-            context = ExecutionContext(EngineConfig(backend="tiny", block_size=64))
-            result = max_truss(example, method="semi-binary", context=context)
-            assert result.k_max == truth.k_max
-            assert context.device.cache_blocks == 8
-        finally:
-            unregister_backend("tiny")
-        assert "tiny" not in list_backends()
+            ExecutionContext(EngineConfig(backend="nope"))
 
 
 # --------------------------------------------------------------------- #
@@ -337,6 +311,7 @@ class TestContextMechanics:
 
     def test_config_validation_errors(self):
         for broken in (
+            EngineConfig(backend="nope"),
             EngineConfig(block_size=0),
             EngineConfig(cache_blocks=-1),
             EngineConfig(cache_policy="mru"),

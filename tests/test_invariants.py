@@ -13,6 +13,7 @@ from hypothesis import given, settings
 
 from repro import EngineConfig, ExecutionContext, max_truss, semi_lazy_update
 from repro.baselines import max_truss_edges, truss_decomposition
+from repro.baselines.partitioned import partitioned_truss_decomposition
 from repro.core import bounds
 from repro.core.k_truss import k_truss_semi_external
 from repro.core.peeling import PlainDiskHeap, peel_below, surviving_edge_ids
@@ -21,6 +22,7 @@ from repro.graph.generators import cycle_graph, gnm_random, paper_example_graph,
 from repro.graph.memgraph import Graph
 from repro.semiexternal.core_decomp import core_decomposition_inmemory
 from repro.semiexternal.support import compute_supports
+from repro.semiexternal.truss_decomp import h_index_truss_decomposition
 from repro.storage import BlockDevice, MemoryMeter
 from repro.structures import LHDH
 
@@ -138,7 +140,10 @@ class TestInvariant7IOAccounting:
         }
         for k in (3, 4, 8):
             runs[f"k-truss k={k}"] = partial(k_truss_semi_external, k=k)
+        runs["partitioned"] = partitioned_truss_decomposition
+        runs["h-index"] = h_index_truss_decomposition
         graphs = {
+            "edgeless(5)": Graph.empty(5),
             "cycle(40)": cycle_graph(40),
             "star(30)": star_graph(30),
             "paper": paper_example_graph(),
@@ -152,7 +157,7 @@ class TestInvariant7IOAccounting:
                 )
                 run(graph, context=context)
                 before = context.stats.snapshot()
-                context.device.flush()
+                context.device_for(graph.n).flush()
                 if context.stats != before:
                     left_dirty.append((graph_name, run_name))
         assert left_dirty == []

@@ -16,11 +16,14 @@ Four families of guarantees:
   are windows over the file mapping, and only read-only payloads are
   adopted as mappings (``DiskArray.attach``'s copy-on-write is pinned in
   ``tests/test_disk_array.py``).
-* **Registry / config surface** — factory dispatch, knob forwarding,
-  validation errors, defaults kept in sync with ``engine.config``.
+* **Backend table / config surface** — ``make_device`` dispatch, knob
+  forwarding, validation errors, defaults kept in sync with
+  ``engine.config``.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -28,20 +31,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import max_truss
-from repro.engine import EngineConfig, ExecutionContext, list_backends
+from repro.engine import EngineConfig, ExecutionContext, list_backends, make_device
 from repro.engine.config import DEFAULT_COLD_CACHE_MB, DEFAULT_HOT_EXTENTS
 from repro.errors import DeviceError
 from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import gnm_random, paper_example_graph
 from repro.persistence import (
+    FileBlockDevice,
     MmapBlockDevice,
-    mmap_backend_factory,
     read_rgr,
     read_rgr_mapped,
     write_rgr,
 )
 from repro.persistence import mmap_device as mmap_module
-from repro.storage import BlockDevice, DiskArray, MemoryMeter
+from repro.storage import BlockDevice, DiskArray, MemoryMeter, semi_external_cache_blocks
 
 from test_batch_equivalence import TRACE_EXTENTS, _apply, traces, workloads
 
@@ -389,7 +392,7 @@ def test_close_releases_mapped_views():
 
 
 # --------------------------------------------------------------------- #
-# registry / config surface
+# backend table / config surface
 # --------------------------------------------------------------------- #
 
 
@@ -402,24 +405,40 @@ def test_defaults_in_sync_with_engine_config():
     assert mmap_module.DEFAULT_COLD_CACHE_MB == DEFAULT_COLD_CACHE_MB
 
 
-def test_factory_dispatch_and_knob_forwarding():
-    explicit = mmap_backend_factory(
+def test_factory_dispatch_and_knob_forwarding(tmp_path):
+    explicit = make_device(
         EngineConfig(
             backend="mmap", block_size=128, cache_blocks=16,
             cache_policy="clock", hot_extents=("zeta",), cold_cache_mb=2.5,
         ),
-        100, None,
+        100,
     )
     assert isinstance(explicit, MmapBlockDevice)
     assert (explicit.block_size, explicit.cache_blocks) == (128, 16)
     assert explicit.policy == "clock"
     assert explicit.hot_extents == ("zeta",)
     assert explicit.cold_cache_mb == 2.5
-    auto = mmap_backend_factory(
-        EngineConfig(backend="mmap", block_size=128), 10_000, None
+    spill = make_device(
+        EngineConfig(
+            backend="file", block_size=128, cache_blocks=16,
+            cache_policy="fifo", data_dir=str(tmp_path), fsync_policy="always",
+        ),
+        100,
     )
-    # semi-external sizing: headroom * 8 * n bytes of pool
-    assert auto.cache_blocks == max(8, int(4.0 * 8 * 10_000) // 128)
+    try:
+        assert isinstance(spill, FileBlockDevice)
+        assert (spill.block_size, spill.cache_blocks) == (128, 16)
+        assert spill.policy == "fifo"
+        assert spill.fsync_policy == "always"
+        assert os.path.dirname(spill.path) == str(tmp_path)
+    finally:
+        spill.close()
+    for backend in ("mmap", "file"):
+        auto = make_device(EngineConfig(backend=backend, block_size=128), 10_000)
+        # semi-external sizing: 32 bytes per vertex of pool
+        assert auto.cache_blocks == semi_external_cache_blocks(10_000, 128)
+        assert auto.cache_blocks == max(8, 32 * 10_000 // 128)
+        auto.close()
 
 
 def test_hot_classification_is_substring_match():

@@ -19,13 +19,21 @@ from repro.core.peeling import PlainDiskHeap, peel_below
 from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import gnm_random
 from repro.semiexternal.support import compute_supports
-from repro.storage import BlockDevice, MemoryMeter, count_block_touches
+from repro.storage import (
+    DEFAULT_BLOCK_SIZE,
+    BlockDevice,
+    MemoryMeter,
+    count_block_touches,
+    semi_external_cache_blocks,
+)
 from repro.structures import LHDH
 
 
 def _peel_order(graph, heap_factory, permute_seed=None):
     """The exact removal sequence peel_below produces for *graph*."""
-    device = BlockDevice.for_semi_external(graph.n)
+    device = BlockDevice(
+        cache_blocks=semi_external_cache_blocks(graph.n, DEFAULT_BLOCK_SIZE)
+    )
     memory = MemoryMeter()
     disk_graph = DiskGraph(graph, device, memory, name="G")
     scan = compute_supports(disk_graph)
@@ -64,7 +72,9 @@ class TestDeterministicPeelOrder:
         assert _peel_order(graph, lhdh) == _peel_order(graph, PlainDiskHeap)
 
     def test_waves_are_ascending_edge_id_within_a_class(self):
-        device = BlockDevice.for_semi_external(8)
+        device = BlockDevice(
+            cache_blocks=semi_external_cache_blocks(8, DEFAULT_BLOCK_SIZE)
+        )
         heap = PlainDiskHeap(device, [5, 1, 9, 3], [2, 2, 2, 7])
         key, wave = heap.collect_min_class()
         assert key == 2

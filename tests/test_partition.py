@@ -9,6 +9,8 @@ aggregates merge exactly.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,6 @@ from repro.serve import (
 )
 from repro.serve.partition import (
     partition_boundaries,
-    read_cut_table,
     read_tau_sidecar,
     write_tau_sidecar,
 )
@@ -93,15 +94,26 @@ class TestPartition:
         assert sorted(gathered) == sorted(expected)
 
     def test_cut_table_matches_cross_shard_edges(self, tmp_path):
+        """The manifest's cut-edge counts are the graph's cross-shard edges."""
         graph = random_graph()
         manifest = write_partition(graph, tmp_path, shards=3)
-        cuts = read_cut_table(tmp_path / "cuts.bin")
-        assert len(cuts) == manifest.cut_edges
-        for u, v, owner, peer in cuts:
-            assert manifest.shard_of(int(u)) == owner
-            assert manifest.shard_of(int(v)) == peer
-            assert owner != peer
-        assert manifest.cut_edges == sum(s.cut_edges for s in manifest.shards)
+        per_shard = [0] * len(manifest.shards)
+        for u, v in graph.edges:
+            owner = manifest.shard_of(int(u))
+            if manifest.shard_of(int(v)) != owner:
+                per_shard[owner] += 1
+        assert [s.cut_edges for s in manifest.shards] == per_shard
+        assert manifest.cut_edges == sum(per_shard) > 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json",
+            *(f"shard-{i:04d}.{ext}" for i in range(3) for ext in ("rgr", "tau")),
+        ]
+        # Older manifests also name a cut-edge table file: ignored.
+        manifest_path = tmp_path / "manifest.json"
+        payload = json.loads(manifest_path.read_text())
+        payload["cut_table"] = "cuts.bin"
+        manifest_path.write_text(json.dumps(payload))
+        assert load_manifest(tmp_path).cut_edges == manifest.cut_edges
 
     def test_sidecar_roundtrip_and_corruption(self, tmp_path):
         path = tmp_path / "x.tau"
@@ -118,8 +130,6 @@ class TestPartition:
         graph = random_graph(n=30, edges=100)
         write_partition(graph, tmp_path, shards=2)
         manifest_path = tmp_path / "manifest.json"
-        import json
-
         payload = json.loads(manifest_path.read_text())
         payload["m"] = payload["m"] + 1
         manifest_path.write_text(json.dumps(payload))
