@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro import EngineConfig, ExecutionContext
-from repro.dynamic import DynamicMaxTruss, apply_batch
+from repro.dynamic import DynamicMaxTruss
 
 from conftest import BenchReport
 
@@ -49,7 +49,7 @@ def test_batch_vs_sequential(benchmark, graphs, dataset, mode):
             for u, v in deletions:
                 state.delete(u, v)
         else:
-            apply_batch(state, [("delete", u, v) for u, v in deletions])
+            state.apply_batch([("delete", u, v) for u, v in deletions])
         outcome["elapsed"] = time.perf_counter() - start
         outcome["io"] = device.stats.since(io_start).total_ios
         outcome["k_max"] = state.k_max
@@ -73,7 +73,7 @@ def test_modes_agree(benchmark, graphs):
         for u, v in deletions:
             sequential.delete(u, v)
         batched = DynamicMaxTruss(graph, context=EngineConfig())
-        apply_batch(batched, [("delete", u, v) for u, v in deletions])
+        batched.apply_batch([("delete", u, v) for u, v in deletions])
         outcome["match"] = (
             sequential.k_max == batched.k_max
             and sequential.truss_pairs() == batched.truss_pairs()

@@ -89,7 +89,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro import EngineConfig, ExecutionContext, max_truss
 from repro.engine import make_device
-from repro.dynamic import DynamicMaxTruss, apply_batch
+from repro.dynamic import DynamicMaxTruss
 from repro.dynamic.workload import mixed_churn
 from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import gnm_random
@@ -462,7 +462,7 @@ def bench_maintenance(graph, ops: int, config: EngineConfig) -> dict:
     device = state.device
     baseline = device.stats.snapshot()
     start = time.perf_counter()
-    apply_batch(state, churn)
+    state.apply_batch(churn)
     elapsed = time.perf_counter() - start
     return {
         "graph": {"n": graph.n, "m": graph.m},

@@ -4,17 +4,15 @@ Demonstrates on one attributed collaboration-style graph:
 
 1. **community search** — the maximal maximum-trussness community around
    query members (Huang et al., cited in §I);
-2. **keyword retrieval** — a minimal max-trussness subgraph covering query
-   keywords (Zhu et al., cited in §I);
-3. **batch maintenance** — a burst of updates resolved with a single
+2. **batch maintenance** — a burst of updates resolved with a single
    global recomputation;
-4. **FPT parameterisation** — k_max bounding the clique structure.
+3. **FPT parameterisation** — k_max bounding the clique structure.
 
 Run:  python examples/applications_demo.py
 """
 
-from repro.analysis import clique_number, count_k_cliques
-from repro.applications import keyword_search, truss_community
+from repro.analysis import clique_number
+from repro.applications import truss_community
 from repro.baselines import max_truss_edges
 from repro.dynamic import DynamicMaxTruss
 from repro.graph.generators import word_association
@@ -25,7 +23,6 @@ def main() -> None:
         num_communities=3, community_size=10, intra_missing=0.12,
         noise_words=30, seed=4,
     )
-    labels = {v: {words[v]} for v in range(graph.n)}
     k_max, _ = max_truss_edges(graph)
     print(f"attributed graph: {graph.n} vertices, {graph.m} edges, "
           f"k_max={k_max}\n")
@@ -37,13 +34,7 @@ def main() -> None:
     print(f"  k={community.k}, members: "
           + ", ".join(sorted(words[v] for v in community.vertices)) + "\n")
 
-    # 2. keyword retrieval
-    wanted = [words[0], words[3]]  # two alcohol-community words
-    answer = keyword_search(graph, labels, wanted)
-    print(f"keyword search for {wanted}:")
-    print(f"  k={answer.k}, {answer.size} vertices, {len(answer.edges)} edges\n")
-
-    # 3. batch maintenance: a burst of noise-edge churn, one recompute
+    # 2. batch maintenance: a burst of noise-edge churn, one recompute
     state = DynamicMaxTruss(graph)
     burst = []
     noise = [v for v, w in enumerate(words) if w.startswith("noise")]
@@ -57,9 +48,9 @@ def main() -> None:
           f"'{result.mode}' (k_max {result.k_max_before} -> "
           f"{result.k_max_after}, io={result.io.total_ios})\n")
 
-    # 4. FPT parameterisation: k_max bounds the clique structure
+    # 3. FPT parameterisation: k_max bounds the clique structure
     omega = clique_number(graph)
-    triangles = count_k_cliques(graph, 3)
+    triangles = graph.triangle_count()
     print(f"clique number ω = {omega} <= k_max = {k_max} (the paper's FPT "
           f"parameter bound); triangle count = {triangles}")
 

@@ -1,13 +1,9 @@
-"""Analyses supporting Exp-5/6, the case study, and the FPT motivation."""
+"""Analyses behind Table I, Exp-5/6 and the Fig 9 case study: degeneracy,
+maximum clique and core, truss components, dataset statistics and the
+truss hierarchy."""
 
-from .degeneracy import degeneracy, degeneracy_ordering, kmax_vs_degeneracy_gap, compare
+from .degeneracy import degeneracy, degeneracy_ordering, kmax_vs_degeneracy_gap
 from .cliques import maximum_clique, clique_number, maximum_core
-from .clique_listing import (
-    maximal_cliques,
-    list_k_cliques,
-    count_k_cliques,
-    triangle_list,
-)
 from .components import (
     DisjointSet,
     vertex_connected_components,
@@ -15,21 +11,15 @@ from .components import (
     split_max_truss,
 )
 from .statistics import GraphStats, graph_stats, kmax_distribution, degeneracy_comparison
-from .robustness import AttackTrace, edge_deletion_attack, resilience_summary
 from .hierarchy import TrussHierarchy
 
 __all__ = [
     "degeneracy",
     "degeneracy_ordering",
     "kmax_vs_degeneracy_gap",
-    "compare",
     "maximum_clique",
     "clique_number",
     "maximum_core",
-    "maximal_cliques",
-    "list_k_cliques",
-    "count_k_cliques",
-    "triangle_list",
     "DisjointSet",
     "vertex_connected_components",
     "triangle_connected_components",
@@ -38,8 +28,5 @@ __all__ = [
     "graph_stats",
     "kmax_distribution",
     "degeneracy_comparison",
-    "AttackTrace",
-    "edge_deletion_attack",
-    "resilience_summary",
     "TrussHierarchy",
 ]

@@ -7,7 +7,7 @@ FPT complexity bounds (``k_max <= c_max + 1`` always, and usually far below).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -67,12 +67,3 @@ def kmax_vs_degeneracy_gap(k_max: int, c_max: int) -> float:
     if c_max <= 0:
         return 0.0
     return (c_max - k_max) / c_max
-
-
-def compare(graph: Graph) -> Tuple[int, int, float]:
-    """``(k_max, c_max, gap)`` for one graph."""
-    from ..baselines.inmemory import max_truss_edges
-
-    k_max, _ = max_truss_edges(graph)
-    c_max = degeneracy(graph)
-    return k_max, c_max, kmax_vs_degeneracy_gap(k_max, c_max)

@@ -1,28 +1,13 @@
-"""Applications of the k_max-truss from the paper's introduction:
-community search and keyword retrieval."""
+"""Community search over the k_max-truss (the paper's §I application)
+and its export formats."""
 
 from .community import CommunityResult, truss_community, max_truss_communities
-from .keyword import KeywordResult, keyword_search
 from .export import to_dot, community_to_json, hierarchy_to_json, load_community_json
-from .densest import (
-    DenseSubgraph,
-    greedy_densest_subgraph,
-    subgraph_density,
-    truss_density_certificate,
-    compare_with_truss,
-)
 
 __all__ = [
     "CommunityResult",
     "truss_community",
     "max_truss_communities",
-    "KeywordResult",
-    "keyword_search",
-    "DenseSubgraph",
-    "greedy_densest_subgraph",
-    "subgraph_density",
-    "truss_density_certificate",
-    "compare_with_truss",
     "to_dot",
     "community_to_json",
     "hierarchy_to_json",

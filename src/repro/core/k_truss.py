@@ -82,6 +82,7 @@ def k_truss_semi_external(
     disk_graph = run.disk_graph
     scan = compute_supports(disk_graph)
     if scan.triangle_count == 0 or scan.max_support < k - 2:
+        scan.supports.free()
         disk_graph.release()
         return KTrussResult(k, [], run.bill(), run.watch.elapsed())
     edge_file = build_sorted_edge_file(scan)

@@ -1,10 +1,14 @@
-"""Dynamic ``k_max``-truss maintenance (paper §IV) and the YLJ baselines."""
+"""Dynamic ``k_max``-truss maintenance (paper §IV) and the YLJ baselines.
+
+:class:`DynamicMaxTruss` is the maintainer: ``insert``/``delete`` apply one
+edge update and ``apply_batch`` a mixed batch, each returning its bill.
+:class:`YLJMaintenance` is the Fig 7 baseline, billed through the same
+edge-update window.
+"""
 
 from .adjacency_file import AdjacencyFile
 from .state import DynamicMaxTruss
-from .deletion import delete_edge
-from .insertion import insert_edge
-from .batch import BatchResult, apply_batch
+from .batch import BatchResult
 from .checkpoint import save_checkpoint, load_checkpoint
 from .ingest import IngestPipeline, IngestStats
 from .ylj import YLJMaintenance
@@ -13,10 +17,7 @@ from . import workload
 __all__ = [
     "AdjacencyFile",
     "DynamicMaxTruss",
-    "delete_edge",
-    "insert_edge",
     "BatchResult",
-    "apply_batch",
     "save_checkpoint",
     "load_checkpoint",
     "IngestPipeline",

@@ -6,7 +6,9 @@ arrives, per-update cascades waste work — several updates may each trigger
 a global recomputation that a single one would cover.
 
 :func:`apply_batch` applies a mixed stream of insertions/deletions with one
-decision at the end:
+decision at the end (callers go through
+:meth:`~repro.dynamic.state.DynamicMaxTruss.apply_batch`, which bills the
+batch and returns its :class:`BatchResult`):
 
 * the batch is first **coalesced**: a net-zero pair (an edge inserted and
   deleted within the same batch, in either order) cancels before touching
@@ -31,12 +33,13 @@ against recomputation from scratch).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .._util import Stopwatch
 from ..errors import GraphFormatError
 from ..storage import IOStats
-from .state import DynamicMaxTruss
+
+if TYPE_CHECKING:  # the state imports this module
+    from .state import DynamicMaxTruss
 
 #: ("insert" | "delete", u, v)
 BatchOp = Tuple[str, int, int]
@@ -44,7 +47,8 @@ BatchOp = Tuple[str, int, int]
 
 @dataclass
 class BatchResult:
-    """Outcome of one :func:`apply_batch` call."""
+    """Outcome of one :meth:`~repro.dynamic.state.DynamicMaxTruss.apply_batch`
+    call."""
 
     operations: int
     insertions: int
@@ -105,19 +109,17 @@ def _coalesce(
     return net, len(ops) - len(net)
 
 
-def apply_batch(state: DynamicMaxTruss, operations: Iterable[BatchOp]) -> BatchResult:
-    """Apply *operations* to *state* with at most one global recomputation.
+def apply_batch(
+    state: DynamicMaxTruss, ops: List[BatchOp]
+) -> Tuple[int, int, str, int, int]:
+    """Apply *ops* to *state* with at most one global recomputation.
 
+    Returns ``(insertions, deletions, mode, cancelled_ops, gate_probes)``.
     The batch is atomic with respect to validation: an operation that
     conflicts with the graph state it would see (duplicate insert, absent
     delete) raises :class:`~repro.errors.GraphFormatError` before any
     mutation, leaving the graph exactly as it was.
     """
-    watch = Stopwatch()
-    io_start = state.device.stats.snapshot()
-    k_before = state.k_max
-
-    ops = list(operations)
     net_ops, cancelled = _coalesce(state, ops)
 
     insertions = 0
@@ -171,26 +173,8 @@ def apply_batch(state: DynamicMaxTruss, operations: Iterable[BatchOp]) -> BatchR
     if class_deletions == 0 and not gated_insertion:
         # Provably no class change; track trivial-class growth at k_max <= 2.
         if state.k_max <= 2 and net_ops:
-            _sync_trivial_class(state)
-        return BatchResult(
-            len(ops), insertions, deletions, k_before, state.k_max,
-            "untouched", state.device.stats.since(io_start), watch.elapsed(),
-            cancelled_ops=cancelled, gate_probes=gate_probes,
-        )
+            state.set_trivial_class()
+        return insertions, deletions, "untouched", cancelled, gate_probes
 
-    lower_bound = max(3, state.k_max - deletions)
-    state.global_phase(lower_bound)
-    return BatchResult(
-        len(ops), insertions, deletions, k_before, state.k_max,
-        "global", state.device.stats.since(io_start), watch.elapsed(),
-        cancelled_ops=cancelled, gate_probes=gate_probes,
-    )
-
-
-def _sync_trivial_class(state: DynamicMaxTruss) -> None:
-    """At k_max <= 2 the class is *all* edges; rebuild it after mutations."""
-    rows: List[Tuple[int, int, int, int]] = []
-    for eid in state.graph.live_edge_ids():
-        u, v = state.graph.endpoints(eid)
-        rows.append((u, v, eid, 0))
-    state.set_class(rows, 2 if rows else 0)
+    state.global_phase(max(3, state.k_max - deletions))
+    return insertions, deletions, "global", cancelled, gate_probes

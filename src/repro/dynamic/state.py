@@ -13,15 +13,22 @@
   ``cached + insertions_since_refresh`` is always an upper bound — enough
   for the Lemma 3/9 gates, with an exact refresh only when a gate fires.
 
-The update entry points live in :mod:`repro.dynamic.insertion` and
+The update algorithms live in :mod:`repro.dynamic.insertion` and
 :mod:`repro.dynamic.deletion`; both fall back to :meth:`global_phase` —
 the paper's "global-second" tier: core-pruned recomputation via the
 Algorithm 3 machinery (LHDH upward peel) on the refined vertex set.
+:mod:`repro.dynamic.batch` applies a mixed batch with at most one global
+phase.
+
+Every result carries its bill. :func:`edge_update` is the one window of
+an edge update, for this class and for
+:class:`~repro.dynamic.ylj.YLJMaintenance`, and
+:meth:`DynamicMaxTruss.apply_batch` is the window of a batch.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,10 +43,34 @@ from ..semiexternal.core_decomp import core_decomposition_inmemory
 from ..semiexternal.support import compute_supports
 from ..structures import LHDH
 from .adjacency_file import AdjacencyFile
+from .batch import BatchOp, BatchResult, apply_batch
 from .deletion import delete_edge
 from .insertion import insert_edge
 
 EdgePair = Tuple[int, int]
+
+
+def edge_update(
+    maintainer, operation: str, apply: Callable[..., str], u: int, v: int
+) -> MaintenanceResult:
+    """Time and bill one edge update of *maintainer*.
+
+    *maintainer* is anything with ``context``, ``device`` and ``k_max``
+    (:class:`DynamicMaxTruss`, :class:`~repro.dynamic.ylj.YLJMaintenance`);
+    ``apply(maintainer, u, v)`` performs the update and returns its
+    resolution mode. The window starts the stopwatch, snapshots the
+    ledger and ``k_max``, and runs *apply* under the
+    ``maintain.<operation>`` span.
+    """
+    watch = Stopwatch()
+    io_start = maintainer.device.stats.snapshot()
+    k_before = maintainer.k_max
+    with maintainer.context.span("maintain." + operation, u=u, v=v):
+        mode = apply(maintainer, u, v)
+    return MaintenanceResult(
+        operation, (u, v), k_before, maintainer.k_max, mode,
+        maintainer.device.stats.since(io_start), watch.elapsed(),
+    )
 
 
 class DynamicMaxTruss:
@@ -204,6 +235,15 @@ class DynamicMaxTruss:
         self.truss_file.charge_rebuild(self._truss_degrees(self.graph.n))
         self._recharge_truss_memory()
 
+    def set_trivial_class(self) -> None:
+        """Make every edge the class at trussness 2 (no triangle-carrying
+        truss; ``k_max`` 0 when the graph is edgeless)."""
+        rows = []
+        for eid in self.graph.live_edge_ids():
+            u, v = self.graph.endpoints(eid)
+            rows.append((u, v, eid, 0))
+        self.set_class(rows, 2 if rows else 0)
+
     # ------------------------------------------------------------------ #
     # graph mutation passthroughs (charged)
     # ------------------------------------------------------------------ #
@@ -305,13 +345,7 @@ class DynamicMaxTruss:
             # widen the candidate set and retry one level lower.
             lb -= 1
         if k_max <= 2:
-            # No triangle-carrying truss: the class is every edge at
-            # trussness 2.
-            rows = []
-            for stable_eid in self.graph.live_edge_ids():
-                u, v = self.graph.endpoints(stable_eid)
-                rows.append((u, v, stable_eid, 0))
-            self.set_class(rows, 2 if rows else 0)
+            self.set_trivial_class()
             return
         rows = []
         for sub_eid, sup in survivors:
@@ -328,32 +362,33 @@ class DynamicMaxTruss:
 
     def insert(self, u: int, v: int) -> MaintenanceResult:
         """Insert edge ``(u, v)`` and maintain the class (Algorithm 6)."""
-        return self._update("insert", insert_edge, u, v)
+        return edge_update(self, "insert", insert_edge, u, v)
 
     def delete(self, u: int, v: int) -> MaintenanceResult:
         """Delete edge ``(u, v)`` and maintain the class (Algorithm 5)."""
-        return self._update("delete", delete_edge, u, v)
+        return edge_update(self, "delete", delete_edge, u, v)
 
-    def _update(self, operation: str, apply, u: int, v: int) -> MaintenanceResult:
-        """Time and bill one update; *apply* returns its resolution mode."""
+    def apply_batch(self, operations: Iterable[BatchOp]) -> BatchResult:
+        """Apply a mixed update batch with at most one global recompute
+        (see :func:`repro.dynamic.batch.apply_batch`), timed and billed
+        under the ``maintain.batch`` span.
+
+        An operation that conflicts with the graph state it would see
+        raises :class:`~repro.errors.GraphFormatError` before any mutation.
+        """
         watch = Stopwatch()
         io_start = self.device.stats.snapshot()
         k_before = self.k_max
-        with self.context.span("maintain." + operation, u=u, v=v):
-            mode = apply(self, u, v)
-        return MaintenanceResult(
-            operation, (u, v), k_before, self.k_max, mode,
-            self.device.stats.since(io_start), watch.elapsed(),
-        )
-
-    def apply_batch(self, operations):
-        """Apply a mixed update batch with at most one global recompute
-        (see :func:`repro.dynamic.batch.apply_batch`)."""
-        from .batch import apply_batch
-
         operations = list(operations)
         with self.context.span("maintain.batch", ops=len(operations)):
-            return apply_batch(self, operations)
+            insertions, deletions, mode, cancelled, probes = apply_batch(
+                self, operations
+            )
+        return BatchResult(
+            len(operations), insertions, deletions, k_before, self.k_max, mode,
+            self.device.stats.since(io_start), watch.elapsed(),
+            cancelled_ops=cancelled, gate_probes=probes,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -26,13 +26,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .._util import Stopwatch
 from ..baselines.inmemory import truss_decomposition
 from ..core.result import MaintenanceResult
 from ..engine.context import ContextLike, resolve_context
 from ..errors import GraphFormatError
 from ..graph.memgraph import Graph, MutableGraph
 from .adjacency_file import AdjacencyFile
+from .state import edge_update
 
 EdgePair = Tuple[int, int]
 
@@ -119,34 +119,28 @@ class YLJMaintenance:
 
     def insert(self, u: int, v: int) -> MaintenanceResult:
         """YLJ-Insertion."""
-        watch = Stopwatch()
-        io_start = self.device.stats.snapshot()
+        return edge_update(self, "insert", YLJMaintenance._insert, u, v)
+
+    def delete(self, u: int, v: int) -> MaintenanceResult:
+        """YLJ-Deletion."""
+        return edge_update(self, "delete", YLJMaintenance._delete, u, v)
+
+    def _insert(self, u: int, v: int) -> str:
         if self.graph.has_edge(u, v):
             raise GraphFormatError(f"edge ({u}, {v}) already present")
-        k_before = self.k_max
         self.graph.insert_edge(u, v)
         self.adj_file.charge_append(u)
         self.adj_file.charge_append(v)
         self._candidate_bfs(u, v)
         self._refresh()
-        return MaintenanceResult(
-            "insert", (u, v), k_before, self.k_max, "global",
-            self.device.stats.since(io_start), watch.elapsed(),
-        )
+        return "global"
 
-    def delete(self, u: int, v: int) -> MaintenanceResult:
-        """YLJ-Deletion."""
-        watch = Stopwatch()
-        io_start = self.device.stats.snapshot()
+    def _delete(self, u: int, v: int) -> str:
         if not self.graph.has_edge(u, v):
             raise GraphFormatError(f"cannot delete absent edge ({u}, {v})")
-        k_before = self.k_max
         self._candidate_bfs(u, v)
         self.graph.delete_edge(u, v)
         self.adj_file.charge_remove(u)
         self.adj_file.charge_remove(v)
         self._refresh()
-        return MaintenanceResult(
-            "delete", (u, v), k_before, self.k_max, "global",
-            self.device.stats.since(io_start), watch.elapsed(),
-        )
+        return "global"

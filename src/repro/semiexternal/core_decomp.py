@@ -117,11 +117,3 @@ def semi_external_core_decomposition(
     finally:
         disk_graph.memory.release(memory_tag)
     return CoreDecompositionResult(coreness, rounds)
-
-
-def max_core_subgraph(graph: Graph) -> np.ndarray:
-    """Vertex ids of the maximum-coreness core ``V_cmax`` (Alg 2 line 2)."""
-    coreness = core_decomposition_inmemory(graph)
-    if len(coreness) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.nonzero(coreness == coreness.max())[0].astype(np.int64)

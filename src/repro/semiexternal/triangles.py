@@ -49,27 +49,3 @@ def edge_triangle_supports_naive(graph: Graph) -> np.ndarray:
         supports[graph.edge_id(u, w)] += 1
         supports[graph.edge_id(v, w)] += 1
     return supports
-
-
-def local_clustering(graph: Graph, v: int) -> float:
-    """Clustering coefficient of vertex *v* (0.0 when degree < 2)."""
-    nbrs = graph.neighbors(v)
-    degree = len(nbrs)
-    if degree < 2:
-        return 0.0
-    nbr_set = set(int(x) for x in nbrs)
-    links = 0
-    for u in nbrs:
-        for w in graph.neighbors(int(u)):
-            if int(w) in nbr_set and int(w) > int(u):
-                links += 1
-    return 2.0 * links / (degree * (degree - 1))
-
-
-def global_clustering(graph: Graph) -> float:
-    """Transitivity: ``3 * triangles / open wedges`` (0.0 if no wedges)."""
-    degrees = graph.degrees
-    wedges = int((degrees * (degrees - 1) // 2).sum())
-    if wedges == 0:
-        return 0.0
-    return 3.0 * graph.triangle_count() / wedges

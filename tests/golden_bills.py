@@ -13,15 +13,21 @@ difference shows), what each charged path answers and what it bills:
   flush) and peak model memory;
 * ``estimate_bounds`` — semi-binary with ``estimate_bounds=True`` on the
   same graphs and policies;
-* ``maintenance`` — one 80-update ``mixed_churn`` stream per policy:
-  each update's ``k_max`` and mode, and the stream's whole bill;
+* ``maintenance`` — per policy, on ``chung_lu``: one 80-update
+  ``mixed_churn`` stream through ``DynamicMaxTruss.insert``/``delete``
+  (each update's ``k_max`` and mode, and the stream's whole bill); a
+  20-update stream through ``YLJMaintenance`` (each update's ``k_max``,
+  mode and I/O, and the whole bill); and the 80-update stream applied
+  10 at a time through ``DynamicMaxTruss.apply_batch`` (each batch's
+  counts, mode, cancelled ops, gate probes and I/O, and the whole bill);
 * ``serve`` — one request per query op (exact, plus the approximate
   point ops) with the result cache off: the envelope's ``io`` and a
   digest of its ``result``;
 * ``decompositions`` — on the same graphs and policies, the h-index
   truss decomposition (a digest of every edge's trussness, its round
   count and its whole bill) and the semi-external k-truss query at
-  ``k = 3`` and ``k = k_max`` (edge count and bill).
+  ``k = 3``, ``k = k_max`` and a level above every support (edge count
+  and bill).
 
 Regenerate after a change that alters a bill on purpose (and say why in
 the change log)::
@@ -53,6 +59,8 @@ CACHE_BLOCKS = 8
 POLICIES = ("lru", "fifo", "clock")
 METHODS = ("semi-binary", "semi-greedy-core", "semi-lazy-update", "bottom-up", "top-down")
 MAINTENANCE_UPDATES = 80
+YLJ_UPDATES = 20
+BATCH_SIZE = 10
 
 
 def _graphs():
@@ -140,30 +148,64 @@ def _k_truss_row(graph, k: int, policy: str) -> Dict[str, Any]:
     }
 
 
-def _maintenance_row(graph, policy: str) -> Dict[str, Any]:
+def _stream_row(graph, policy: str, build, run) -> Dict[str, Any]:
+    """Bill one update stream: *build* makes the maintainer on a fresh
+    context, *run* drives it and returns the row's per-step fields."""
     from repro import ExecutionContext
-    from repro.dynamic.state import DynamicMaxTruss
-    from repro.dynamic.workload import mixed_churn
 
     context = ExecutionContext(_config(policy))
     try:
-        state = DynamicMaxTruss(graph, context=context)
+        maintainer = build(graph, context=context)
         before = context.stats.snapshot()
-        updates = []
-        for op, u, v in mixed_churn(graph, MAINTENANCE_UPDATES, seed=4):
-            result = state.insert(u, v) if op == "insert" else state.delete(u, v)
-            updates.append([op, u, v, result.k_max_after, result.mode])
+        row = run(maintainer)
         bill = context.stats.since(before)
-        truss_edges = state.truss_edge_count()
     finally:
         context.close()
+    row.update(
+        read_ios=bill.read_ios,
+        write_ios=bill.write_ios,
+        io_by_extent=_extents(context.device),
+        peak_memory_bytes=context.memory.peak_bytes,
+    )
+    return row
+
+
+def _maintenance_rows(graph, policy: str) -> Dict[str, Dict[str, Any]]:
+    from repro.dynamic import DynamicMaxTruss, YLJMaintenance
+    from repro.dynamic.workload import mixed_churn
+
+    stream = mixed_churn(graph, MAINTENANCE_UPDATES, seed=4)
+
+    def per_update(state):
+        updates = []
+        for op, u, v in stream:
+            result = state.insert(u, v) if op == "insert" else state.delete(u, v)
+            updates.append([op, u, v, result.k_max_after, result.mode])
+        return {"updates": updates, "truss_edges": state.truss_edge_count()}
+
+    def ylj(baseline):
+        updates = []
+        for op, u, v in stream[:YLJ_UPDATES]:
+            result = baseline.insert(u, v) if op == "insert" else baseline.delete(u, v)
+            updates.append([op, u, v, result.k_max_after, result.mode,
+                            result.io.read_ios, result.io.write_ios])
+        return {"updates": updates}
+
+    def batched(state):
+        batches = []
+        for start in range(0, len(stream), BATCH_SIZE):
+            result = state.apply_batch(stream[start:start + BATCH_SIZE])
+            batches.append([
+                result.operations, result.insertions, result.deletions,
+                result.k_max_after, result.mode, result.cancelled_ops,
+                result.gate_probes, result.io.read_ios, result.io.write_ios,
+            ])
+        return {"batches": batches, "truss_edges": state.truss_edge_count()}
+
     return {
-        "updates": updates,
-        "truss_edges": truss_edges,
-        "read_ios": bill.read_ios,
-        "write_ios": bill.write_ios,
-        "io_by_extent": _extents(context.device),
-        "peak_memory_bytes": context.memory.peak_bytes,
+        f"chung_lu/{policy}": _stream_row(graph, policy, DynamicMaxTruss, per_update),
+        f"chung_lu/ylj/{policy}": _stream_row(graph, policy, YLJMaintenance, ylj),
+        f"chung_lu/batch/{policy}": _stream_row(graph, policy, DynamicMaxTruss, batched),
     }
 
 
@@ -216,12 +258,14 @@ def compute_table() -> Dict[str, Any]:
             h_index = decompositions[f"{graph_name}/h-index/{policy}"] = _h_index_row(
                 graph, policy
             )
-            for label, k in (("3", 3), ("k_max", h_index["k_max"])):
+            # "above": a level past every support, the query's early return.
+            above = int(graph.edge_supports().max()) + 3
+            for label, k in (("3", 3), ("k_max", h_index["k_max"]), ("above", above)):
                 decompositions[f"{graph_name}/k-truss-{label}/{policy}"] = _k_truss_row(
                     graph, k, policy
                 )
     for policy in POLICIES:
-        maintenance[f"chung_lu/{policy}"] = _maintenance_row(graphs["chung_lu"], policy)
+        maintenance.update(_maintenance_rows(graphs["chung_lu"], policy))
     return {
         "pool": {"block_size": BLOCK_SIZE, "cache_blocks": CACHE_BLOCKS},
         "methods": methods,

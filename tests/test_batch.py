@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import max_truss_edges
-from repro.dynamic import DynamicMaxTruss, apply_batch
+from repro.dynamic import DynamicMaxTruss
 from repro.errors import GraphFormatError
 from repro.graph.generators import complete_graph, paper_example_graph, planted_kmax_truss
 from repro.graph.memgraph import Graph
@@ -15,7 +15,7 @@ from repro.graph.memgraph import Graph
 class TestBasics:
     def test_empty_batch(self):
         state = DynamicMaxTruss(paper_example_graph())
-        result = apply_batch(state, [])
+        result = state.apply_batch([])
         assert result.operations == 0
         assert result.mode == "untouched"
         assert state.k_max == 4
@@ -33,15 +33,15 @@ class TestBasics:
         for v in range(g.n - 12, g.n - 2):
             if not g.has_edge(v, g.n - 1) and len(ops) < 2:
                 ops.append(("insert", v, g.n - 1))
-        result = apply_batch(state, ops)
+        result = state.apply_batch(ops)
         assert result.mode == "untouched"
         assert state.k_max == 7
 
     def test_one_global_for_many_class_deletions(self):
         g = complete_graph(6)
         state = DynamicMaxTruss(g)
-        result = apply_batch(
-            state, [("delete", 0, 1), ("delete", 2, 3), ("delete", 4, 5)]
+        result = state.apply_batch(
+            [("delete", 0, 1), ("delete", 2, 3), ("delete", 4, 5)]
         )
         assert result.mode == "global"
         assert result.deletions == 3
@@ -56,21 +56,21 @@ class TestBasics:
     def test_conflicting_insert_raises(self):
         state = DynamicMaxTruss(complete_graph(3))
         with pytest.raises(GraphFormatError):
-            apply_batch(state, [("insert", 0, 1)])
+            state.apply_batch([("insert", 0, 1)])
 
     def test_absent_delete_raises(self):
         state = DynamicMaxTruss(complete_graph(3))
         with pytest.raises(GraphFormatError):
-            apply_batch(state, [("delete", 0, 9)])
+            state.apply_batch([("delete", 0, 9)])
 
     def test_unknown_operation(self):
         state = DynamicMaxTruss(complete_graph(3))
         with pytest.raises(GraphFormatError):
-            apply_batch(state, [("upsert", 0, 1)])
+            state.apply_batch([("upsert", 0, 1)])
 
     def test_trivial_class_tracks_batch(self):
         state = DynamicMaxTruss(Graph.from_edges([(0, 1)]))
-        apply_batch(state, [("insert", 1, 2), ("insert", 2, 3)])
+        state.apply_batch([("insert", 1, 2), ("insert", 2, 3)])
         assert state.k_max == 2
         assert state.truss_edge_count() == 3
 
@@ -78,7 +78,7 @@ class TestBasics:
 class TestCoalescing:
     def test_insert_delete_cancels(self):
         state = DynamicMaxTruss(paper_example_graph())
-        result = apply_batch(state, [("insert", 0, 4), ("delete", 0, 4)])
+        result = state.apply_batch([("insert", 0, 4), ("delete", 0, 4)])
         assert result.operations == 2
         assert result.cancelled_ops == 2
         assert result.insertions == 0 and result.deletions == 0
@@ -91,15 +91,14 @@ class TestCoalescing:
         u, v = map(int, graph.edges[0])
         state = DynamicMaxTruss(graph)
         before = state.truss_pairs()
-        result = apply_batch(state, [("delete", u, v), ("insert", v, u)])
+        result = state.apply_batch([("delete", u, v), ("insert", v, u)])
         assert result.cancelled_ops == 2
         assert result.mode == "untouched"
         assert state.truss_pairs() == before
 
     def test_churn_reduces_to_net_insert(self):
         state = DynamicMaxTruss(paper_example_graph())
-        result = apply_batch(
-            state,
+        result = state.apply_batch(
             [("insert", 0, 4), ("delete", 0, 4), ("insert", 0, 4)],
         )
         assert result.cancelled_ops == 2
@@ -108,8 +107,7 @@ class TestCoalescing:
 
     def test_fully_cancelled_batch_is_free(self):
         state = DynamicMaxTruss(paper_example_graph())
-        result = apply_batch(
-            state,
+        result = state.apply_batch(
             [("insert", 9, 11), ("insert", 9, 12),
              ("delete", 9, 11), ("delete", 9, 12)],
         )
@@ -123,8 +121,8 @@ class TestCoalescing:
         with pytest.raises(GraphFormatError, match="existing edge"):
             # The second insert of (0, 4) conflicts with the first: the
             # whole batch must be rejected before any mutation.
-            apply_batch(
-                state, [("insert", 0, 4), ("insert", 4, 0)]
+            state.apply_batch(
+                [("insert", 0, 4), ("insert", 4, 0)]
             )
         assert state.graph.m == m_before
         assert not state.graph.has_edge(0, 4)
@@ -135,15 +133,14 @@ class TestCoalescing:
         u, v = map(int, graph.edges[0])
         state = DynamicMaxTruss(graph)
         with pytest.raises(GraphFormatError, match="absent edge"):
-            apply_batch(state, [("delete", u, v), ("delete", u, v)])
+            state.apply_batch([("delete", u, v), ("delete", u, v)])
         assert state.graph.has_edge(u, v)
 
     def test_reinsert_after_delete_is_valid(self):
         """delete, insert, delete leaves the edge net-deleted."""
         graph = complete_graph(5)
         state = DynamicMaxTruss(graph)
-        result = apply_batch(
-            state,
+        result = state.apply_batch(
             [("delete", 0, 1), ("insert", 0, 1), ("delete", 0, 1)],
         )
         assert result.cancelled_ops == 2
@@ -160,8 +157,8 @@ class TestCoalescing:
 
     def test_gate_stops_at_first_passing_insertion(self):
         state = DynamicMaxTruss(Graph.from_edges([(0, 1), (1, 2)]))
-        result = apply_batch(
-            state, [("insert", 0, 2), ("insert", 5, 6), ("insert", 6, 7)]
+        result = state.apply_batch(
+            [("insert", 0, 2), ("insert", 5, 6), ("insert", 6, 7)]
         )
         # (0, 2) closes a triangle and passes its gate immediately; the
         # remaining insertions are never probed.
@@ -200,7 +197,7 @@ def batch_scenarios(draw):
 def test_batch_matches_scratch(scenario):
     graph, ops = scenario
     state = DynamicMaxTruss(graph)
-    apply_batch(state, ops)
+    state.apply_batch(ops)
     mutable = graph.to_mutable()
     for op, u, v in ops:
         if op == "insert":
@@ -218,7 +215,7 @@ def test_batch_matches_scratch(scenario):
 def test_batch_matches_sequential(scenario):
     graph, ops = scenario
     batch_state = DynamicMaxTruss(graph)
-    apply_batch(batch_state, ops)
+    batch_state.apply_batch(ops)
     sequential_state = DynamicMaxTruss(graph)
     for op, u, v in ops:
         if op == "insert":

@@ -50,6 +50,16 @@ class TestMaximumClique:
         expected = max(len(c) for c in nx.find_cliques(nx_graph))
         assert clique_number(g) == expected
 
+    def test_kmax_bounds_clique_number(self):
+        """ω(G) <= k_max — the FPT parameterisation claim."""
+        from repro.baselines import max_truss_edges
+        from repro.graph.generators import gnp_random
+
+        for seed in range(4):
+            g = gnp_random(22, 0.4, seed=seed)
+            k_max, _ = max_truss_edges(g)
+            assert clique_number(g) <= max(k_max, 2)
+
 
 class TestMaximumCore:
     def test_clique(self):

@@ -10,7 +10,6 @@ from repro.graph.generators import complete_graph, cycle_graph, paper_example_gr
 from repro.semiexternal.core_decomp import (
     core_decomposition_inmemory,
     h_index,
-    max_core_subgraph,
     semi_external_core_decomposition,
 )
 from repro.storage import BlockDevice, MemoryMeter
@@ -106,14 +105,3 @@ class TestSemiExternalCoreness:
     def test_matches_inmemory_random(self, g):
         result, _ = self._decompose(g)
         assert np.array_equal(result.coreness, core_decomposition_inmemory(g))
-
-
-class TestMaxCore:
-    def test_max_core_subgraph(self):
-        g = paper_example_graph()
-        assert list(max_core_subgraph(g)) == list(range(8))
-
-    def test_empty(self):
-        from repro.graph.memgraph import Graph
-
-        assert max_core_subgraph(Graph.empty(0)).size == 0

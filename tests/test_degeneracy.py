@@ -4,11 +4,11 @@ import networkx as nx
 from hypothesis import given
 
 from repro.analysis.degeneracy import (
-    compare,
     degeneracy,
     degeneracy_ordering,
     kmax_vs_degeneracy_gap,
 )
+from repro.baselines import max_truss_edges
 from repro.graph.generators import complete_graph, cycle_graph, paper_example_graph, star_graph
 from repro.graph.memgraph import Graph
 
@@ -70,17 +70,13 @@ class TestGap:
         assert kmax_vs_degeneracy_gap(4, 8) == 0.5
         assert kmax_vs_degeneracy_gap(5, 0) == 0.0
 
-    def test_compare(self):
-        k_max, c_max, gap = compare(paper_example_graph())
-        assert (k_max, c_max) == (4, 3)
-        assert gap < 0  # k_max = c_max + 1: the paper's worst case
-
     def test_kmax_at_most_cmax_plus_one(self):
         """Lemma 3's corollary holds on every generated graph."""
         for seed in range(5):
             from repro.graph.generators import gnp_random
 
             g = gnp_random(20, 0.3, seed=seed)
-            k_max, c_max, _ = compare(g)
+            k_max, _ = max_truss_edges(g)
+            c_max = degeneracy(g)
             if g.m:
                 assert k_max <= c_max + 1

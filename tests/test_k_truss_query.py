@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
+from repro import EngineConfig, ExecutionContext
 from repro.baselines import k_truss_edges
 from repro.core.k_truss import k_truss_semi_external
 from repro.graph.generators import (
@@ -49,6 +50,30 @@ class TestBasics:
     def test_io_reported(self):
         result = k_truss_semi_external(complete_graph(8), 5)
         assert result.io.total_ios > 0
+
+
+class TestNothingLeaks:
+    """Both return paths that build a device free every extent they made."""
+
+    @pytest.mark.parametrize(
+        "graph, k, edges",
+        [
+            (cycle_graph(40), 3, 0),            # no triangle: early return
+            (paper_example_graph(), 6, 0),      # level above every support
+            (paper_example_graph(), 4, 15),     # the peel
+        ],
+        ids=["triangle-free", "above-supports", "peeled"],
+    )
+    def test_device_is_empty_after_the_query(self, graph, k, edges):
+        context = ExecutionContext(
+            EngineConfig(block_size=256, cache_blocks=8, cache_policy="lru")
+        )
+        try:
+            result = k_truss_semi_external(graph, k, context=context)
+            assert result.edge_count == edges
+            assert context.device.used_bytes == 0
+        finally:
+            context.close()
 
 
 @given(small_graphs(max_n=14))

@@ -4,12 +4,9 @@ import numpy as np
 from hypothesis import given
 
 from repro.graph.generators import complete_graph, cycle_graph, paper_example_graph
-from repro.graph.memgraph import Graph
 from repro.semiexternal.triangles import (
     edge_triangle_supports_naive,
     enumerate_triangles,
-    global_clustering,
-    local_clustering,
     triangle_count,
 )
 
@@ -41,24 +38,3 @@ class TestEnumeration:
     @given(small_graphs(max_n=12))
     def test_naive_supports_match_fast(self, g):
         assert np.array_equal(edge_triangle_supports_naive(g), g.edge_supports())
-
-
-class TestClustering:
-    def test_clique_clustering_is_one(self):
-        g = complete_graph(5)
-        assert local_clustering(g, 0) == 1.0
-        assert global_clustering(g) == 1.0
-
-    def test_low_degree_vertex(self):
-        g = Graph.from_edges([(0, 1)])
-        assert local_clustering(g, 0) == 0.0
-
-    def test_triangle_free_global(self):
-        assert global_clustering(cycle_graph(8)) == 0.0
-
-    def test_no_wedges(self):
-        assert global_clustering(Graph.empty(3)) == 0.0
-
-    def test_global_between_zero_and_one(self):
-        value = global_clustering(paper_example_graph())
-        assert 0.0 < value <= 1.0

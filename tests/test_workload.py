@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dynamic import DynamicMaxTruss, apply_batch
+from repro.dynamic import DynamicMaxTruss
 from repro.dynamic.workload import (
     bursty_stream,
     class_targeted_deletions,
@@ -86,7 +86,7 @@ def test_streams_drive_maintenance_exactly(seed, count):
     graph = gnp_random(12, 0.3, seed=seed % 13)
     ops = mixed_churn(graph, count, seed=seed)
     state = DynamicMaxTruss(graph)
-    apply_batch(state, ops)
+    state.apply_batch(ops)
     mutable = graph.to_mutable()
     for op, u, v in ops:
         if op == "insert":

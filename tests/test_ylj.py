@@ -1,5 +1,8 @@
 """Tests for the YLJ maintenance baselines."""
 
+import pytest
+
+from repro import EngineConfig, ExecutionContext
 from repro.baselines import max_truss_edges
 from repro.dynamic import DynamicMaxTruss, YLJMaintenance
 from repro.graph.generators import (
@@ -7,6 +10,7 @@ from repro.graph.generators import (
     paper_example_graph,
     planted_kmax_truss,
 )
+from repro.observability import Tracer
 
 
 class TestCorrectness:
@@ -32,8 +36,6 @@ class TestCorrectness:
         assert baseline.truss_pairs() == expected_edges
 
     def test_errors(self):
-        import pytest
-
         from repro.errors import GraphFormatError
 
         baseline = YLJMaintenance(complete_graph(3))
@@ -64,3 +66,27 @@ class TestCostShape:
     def test_ylj_mode_is_global(self):
         baseline = YLJMaintenance(complete_graph(4))
         assert baseline.insert(0, 4).mode == "global"
+
+
+class TestBillWindow:
+    @pytest.mark.parametrize("maintainer", [DynamicMaxTruss, YLJMaintenance])
+    def test_updates_record_maintain_spans(self, maintainer):
+        """Both maintainers bill an update under one ``maintain.<op>`` span
+        whose I/O is the result's."""
+        tracer = Tracer()
+        context = ExecutionContext(
+            EngineConfig(block_size=64, cache_blocks=32)
+        ).attach_tracer(tracer)
+        updater = maintainer(paper_example_graph(), context=context)
+        results = [updater.insert(0, 4), updater.delete(1, 4)]
+        context.close()
+        spans = [
+            r for r in tracer.records
+            if r["type"] == "span" and r["name"].startswith("maintain.")
+            and r["name"] != "maintain.init"
+        ]
+        assert [r["name"] for r in spans] == ["maintain.insert", "maintain.delete"]
+        assert [r["attrs"]["u"] for r in spans] == [0, 1]
+        for span, result in zip(spans, results):
+            assert span["io"]["read_ios"] == result.io.read_ios
+            assert span["io"]["write_ios"] == result.io.write_ios
