@@ -751,7 +751,7 @@ def run(smoke: bool) -> dict:
         warm = gnm_random(n=200, m=10_000, seed=3)
         _replay_support_trace(warm, _semi_external_device("simulated", warm.n), True)
 
-    config = EngineConfig().validate()  # the active recipe, stamped once
+    config = EngineConfig()  # the active recipe, stamped once
 
     accounting = bench_support_scan_accounting(scan_graph, reps)
     accounting["threshold"] = SPEEDUP_THRESHOLD

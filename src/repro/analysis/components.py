@@ -14,7 +14,7 @@ several connected k-trusses. This module splits an edge set into:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 EdgePair = Tuple[int, int]
 
@@ -102,6 +102,30 @@ def triangle_connected_components(edges: Sequence[EdgePair]) -> List[List[EdgePa
     for eid in range(len(edges)):
         buckets.setdefault(dsu.find(eid), []).append(edges[eid])
     return sorted(buckets.values(), key=lambda c: (-len(c), c))
+
+
+def component_holding(
+    edges: Sequence[EdgePair], query: Iterable[int], connectivity: str = "vertex"
+) -> Optional[Tuple[List[EdgePair], List[int]]]:
+    """The first component of *edges* whose vertices include every query
+    vertex, as ``(sorted edges, sorted vertices)``; ``None`` when none does.
+
+    *connectivity* picks the split: ``"vertex"``
+    (:func:`vertex_connected_components`) or ``"triangle"``
+    (:func:`triangle_connected_components`). Components are tried in the
+    split's order, largest first.
+    """
+    split = (
+        vertex_connected_components
+        if connectivity == "vertex"
+        else triangle_connected_components
+    )
+    wanted = set(query)
+    for component in split(edges):
+        vertices = {x for edge in component for x in edge}
+        if wanted <= vertices:
+            return component, sorted(vertices)
+    return None
 
 
 def split_max_truss(edges: Iterable[EdgePair]) -> List[List[EdgePair]]:

@@ -19,22 +19,23 @@ is available via ``connectivity="triangle"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.components import (
     DisjointSet,
-    triangle_connected_components,
+    component_holding,
     vertex_connected_components,
 )
 from ..baselines.inmemory import truss_decomposition
-from ..engine.context import ContextLike, ExecutionContext, resolve_context
+from ..engine.context import ContextLike, resolve_context
 from ..graph.memgraph import Graph
+from ..observability.tracer import trace_span
 
 
 def _trussness_values(
-    graph: Graph, method: str, context: ExecutionContext
+    graph: Graph, method: str, context: Optional[ContextLike]
 ) -> np.ndarray:
     """Per-edge trussness via the requested decomposition route."""
     if method == "in-memory":
@@ -42,7 +43,9 @@ def _trussness_values(
     if method == "semi-external":
         from ..baselines.bottom_up import truss_decomposition_semi_external
 
-        return truss_decomposition_semi_external(graph, context=context)
+        return truss_decomposition_semi_external(
+            graph, context=resolve_context(context)
+        )
     raise ValueError(f"unknown trussness method {method!r}")
 
 EdgePair = Tuple[int, int]
@@ -73,17 +76,6 @@ class CommunityResult:
         return len(self.vertices)
 
 
-def _component_with_queries(
-    components: List[List[EdgePair]], query: Sequence[int]
-) -> Optional[List[EdgePair]]:
-    query_set = set(query)
-    for component in components:
-        vertices = {x for edge in component for x in edge}
-        if query_set <= vertices:
-            return component
-    return None
-
-
 def truss_community(
     graph: Graph,
     query: Iterable[int],
@@ -110,12 +102,12 @@ def truss_community(
         (default, uncharged) or ``"semi-external"`` (Bottom-Up's charged
         decomposition on the context's device).
     context:
-        Ambient engine context (an :class:`ExecutionContext` or bare
-        :class:`~repro.engine.config.EngineConfig`), resolved the same way
-        the ``max_truss`` methods resolve theirs: the semi-external route
-        charges the caller's device, and the search runs inside a
-        ``community`` span on the caller's tracer — so a served community
-        query bills onto the request's own ledger.
+        Engine context (an :class:`~repro.engine.ExecutionContext` or bare
+        :class:`~repro.engine.config.EngineConfig`) of the semi-external
+        route, resolved the way the ``max_truss`` methods resolve theirs:
+        that route charges the caller's device. The in-memory route
+        charges nothing and ignores it. Either way the search runs inside
+        a ``community`` span on the ambient tracer.
 
     Returns ``None`` when no common community exists (e.g. queries in
     different components, or a query vertex is isolated).
@@ -131,12 +123,11 @@ def truss_community(
         return None
     if connectivity not in ("vertex", "triangle"):
         raise ValueError(f"unknown connectivity model {connectivity!r}")
-    ctx = resolve_context(context)
-    with ctx.span("community", kind="phase", connectivity=connectivity):
+    with trace_span("community", kind="phase", connectivity=connectivity):
         values = (
             trussness
             if trussness is not None
-            else _trussness_values(graph, method, ctx)
+            else _trussness_values(graph, method, context)
         )
         if connectivity == "vertex":
             return _vertex_community(graph, query, values)
@@ -193,12 +184,10 @@ def _triangle_community(graph, query, values) -> Optional[CommunityResult]:
             (int(graph.edges[eid, 0]), int(graph.edges[eid, 1]))
             for eid in edge_ids
         ]
-        component = _component_with_queries(
-            triangle_connected_components(pairs), query
-        )
-        if component is not None:
-            vertices = sorted({x for edge in component for x in edge})
-            return CommunityResult(k, sorted(component), vertices, list(query))
+        found = component_holding(pairs, query, connectivity="triangle")
+        if found is not None:
+            component, vertices = found
+            return CommunityResult(k, component, vertices, list(query))
     return None
 
 

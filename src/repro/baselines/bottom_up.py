@@ -79,6 +79,7 @@ def bottom_up(
         (int(graph.edges[eid, 0]), int(graph.edges[eid, 1])) for eid in edge_ids
     )
     heap.release()
+    trussness_file.free()
     scan.supports.free()
     return run.result(
         k_max, pairs, trussness=trussness, triangles=scan.triangle_count

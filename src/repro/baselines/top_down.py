@@ -82,6 +82,7 @@ def top_down(
 
     scan = compute_supports(disk_graph)
     if scan.triangle_count == 0:
+        scan.supports.free()
         return run.result(2, graph.edge_pairs())
 
     upper = _refine_upper_bounds(disk_graph, scan.supports, budget)

@@ -41,8 +41,9 @@ from .analysis.statistics import graph_stats
 from .core.api import available_methods, max_truss
 from .dynamic import DynamicMaxTruss
 from .engine import EngineConfig, ExecutionContext, list_backends
-from .engine.config import CACHE_POLICIES, FSYNC_POLICIES, INGEST_BACKPRESSURE_POLICIES
-from .errors import GraphFormatError, ReproError
+from .dynamic.ingest import INGEST_BACKPRESSURE_POLICIES
+from .engine.config import CACHE_POLICIES, FSYNC_POLICIES
+from .errors import GraphFormatError, ReproError, ServeError
 from .graph.datasets import dataset_names, load_dataset
 from .graph.edgelist import write_text_edgelist
 from .graph.formats import (
@@ -207,7 +208,17 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
         approx_confidence=args.approx_confidence,
         approx_seed=args.approx_seed,
         **kwargs,
-    ).validate()
+    )
+
+
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named flags the command line set, as keyword arguments.
+
+    A flag left at ``None`` is omitted, so the component's own default
+    applies: each default lives in one signature, not in the parser too.
+    """
+    values = {name: getattr(args, name) for name in names}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -427,26 +438,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     from .graph.memgraph import Graph as _Graph
 
     config = _engine_config(args)
-    config.ingest_batch_size = args.batch_size
-    config.ingest_queue_capacity = args.queue_capacity
-    config.ingest_backpressure = args.backpressure
-    config.ingest_max_delay = args.max_delay
-    config.validate()
     graph = (
         _Graph.empty(0) if args.graph is None
         else _load_graph(args.graph, args.seed, backend=args.backend)
     )
     engine_context = ExecutionContext(config)
-    print(f"engine: {config.summary()}")
-    print(
-        f"ingest: batch_size={config.ingest_batch_size} "
-        f"queue={config.ingest_queue_capacity} "
-        f"backpressure={config.ingest_backpressure}"
-        + (f" max_delay={config.ingest_max_delay}s"
-           if config.ingest_max_delay is not None else "")
-        + (f" window={args.window}" if args.window is not None else "")
-        + (" durable" if args.durable else "")
-    )
     state = DynamicMaxTruss(graph, context=engine_context)
     sink = state
     if args.durable:
@@ -455,9 +451,22 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         sink = DurableMaintenance(state, args.durable)
     window = args.window is not None
     try:
-        with IngestPipeline.from_config(
-            sink, config, window=args.window
+        with IngestPipeline(
+            sink, window=args.window, **_given(
+                args, "batch_size", "queue_capacity", "backpressure",
+                "max_delay",
+            ),
         ) as pipe:
+            print(f"engine: {config.summary()}")
+            print(
+                f"ingest: batch_size={pipe.batch_size} "
+                f"queue={pipe.queue_capacity} "
+                f"backpressure={pipe.backpressure}"
+                + (f" max_delay={pipe.max_delay}s"
+                   if pipe.max_delay is not None else "")
+                + (f" window={args.window}" if window else "")
+                + (" durable" if args.durable else "")
+            )
             if args.threaded:
                 pipe.start()
             for op, u, v in _read_updates(args.updates, deletes=not window):
@@ -504,15 +513,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: give exactly one of GRAPH, --durable DIR, or "
               "--partition DIR", file=sys.stderr)
         return 2
+    if args.interval is not None and args.interval <= 0:
+        # Checked even without --durable, where no promoter would see it.
+        raise ServeError(f"promote interval must be positive, got {args.interval}")
     config = _engine_config(args)
-    config.serve_host = args.host
-    config.serve_port = args.port
-    config.serve_query_timeout = (
-        args.query_timeout if args.query_timeout and args.query_timeout > 0
-        else None
-    )
-    config.serve_promote_interval = args.promote_interval
-    config.validate()
+    server_options = _given(args, "host", "port", "query_timeout")
+    if args.query_timeout is not None and args.query_timeout <= 0:
+        server_options["query_timeout"] = None
 
     promoter = None
     router = None
@@ -525,16 +532,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     elif args.durable:
         manager = bootstrap_manager(args.durable)
-        promoter = Promoter(
-            manager, args.durable, interval=config.serve_promote_interval
-        )
+        promoter = Promoter(manager, args.durable, **_given(args, "interval"))
         promoter.start()
         executor = QueryEngine(manager, config)
         snapshot = manager.current()
         described = (
             f"durable state {args.durable} (n={snapshot.graph.n}, "
             f"m={snapshot.graph.m}, wal_seq={snapshot.wal_seq}, "
-            f"promoting every {config.serve_promote_interval}s)"
+            f"promoting every {promoter.interval}s)"
         )
     else:
         graph = _load_graph(args.graph, args.seed, backend=args.backend)
@@ -546,13 +551,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"listening on {address[0]}:{address[1]}", flush=True)
 
     try:
-        server = run_server(
-            executor,
-            host=config.serve_host,
-            port=config.serve_port,
-            query_timeout=config.serve_query_timeout,
-            on_started=announce,
-        )
+        server = run_server(executor, on_started=announce, **server_options)
     finally:
         if promoter is not None:
             promoter.stop()
@@ -729,16 +728,15 @@ def build_parser() -> argparse.ArgumentParser:
              "(lines are arrivals; expirations are automatic)",
     )
     ingest.add_argument(
-        "--batch-size", type=int, default=EngineConfig().ingest_batch_size,
+        "--batch-size", type=int,
         help="micro-batch flush threshold (and WAL group-commit size)",
     )
     ingest.add_argument(
         "--queue-capacity", type=int,
-        default=EngineConfig().ingest_queue_capacity,
         help="bounded-queue capacity before backpressure engages",
     )
     ingest.add_argument(
-        "--backpressure", default="block", choices=INGEST_BACKPRESSURE_POLICIES,
+        "--backpressure", choices=INGEST_BACKPRESSURE_POLICIES,
         help="full-queue policy",
     )
     ingest.add_argument(
@@ -833,23 +831,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a sharded partition directory (see 'repro partition') "
              "through the scatter/gather router",
     )
+    serve.add_argument("--host", help="bind address")
     serve.add_argument(
-        "--host", default=EngineConfig().serve_host,
-        help="bind address",
-    )
-    serve.add_argument(
-        "--port", type=int, default=EngineConfig().serve_port,
+        "--port", type=int,
         help="bind port (0: ephemeral, announced on stdout)",
     )
     serve.add_argument(
-        "--query-timeout", type=float,
-        default=EngineConfig().serve_query_timeout, metavar="SECONDS",
+        "--query-timeout", type=float, metavar="SECONDS",
         help="per-query budget; past it the query answers a timeout "
              "error envelope (0 or negative: no limit)",
     )
     serve.add_argument(
-        "--promote-interval", type=float,
-        default=EngineConfig().serve_promote_interval, metavar="SECONDS",
+        "--promote-interval", type=float, dest="interval", metavar="SECONDS",
         help="promoter poll interval for --durable",
     )
     serve.add_argument("--seed", type=int, default=0)

@@ -8,6 +8,7 @@ from .._util import WorkBudget
 from ..engine.context import ContextLike, resolve_context
 from ..errors import UnknownMethodError
 from ..graph.memgraph import Graph
+from ..observability.tracer import trace_span
 from .result import MaxTrussResult
 from .semi_binary import semi_binary
 from .semi_greedy_core import semi_greedy_core
@@ -75,5 +76,5 @@ def max_truss(
     if method == "in-memory":
         return implementation(graph, **kwargs)
     ctx = resolve_context(context)
-    with ctx.phase(method):
+    with trace_span(method, kind="phase"):
         return implementation(graph, budget=budget, context=ctx, **kwargs)

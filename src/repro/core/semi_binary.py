@@ -451,6 +451,7 @@ def semi_binary(
     scan = compute_supports(disk_graph)
     if scan.triangle_count == 0:
         # No triangles: every edge has trussness 2.
+        scan.supports.free()
         return run.result(2, graph.edge_pairs(), triangles=0)
 
     lb = bounds.lemma1_lower_bound(
@@ -486,6 +487,8 @@ def semi_binary(
         truss_pairs = materialise_truss(
             disk_graph, edge_file, k_max, PlainDiskHeap, memory, budget
         )
+    edge_file.release()
+    scan.supports.free()
     return run.result(
         k_max,
         truss_pairs,

@@ -51,7 +51,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from ..engine.config import INGEST_BACKPRESSURE_POLICIES, EngineConfig
 from ..errors import IngestError
 from ..observability.metrics import global_metrics
 
@@ -65,6 +64,9 @@ _Event = Tuple[str, int, int, float]
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 FLUSH_TRIGGERS = ("size", "age", "pressure", "manual")
+
+#: Full-queue policies of :class:`IngestPipeline` (``backpressure=``).
+INGEST_BACKPRESSURE_POLICIES = ("block", "drop-oldest", "reject")
 
 
 @dataclass
@@ -172,6 +174,10 @@ class IngestPipeline:
                 f"unknown backpressure policy {backpressure!r}; "
                 f"known: {', '.join(INGEST_BACKPRESSURE_POLICIES)}"
             )
+        if max_delay is not None and max_delay <= 0:
+            raise IngestError(
+                f"max_delay must be positive or None, got {max_delay}"
+            )
         apply_ops = getattr(sink, "apply_batch", None) or getattr(
             sink, "apply", None
         )
@@ -201,24 +207,6 @@ class IngestPipeline:
         # Window state (drain-side: mutated only by the consumer).
         self._live: Deque[Tuple[int, int]] = deque()
         self._live_set: set = set()
-
-    @classmethod
-    def from_config(
-        cls, sink, config: EngineConfig, *, window: Optional[int] = None,
-        clock: Callable[[], float] = time.monotonic,
-        on_batch_applied: Optional[Callable[[int], None]] = None,
-    ) -> "IngestPipeline":
-        """Build a pipeline from the ``ingest_*`` knobs of *config*."""
-        return cls(
-            sink,
-            window=window,
-            batch_size=config.ingest_batch_size,
-            queue_capacity=config.ingest_queue_capacity,
-            backpressure=config.ingest_backpressure,
-            max_delay=config.ingest_max_delay,
-            clock=clock,
-            on_batch_applied=on_batch_applied,
-        )
 
     # ------------------------------------------------------------------ #
     # producer interface

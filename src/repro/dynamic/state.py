@@ -65,7 +65,7 @@ def edge_update(
     watch = Stopwatch()
     io_start = maintainer.device.stats.snapshot()
     k_before = maintainer.k_max
-    with maintainer.context.span("maintain." + operation, u=u, v=v):
+    with trace_span("maintain." + operation, kind="phase", u=u, v=v):
         mode = apply(maintainer, u, v)
     return MaintenanceResult(
         operation, (u, v), k_before, maintainer.k_max, mode,
@@ -113,8 +113,7 @@ class DynamicMaxTruss:
         if local_budget is None:
             local_budget = self.context.config.work_limit
         self.local_budget = local_budget
-        with self.context.span("maintain.init", kind="phase",
-                               n=graph.n, m=graph.m):
+        with trace_span("maintain.init", kind="phase", n=graph.n, m=graph.m):
             self._initialise(graph)
 
     def _initialise(self, graph: Graph) -> None:
@@ -380,7 +379,7 @@ class DynamicMaxTruss:
         io_start = self.device.stats.snapshot()
         k_before = self.k_max
         operations = list(operations)
-        with self.context.span("maintain.batch", ops=len(operations)):
+        with trace_span("maintain.batch", kind="phase", ops=len(operations)):
             insertions, deletions, mode, cancelled, probes = apply_batch(
                 self, operations
             )

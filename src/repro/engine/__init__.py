@@ -2,10 +2,10 @@
 
 The one way algorithms choose and share storage:
 
-* :class:`EngineConfig` — the declarative recipe (backend, block size,
-  cache size/policy, work budget);
+* :class:`EngineConfig` — the declarative, frozen recipe (backend, block
+  size, cache size/policy, work budget);
 * :class:`ExecutionContext` — the live run state (device construction,
-  I/O + memory aggregation, phases);
+  I/O + memory aggregation, tracing);
 * :func:`make_device` — builds a backend's device from the config
   (:data:`~repro.engine.config.BACKENDS` names them: ``simulated`` /
   ``reference`` / ``inmemory``, and ``file`` / ``mmap`` from

@@ -63,7 +63,6 @@ def make_device(
     sizes it with :func:`~repro.storage.semi_external_cache_blocks` for
     *num_vertices*.
     """
-    config.validate()
     cls, own_fields = _DEVICES[config.backend]
     cache_blocks = config.cache_blocks
     if cache_blocks is None:

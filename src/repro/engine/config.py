@@ -7,10 +7,12 @@ consistently across an experiment. :class:`EngineConfig` centralises those
 knobs; an :class:`~repro.engine.context.ExecutionContext` turns a config
 into live devices/meters and threads them through the algorithms.
 
-A config is a *recipe*, not a run: it is cheap, immutable in spirit, and
-reusable — build one per experiment and derive a fresh context per run
-(warm caches never leak between runs unless a context is shared on
-purpose).
+A config is a *recipe*, not a run: it is cheap, immutable (a frozen
+dataclass that checks its fields once, when built) and reusable — build
+one per experiment and derive a fresh context per run (warm caches never
+leak between runs unless a context is shared on purpose). It holds the
+storage and run knobs only; the ingest pipeline and the query server take
+their own settings as constructor arguments.
 """
 
 from __future__ import annotations
@@ -32,11 +34,6 @@ CACHE_POLICIES = tuple(POLICY_CLASSES)
 #: When the ``file`` backend fsyncs its spill file.
 FSYNC_POLICIES = ("never", "close", "always")
 
-#: Backpressure policies of :class:`repro.dynamic.ingest.IngestPipeline`.
-#: Defined here (not in the ingest module) so config validation needs no
-#: import of the dynamic layer.
-INGEST_BACKPRESSURE_POLICIES = ("block", "drop-oldest", "reject")
-
 #: Default pinned-extent name patterns of the ``mmap`` backend's tiered
 #: cache (substring match): trussness/tau arrays, heap link fields and
 #: offset tables stay resident; adjacency/edge extents ride the LRU cold
@@ -48,7 +45,7 @@ DEFAULT_HOT_EXTENTS = ("truss", "tau", "heap", "offsets")
 DEFAULT_COLD_CACHE_MB = 64.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     """Declarative storage/engine settings shared by every algorithm.
 
@@ -91,30 +88,6 @@ class EngineConfig:
         Capacity in MiB of the ``mmap`` backend's LRU cold tier (the
         physical-residency model for adjacency/edge pages). Ignored by
         the other backends; never affects the charged bill.
-    ingest_batch_size:
-        Micro-batch flush threshold of
-        :class:`repro.dynamic.ingest.IngestPipeline`; also the WAL
-        group-commit size on the durable path (one fsync per batch).
-    ingest_queue_capacity:
-        Bound on queued ingest events before backpressure engages.
-    ingest_backpressure:
-        Full-queue policy: ``block`` (default), ``drop-oldest``, or
-        ``reject``.
-    ingest_max_delay:
-        Age-based flush trigger in seconds (oldest queued event); ``None``
-        disables the age trigger.
-    serve_host:
-        Bind address of the ``repro serve`` query server.
-    serve_port:
-        TCP port of the query server; ``0`` (default) asks the OS for an
-        ephemeral port (echoed on startup).
-    serve_query_timeout:
-        Per-query wall-clock budget in seconds; a query that exceeds it is
-        answered with a ``timeout`` error envelope. ``None`` disables the
-        timeout.
-    serve_promote_interval:
-        Poll interval in seconds of the snapshot promoter thread between
-        notifications (the ingest hook wakes it early).
     serve_cache_entries:
         Capacity of the serve tier's per-snapshot result cache (answers
         are immutable per snapshot, so memoisation is exact). ``0``
@@ -134,8 +107,12 @@ class EngineConfig:
     -------
     >>> from repro.engine import EngineConfig
     >>> config = EngineConfig(backend="inmemory")
-    >>> config.validate().backend
+    >>> config.backend
     'inmemory'
+    >>> EngineConfig(block_size=0)
+    Traceback (most recent call last):
+        ...
+    repro.errors.DeviceError: block_size must be positive, got 0
     """
 
     backend: str = "simulated"
@@ -147,24 +124,13 @@ class EngineConfig:
     fsync_policy: str = "close"
     hot_extents: Tuple[str, ...] = DEFAULT_HOT_EXTENTS
     cold_cache_mb: float = DEFAULT_COLD_CACHE_MB
-    ingest_batch_size: int = 64
-    ingest_queue_capacity: int = 1024
-    ingest_backpressure: str = "block"
-    ingest_max_delay: Optional[float] = None
-    serve_host: str = "127.0.0.1"
-    serve_port: int = 0
-    serve_query_timeout: Optional[float] = 30.0
-    serve_promote_interval: float = 0.5
     serve_cache_entries: int = 1024
     approx_epsilon: float = 0.1
     approx_confidence: float = 0.95
     approx_seed: int = 0
 
-    def validate(self) -> "EngineConfig":
-        """Check the backend name and field ranges.
-
-        Returns ``self`` so construction sites can chain.
-        """
+    def __post_init__(self) -> None:
+        """Check the backend name and field ranges, once, at construction."""
         if self.backend not in BACKENDS:
             raise DeviceError(
                 f"unknown storage backend {self.backend!r}; "
@@ -203,41 +169,6 @@ class EngineConfig:
             raise DeviceError(
                 f"cold_cache_mb must be positive, got {self.cold_cache_mb}"
             )
-        if self.ingest_batch_size < 1:
-            raise DeviceError(
-                f"ingest_batch_size must be >= 1, got {self.ingest_batch_size}"
-            )
-        if self.ingest_queue_capacity < 1:
-            raise DeviceError(
-                f"ingest_queue_capacity must be >= 1, "
-                f"got {self.ingest_queue_capacity}"
-            )
-        if self.ingest_backpressure not in INGEST_BACKPRESSURE_POLICIES:
-            raise DeviceError(
-                f"unknown ingest backpressure {self.ingest_backpressure!r}; "
-                f"known: {', '.join(INGEST_BACKPRESSURE_POLICIES)}"
-            )
-        if self.ingest_max_delay is not None and self.ingest_max_delay <= 0:
-            raise DeviceError(
-                f"ingest_max_delay must be positive or None, "
-                f"got {self.ingest_max_delay}"
-            )
-        if not self.serve_host:
-            raise DeviceError("serve_host must be a non-empty address")
-        if not 0 <= self.serve_port <= 65535:
-            raise DeviceError(
-                f"serve_port must be in [0, 65535], got {self.serve_port}"
-            )
-        if self.serve_query_timeout is not None and self.serve_query_timeout <= 0:
-            raise DeviceError(
-                f"serve_query_timeout must be positive or None, "
-                f"got {self.serve_query_timeout}"
-            )
-        if self.serve_promote_interval <= 0:
-            raise DeviceError(
-                f"serve_promote_interval must be positive, "
-                f"got {self.serve_promote_interval}"
-            )
         if self.serve_cache_entries < 0:
             raise DeviceError(
                 f"serve_cache_entries must be non-negative, "
@@ -252,7 +183,6 @@ class EngineConfig:
                 f"approx_confidence must be in [0.5, 1), "
                 f"got {self.approx_confidence}"
             )
-        return self
 
     def describe(self) -> Dict[str, Any]:
         """JSON-serialisable summary (stamped into benchmark reports)."""

@@ -8,16 +8,16 @@ An :class:`ExecutionContext` owns the live half of an
   run (support scan, sort, probes, peel) and every run threaded through
   the same context charges the same device;
 * **I/O and memory aggregation** — one :class:`~repro.storage.IOStats`
-  and one :class:`~repro.storage.MemoryMeter` for the context's lifetime,
-  with :meth:`phase` snapshots for per-phase deltas;
+  and one :class:`~repro.storage.MemoryMeter` for the context's lifetime;
 * **work budgets** minted from ``config.work_limit``;
 * **structured tracing** — :meth:`attach_tracer` binds a
-  :class:`~repro.observability.Tracer` to the context's counters, after
-  which :meth:`phase` / :meth:`span` scopes become spans carrying exact
-  charged-I/O, per-extent and wall-clock deltas, and device construction
-  and phase boundaries become ``event`` records. With no tracer attached
-  every tracing path is a no-op branch, so the charged ledger is
-  bit-identical to an untraced run.
+  :class:`~repro.observability.Tracer` to the context's counters and makes
+  it the ambient one, after which every
+  :func:`~repro.observability.trace_span` scope (``max_truss`` opens one
+  ``phase`` span per method) carries exact charged-I/O, per-extent and
+  wall-clock deltas, and device construction becomes a ``device`` event.
+  With no tracer attached every span is a shared null context, so the
+  charged ledger is bit-identical to an untraced run.
 
 Every algorithm entry point accepts ``context=`` (an ``ExecutionContext``
 or a bare ``EngineConfig``) — the only way to choose storage.
@@ -25,11 +25,11 @@ or a bare ``EngineConfig``) — the only way to choose storage.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Optional, Union
 
 from .._util import WorkBudget
 from ..errors import DeviceError
+from ..observability.tracer import trace_span
 from ..storage import BlockDevice, IOStats, MemoryMeter
 from .backends import make_device
 from .config import EngineConfig
@@ -66,13 +66,11 @@ class ExecutionContext:
         config: Optional[EngineConfig] = None,
         readonly: bool = False,
     ) -> None:
-        self.config = (config if config is not None else EngineConfig()).validate()
+        self.config = config if config is not None else EngineConfig()
         self.readonly = readonly
         self._device: Optional[BlockDevice] = None
         self.stats = IOStats()
         self.memory = MemoryMeter()
-        #: ``(phase_name, IOStats delta)`` records appended by :meth:`phase`.
-        self.phase_log: List[Tuple[str, IOStats]] = []
         #: Structured tracer bound by :meth:`attach_tracer`; ``None`` off.
         self.tracer = None
         self._closed = False
@@ -101,13 +99,15 @@ class ExecutionContext:
                 self._device.readonly = True
             if self.tracer is not None:
                 self._device.enable_touch_counting()
-            self.emit(
-                "device",
-                backend=self.config.backend,
-                block_size=self._device.block_size,
-                cache_blocks=self._device.cache_blocks,
-                policy=getattr(self._device, "policy", self.config.cache_policy),
-            )
+                if not self.tracer.finished:
+                    self.tracer.event("device", {
+                        "backend": self.config.backend,
+                        "block_size": self._device.block_size,
+                        "cache_blocks": self._device.cache_blocks,
+                        "policy": getattr(
+                            self._device, "policy", self.config.cache_policy
+                        ),
+                    })
         return self._device
 
     def new_budget(self, explicit: Optional[WorkBudget] = None) -> Optional[WorkBudget]:
@@ -120,7 +120,7 @@ class ExecutionContext:
         return None
 
     # ------------------------------------------------------------------ #
-    # phases and tracing
+    # tracing
     # ------------------------------------------------------------------ #
 
     def attach_tracer(self, tracer) -> "ExecutionContext":
@@ -129,8 +129,8 @@ class ExecutionContext:
         Wires the tracer's counter providers to the context's shared
         :class:`~repro.storage.IOStats` ledger and (lazily-built) device,
         enables the device's touch tally, and starts the tracer — making
-        it the ambient one, so leaf kernels instrumented with
-        :func:`~repro.observability.trace_span` report here with no
+        it the ambient one, so every
+        :func:`~repro.observability.trace_span` reports here with no
         parameter threading. :meth:`close` finishes the tracer. Returns
         ``self`` for chaining.
         """
@@ -150,38 +150,6 @@ class ExecutionContext:
         tracer.start(engine=self.config.summary())
         return self
 
-    def emit(self, event: str, **payload) -> None:
-        """Record an event on the attached tracer (no-op when none)."""
-        if self.tracer is not None and not self.tracer.finished:
-            self.tracer.event(event, payload)
-
-    @contextlib.contextmanager
-    def span(self, name: str, kind: str = "phase", **attrs) -> Iterator[object]:
-        """A tracer span scope; free no-op when no tracer is attached."""
-        if self.tracer is None or self.tracer.finished:
-            yield None
-            return
-        with self.tracer.span(name, kind, **attrs) as span:
-            yield span
-
-    @contextlib.contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Scope one named phase: records and traces its I/O delta."""
-        before = self.stats.snapshot()
-        self.emit("phase_start", name=name)
-        try:
-            with self.span(name, kind="phase"):
-                yield
-        finally:
-            delta = self.stats.since(before)
-            self.phase_log.append((name, delta))
-            self.emit(
-                "phase_end",
-                name=name,
-                read_ios=delta.read_ios,
-                write_ios=delta.write_ios,
-            )
-
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
@@ -200,7 +168,7 @@ class ExecutionContext:
             return
         self._closed = True
         if self._device is not None:
-            with self.span("close.flush", kind="device"):
+            with trace_span("close.flush", kind="device"):
                 self._device.close()
             touches = self._device.touch_counts_by_extent()
             if touches:

@@ -19,11 +19,10 @@ guards already pin down, span I/O sums **exactly** to run totals — there
 is no sampling and no estimation.
 
 Call sites do not thread a tracer through signatures. A module-level
-*ambient* stack holds the active tracer;
-:meth:`~repro.engine.ExecutionContext.phase` (and ``span``) open spans on
-the context's attached tracer, and leaf kernels use the free function
-:func:`trace_span`, which is a no-op ``yield`` when nothing is tracing —
-the provably-free off switch.
+*ambient* stack holds the active tracer, and every span in the library
+opens through the one free function :func:`trace_span`. When nothing is
+tracing it returns a shared :func:`contextlib.nullcontext` — the off
+switch builds no span, no snapshot and no generator frame.
 
 >>> tracer = Tracer()
 >>> tracer.start()
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, ContextManager, Dict, List, Optional
 
 __all__ = ["Span", "Tracer", "active_tracer", "trace_span"]
 
@@ -48,30 +47,49 @@ TRACE_VERSION = 1
 
 
 class Span:
-    """One open node of the span tree. Snapshot at open, delta at close."""
+    """One node of the span tree, and its own context manager.
+
+    Entering it snapshots the tracer's counters and pushes it as a child
+    of the innermost open span; leaving it closes any inner span an
+    enclosed scope leaked, then emits its record of deltas.
+    """
 
     __slots__ = (
-        "span_id", "parent_id", "name", "kind", "attrs",
+        "tracer", "span_id", "parent_id", "name", "kind", "attrs",
         "_t0", "_stats_before", "_extents_before", "_touches_before",
     )
 
     def __init__(
-        self,
-        span_id: int,
-        parent_id: Optional[int],
-        name: str,
-        kind: str,
-        attrs: Dict[str, Any],
+        self, tracer: "Tracer", name: str, kind: str, attrs: Dict[str, Any]
     ) -> None:
-        self.span_id = span_id
-        self.parent_id = parent_id
+        self.tracer = tracer
         self.name = name
         self.kind = kind
         self.attrs = attrs
-        self._t0 = 0.0
-        self._stats_before = None
-        self._extents_before: Dict[str, tuple] = {}
-        self._touches_before: Dict[str, int] = {}
+
+    def __enter__(self) -> "Span":
+        tracer = self.tracer
+        stack = tracer._stack
+        self.parent_id = stack[-1].span_id if stack else None
+        self.span_id = tracer._next_id
+        tracer._next_id += 1
+        self._t0 = tracer._clock()
+        stats = tracer._stats_provider
+        self._stats_before = stats().snapshot() if stats is not None else None
+        self._extents_before = dict(tracer._extents_provider())
+        self._touches_before = dict(tracer._touches_provider())
+        stack.append(self)
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        tracer = self.tracer
+        stack = tracer._stack
+        # Unwind to *this* span even if an inner scope leaked one; a span
+        # that finish() already closed leaves the stack without it.
+        while stack and stack[-1] is not self:
+            tracer._end()
+        if stack:
+            tracer._end()
 
 
 def _diff_extents(
@@ -176,7 +194,7 @@ class Tracer:
         if not self._started or self._finished:
             return
         while self._stack:
-            self.end_span()
+            self._end()
         self._finished = True
         totals: Dict[str, Any] = {
             "wall": self._clock() - self._t_start,
@@ -211,23 +229,13 @@ class Tracer:
     # spans and events
     # ------------------------------------------------------------------ #
 
-    def begin_span(self, name: str, kind: str = "kernel", **attrs: Any) -> Span:
-        """Open a span as a child of the innermost open span."""
-        parent = self._stack[-1].span_id if self._stack else None
-        span = Span(self._next_id, parent, name, kind, attrs)
-        self._next_id += 1
-        span._t0 = self._clock()
-        if self._stats_provider is not None:
-            span._stats_before = self._stats_provider().snapshot()
-        span._extents_before = dict(self._extents_provider())
-        span._touches_before = dict(self._touches_provider())
-        self._stack.append(span)
-        return span
+    def span(self, name: str, kind: str = "kernel", **attrs: Any) -> Span:
+        """A span to enter with ``with``, as a child of the innermost open
+        span at the moment it is entered."""
+        return Span(self, name, kind, attrs)
 
-    def end_span(self) -> Dict[str, Any]:
-        """Close the innermost span and emit its record."""
-        if not self._stack:
-            raise RuntimeError("end_span with no open span")
+    def _end(self) -> None:
+        """Close the innermost open span and emit its record."""
         span = self._stack.pop()
         record: Dict[str, Any] = {
             "type": "span",
@@ -259,20 +267,6 @@ class Tracer:
                     "page_faults_est": delta.physical.page_faults_est,
                 }
         self._write(record)
-        return record
-
-    @contextlib.contextmanager
-    def span(self, name: str, kind: str = "kernel", **attrs: Any) -> Iterator[Span]:
-        """Context-manager form of :meth:`begin_span` / :meth:`end_span`."""
-        span = self.begin_span(name, kind, **attrs)
-        try:
-            yield span
-        finally:
-            # Unwind to *this* span even if an inner scope leaked one.
-            while self._stack and self._stack[-1] is not span:
-                self.end_span()
-            if self._stack:
-                self.end_span()
 
     def event(self, name: str, payload: Optional[Dict[str, Any]] = None) -> None:
         """Record a point-in-time event inside the current span."""
@@ -303,17 +297,23 @@ def active_tracer() -> Optional[Tracer]:
     return _ACTIVE[-1] if _ACTIVE else None
 
 
-@contextlib.contextmanager
-def trace_span(name: str, kind: str = "kernel", **attrs: Any) -> Iterator[Optional[Span]]:
+#: What :func:`trace_span` returns when nothing is tracing; entering it
+#: binds ``None``.
+_OFF = contextlib.nullcontext()
+
+
+def trace_span(
+    name: str, kind: str = "kernel", **attrs: Any
+) -> ContextManager[Optional[Span]]:
     """Open a span on the ambient tracer; a free no-op when none is active.
 
-    This is the instrumentation primitive for leaf kernels (support scan,
-    probes, peel rounds, WAL appends, checkpoint save/load): one ``with``
-    line, zero parameters threaded, zero cost when tracing is off.
+    The one instrumentation primitive of the library — phases, update
+    windows, leaf kernels (support scan, probes, peel rounds), WAL
+    appends and checkpoint save/load alike: one ``with`` line, zero
+    parameters threaded. With no tracer active it returns one shared
+    :func:`contextlib.nullcontext`, so an untraced span costs a list
+    check and a call.
     """
-    tracer = active_tracer()
-    if tracer is None:
-        yield None
-        return
-    with tracer.span(name, kind, **attrs) as span:
-        yield span
+    if not _ACTIVE:
+        return _OFF
+    return _ACTIVE[-1].span(name, kind, **attrs)

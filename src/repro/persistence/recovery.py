@@ -138,7 +138,7 @@ class DurableMaintenance:
 
     def insert(self, u: int, v: int):
         """Durably insert edge ``(u, v)``: log first, then apply."""
-        with self.state.context.span("durable.insert", kind="op", u=u, v=v):
+        with trace_span("durable.insert", kind="op", u=u, v=v):
             self.applied_seq = self.wal.append("insert", [(u, v)])
             result = self.state.insert(u, v)
             self._after_apply(1)
@@ -146,7 +146,7 @@ class DurableMaintenance:
 
     def delete(self, u: int, v: int):
         """Durably delete edge ``(u, v)``: log first, then apply."""
-        with self.state.context.span("durable.delete", kind="op", u=u, v=v):
+        with trace_span("durable.delete", kind="op", u=u, v=v):
             self.applied_seq = self.wal.append("delete", [(u, v)])
             result = self.state.delete(u, v)
             self._after_apply(1)
@@ -167,8 +167,7 @@ class DurableMaintenance:
         operations = list(operations)
         if not operations:
             return None
-        with self.state.context.span("durable.apply", kind="op",
-                                     ops=len(operations)):
+        with trace_span("durable.apply", kind="op", ops=len(operations)):
             self.applied_seq = self.wal.append_group(list(_runs(operations)))[-1]
             result = self.state.apply_batch(operations)
             self._after_apply(len(operations))
@@ -194,7 +193,7 @@ class DurableMaintenance:
         the new checkpoint's ``wal_seq`` makes replay skip the stale
         records.
         """
-        with self.state.context.span("durable.checkpoint", kind="op"):
+        with trace_span("durable.checkpoint", kind="op"):
             size = save_checkpoint(
                 self.state, self.checkpoint_path, wal_seq=self.applied_seq
             )

@@ -26,10 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.components import (
-    triangle_connected_components,
-    vertex_connected_components,
-)
+from ..analysis.components import component_holding, vertex_connected_components
 from ..applications.community import truss_community
 from ..approx.engine import ApproxEngine
 from ..approx.estimate import Estimate
@@ -186,7 +183,7 @@ class QueryEngine:
         config: Optional[EngineConfig] = None,
     ) -> None:
         self.manager = manager
-        self.config = (config if config is not None else EngineConfig()).validate()
+        self.config = config if config is not None else EngineConfig()
         self.cache: Optional[ResultCache] = (
             ResultCache(self.config.serve_cache_entries)
             if self.config.serve_cache_entries > 0
@@ -254,7 +251,7 @@ class QueryEngine:
             try:
                 reader = _SnapshotReader(snapshot, context)
                 with trace_span("serve.query", kind="query", op=op):
-                    result = self._dispatch(op, params, reader, context)
+                    result = self._dispatch(op, params, reader)
                 bill = context.stats.snapshot()
             finally:
                 context.close()
@@ -286,7 +283,6 @@ class QueryEngine:
         op: str,
         params: Dict[str, Any],
         reader: _SnapshotReader,
-        context: ExecutionContext,
     ) -> Dict[str, Any]:
         approx = params.get("precision") == "approx"
         if op == "membership":
@@ -302,7 +298,7 @@ class QueryEngine:
         if op == "community":
             return self._community(
                 reader, params["q"], params["k"], params["connectivity"],
-                params["include_edges"], context,
+                params["include_edges"],
             )
         if op == "hierarchy":
             return self._hierarchy(reader, params["k"])
@@ -420,20 +416,16 @@ class QueryEngine:
         k: Optional[int],
         connectivity: str,
         include_edges: bool,
-        context: ExecutionContext,
     ) -> Dict[str, Any]:
         reader.check_vertex(q, "q")
         graph = reader.graph
         values = reader.scan_tau()
         if k is None:
             # Maximum-trussness community: the decreasing-trussness sweep
-            # reads every edge's endpoints alongside its trussness. The
-            # request's (read-only) context rides along so the search
-            # spans/charges land on this request's ledger.
+            # reads every edge's endpoints alongside its trussness.
             reader.scan_edges()
             found = truss_community(
-                graph, [q], connectivity=connectivity, trussness=values,
-                context=context,
+                graph, [q], connectivity=connectivity, trussness=values
             )
             if found is None:
                 return {"found": False}
@@ -445,18 +437,10 @@ class QueryEngine:
         eids = np.nonzero(values >= k)[0]
         rows = reader.scan_edges(eids)
         pairs = [(int(a), int(b)) for a, b in rows]
-        split = (
-            vertex_connected_components
-            if connectivity == "vertex"
-            else triangle_connected_components
-        )
-        for component in split(pairs):
-            vertices = sorted({x for edge in component for x in edge})
-            if q in vertices:
-                return self._community_result(
-                    k, component, vertices, include_edges
-                )
-        return {"found": False}
+        found = component_holding(pairs, [q], connectivity)
+        if found is None:
+            return {"found": False}
+        return self._community_result(k, *found, include_edges)
 
     @staticmethod
     def _community_result(

@@ -49,10 +49,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..analysis.components import (
-    triangle_connected_components,
-    vertex_connected_components,
-)
+from ..analysis.components import component_holding, vertex_connected_components
 from ..applications.community import truss_community
 from ..engine.config import EngineConfig
 from ..errors import ServeError
@@ -85,7 +82,7 @@ class ShardedRouter:
         if not isinstance(manifest, PartitionManifest):
             manifest = load_manifest(manifest)
         self.manifest = manifest
-        self.config = (config if config is not None else EngineConfig()).validate()
+        self.config = config if config is not None else EngineConfig()
         self.engines: List[QueryEngine] = []
         for shard in manifest.shards:
             graph, tau = manifest.load_shard(shard)
@@ -334,15 +331,9 @@ class ShardedRouter:
                 found.k, found.edges, found.vertices, include_edges
             ), consulted, failed
         pairs, _, consulted, failed = self._gather_rows(k)
-        split = (
-            vertex_connected_components
-            if connectivity == "vertex"
-            else triangle_connected_components
-        )
-        for component in split(pairs):
-            vertices = sorted({x for edge in component for x in edge})
-            if q in vertices:
-                return QueryEngine._community_result(
-                    k, component, vertices, include_edges
-                ), consulted, failed
-        return {"found": False}, consulted, failed
+        found = component_holding(pairs, [q], connectivity)
+        if found is None:
+            return {"found": False}, consulted, failed
+        return QueryEngine._community_result(
+            k, *found, include_edges
+        ), consulted, failed

@@ -26,7 +26,7 @@ request once its answer is written.
 
 Lifecycle guarantees:
 
-* **per-query timeout** (``serve_query_timeout``, executor path only): a
+* **per-query timeout** (``query_timeout``, executor path only): a
   query past budget is answered with a ``timeout`` error envelope (its
   worker finishes in the background; the connection stays usable);
 * **error envelopes**: malformed input and engine errors answer
@@ -90,6 +90,11 @@ class TrussServer:
     engine with an ``answers_on_loop(request)`` method has the requests it
     accepts run on the event loop; the rest run on the thread pool.
 
+    *host* and *port* name the listener (port ``0`` asks the OS for an
+    ephemeral one); *query_timeout* is the executor path's per-query
+    budget in seconds, ``None`` for no limit. Bad values raise
+    :class:`ServeError` here, before anything binds.
+
     Example
     -------
     ::
@@ -105,6 +110,14 @@ class TrussServer:
         port: int = 0,
         query_timeout: Optional[float] = 30.0,
     ) -> None:
+        if not host:
+            raise ServeError("host must be a non-empty address")
+        if not 0 <= port <= 65535:
+            raise ServeError(f"port must be in [0, 65535], got {port}")
+        if query_timeout is not None and query_timeout <= 0:
+            raise ServeError(
+                f"query_timeout must be positive or None, got {query_timeout}"
+            )
         self.engine = engine
         self._on_loop = getattr(engine, "answers_on_loop", None)
         self.host = host
@@ -249,20 +262,16 @@ class TrussServer:
         return error_envelope(request_id_of(request), *error), path
 
 def run_server(
-    engine: QueryEngine,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    query_timeout: Optional[float] = 30.0,
-    on_started=None,
+    engine: QueryEngine, on_started=None, **options: Any
 ) -> TrussServer:
     """Blocking convenience: start, announce, serve until shutdown.
 
-    *on_started* is called with the bound ``(host, port)`` once the
-    listener is up (the CLI prints it; tests grab the ephemeral port).
+    *options* are :class:`TrussServer`'s ``host``, ``port`` and
+    ``query_timeout``. *on_started* is called with the bound
+    ``(host, port)`` once the listener is up (the CLI prints it; tests
+    grab the ephemeral port).
     """
-    server = TrussServer(
-        engine, host=host, port=port, query_timeout=query_timeout
-    )
+    server = TrussServer(engine, **options)
 
     async def _main() -> None:
         address = await server.start()

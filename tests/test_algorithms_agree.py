@@ -10,9 +10,11 @@ definition intrinsically.
 import pytest
 from hypothesis import given, settings
 
-from repro import semi_binary, semi_greedy_core, semi_lazy_update
+from repro import EngineConfig, ExecutionContext, semi_binary, semi_greedy_core, semi_lazy_update
 from repro.baselines import bottom_up, max_truss_edges, top_down
 from repro.core.api import max_truss
+from repro.graph.disk_graph import DiskGraph
+from repro.graph.generators import cycle_graph, paper_example_graph
 from repro.graph.memgraph import Graph
 
 from conftest import small_graphs, triangle_rich_graphs
@@ -88,3 +90,24 @@ def test_dispatch_unknown_method():
 
     with pytest.raises(UnknownMethodError):
         max_truss(Graph.empty(1), method="nope")
+
+
+CHARGED_METHODS = [
+    "semi-binary", "semi-greedy-core", "semi-lazy-update", "bottom-up", "top-down",
+]
+
+
+@pytest.mark.parametrize("method", CHARGED_METHODS)
+@pytest.mark.parametrize(
+    "graph", [paper_example_graph(), cycle_graph(40)], ids=["paper", "cycle"]
+)
+def test_charged_run_frees_its_scratch(method, graph):
+    """A charged computation leaves only ``G`` on the caller's device, on
+    the triangle-free early return (the cycle) as on the full path."""
+    config = EngineConfig(block_size=256, cache_blocks=8)
+    with ExecutionContext(config) as context:
+        max_truss(graph, method=method, context=context)
+        left = context.device.used_bytes
+    with ExecutionContext(config) as context:
+        only_g = DiskGraph(graph, context.device_for(graph.n), name="G")
+        assert left == only_g.device.used_bytes

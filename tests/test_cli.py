@@ -7,7 +7,8 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
-from repro.engine.config import CACHE_POLICIES, FSYNC_POLICIES, INGEST_BACKPRESSURE_POLICIES
+from repro.dynamic.ingest import INGEST_BACKPRESSURE_POLICIES
+from repro.engine.config import CACHE_POLICIES, FSYNC_POLICIES
 from repro.graph.edgelist import write_text_edgelist
 from repro.graph.generators import complete_graph, paper_example_graph
 
@@ -269,7 +270,7 @@ class TestErrorPaths:
 
     def test_engine_enum_choices_are_the_configs(self):
         """Every subcommand's --cache-policy, --fsync and --backpressure
-        accept exactly what config validation accepts."""
+        accept exactly what the config and the ingest pipeline accept."""
         expected = {
             "--cache-policy": tuple(CACHE_POLICIES),
             "--fsync": tuple(FSYNC_POLICIES),
@@ -409,6 +410,44 @@ class TestServe:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["serve", "GRAPH", "--port", "70000"],
+            ["serve", "GRAPH", "--port", "-1"],
+            ["serve", "GRAPH", "--host="],
+            ["serve", "GRAPH", "--promote-interval", "0"],
+            ["ingest", "--updates", "UPDATES", "--batch-size", "0"],
+            ["ingest", "--updates", "UPDATES", "--queue-capacity", "0"],
+            ["ingest", "--updates", "UPDATES", "--max-delay", "0"],
+            ["ingest", "--updates", "UPDATES", "--max-delay", "-1"],
+        ],
+        ids=[
+            "port-70000", "port-negative", "empty-host", "promote-interval-0",
+            "batch-size-0", "queue-capacity-0", "max-delay-0", "max-delay-negative",
+        ],
+    )
+    def test_out_of_range_options_are_one_line_errors(
+        self, flags, example_file, tmp_path, capsys, monkeypatch
+    ):
+        """The pipeline and the server check their own options; a bad one
+        exits 1 with one ``error:`` line, before any socket binds."""
+        from repro.serve.server import TrussServer
+
+        async def never_bind(_server):
+            raise AssertionError("a rejected option must not reach bind")
+
+        monkeypatch.setattr(TrussServer, "start", never_bind)
+        updates = tmp_path / "updates.txt"
+        updates.write_text("0 4\n")
+        substitute = {"GRAPH": example_file, "UPDATES": str(updates)}
+        argv = [substitute.get(flag, flag) for flag in flags]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_serve_announces_and_drains(self, example_file, capsys):
         # In-process end-to-end: a helper thread connects to the announced
         # port, runs one query, and asks the server to drain.
@@ -431,7 +470,7 @@ class TestServe:
 
         real_run_server = server_module.run_server
 
-        def wrapped(engine, host, port, query_timeout, on_started=None):
+        def wrapped(engine, on_started=None, **options):
             def announce_and_probe(address):
                 if on_started is not None:
                     on_started(address)
@@ -440,8 +479,7 @@ class TestServe:
                 ).start()
 
             return real_run_server(
-                engine, host=host, port=port, query_timeout=query_timeout,
-                on_started=announce_and_probe,
+                engine, on_started=announce_and_probe, **options
             )
 
         server_module.run_server = wrapped

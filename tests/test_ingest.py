@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.baselines import max_truss_edges
 from repro.dynamic import DynamicMaxTruss, IngestPipeline
 from repro.dynamic.workload import mixed_churn
-from repro.engine import EngineConfig
 from repro.errors import IngestError
 from repro.graph.generators import gnm_random, paper_example_graph
 from repro.graph.memgraph import Graph
@@ -452,33 +451,17 @@ class TestLifecycleAndErrors:
         with pytest.raises(IngestError, match="consumer failed"):
             pipe.flush()
 
-    def test_from_config(self):
-        config = EngineConfig(
-            ingest_batch_size=7,
-            ingest_queue_capacity=31,
-            ingest_backpressure="reject",
-            ingest_max_delay=0.5,
-        ).validate()
-        pipe = IngestPipeline.from_config(
-            DynamicMaxTruss(Graph.empty(0)), config
-        )
-        assert pipe.batch_size == 7
-        assert pipe.queue_capacity == 31
-        assert pipe.backpressure == "reject"
-        assert pipe.max_delay == 0.5
-        pipe.close()
-
-    def test_config_validates_ingest_knobs(self):
-        from repro.errors import DeviceError
-
+    def test_pipeline_rejects_bad_knobs(self):
+        state = DynamicMaxTruss(Graph.empty(0))
         for bad in (
-            EngineConfig(ingest_batch_size=0),
-            EngineConfig(ingest_queue_capacity=0),
-            EngineConfig(ingest_backpressure="spill"),
-            EngineConfig(ingest_max_delay=0.0),
+            {"batch_size": 0},
+            {"queue_capacity": 0},
+            {"backpressure": "spill"},
+            {"max_delay": 0.0},
+            {"max_delay": -1.0},
         ):
-            with pytest.raises(DeviceError):
-                bad.validate()
+            with pytest.raises(IngestError):
+                IngestPipeline(state, **bad)
 
     def test_stats_throughput(self):
         now = [100.0]

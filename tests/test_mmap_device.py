@@ -451,15 +451,15 @@ def test_hot_classification_is_substring_match():
 
 
 def test_config_validation_rejects_bad_tier_knobs():
-    EngineConfig(hot_extents=()).validate()  # "pin nothing" is allowed
+    EngineConfig(hot_extents=())  # "pin nothing" is allowed
     for broken in (
-        EngineConfig(cold_cache_mb=0),
-        EngineConfig(cold_cache_mb=-1.0),
-        EngineConfig(hot_extents=("ok", "")),
-        EngineConfig(hot_extents="truss"),  # a bare string, not a tuple
+        {"cold_cache_mb": 0},
+        {"cold_cache_mb": -1.0},
+        {"hot_extents": ("ok", "")},
+        {"hot_extents": "truss"},  # a bare string, not a tuple
     ):
         with pytest.raises(DeviceError):
-            broken.validate()
+            EngineConfig(**broken)
     with pytest.raises(DeviceError):
         MmapBlockDevice(cold_cache_mb=0)
 

@@ -247,7 +247,7 @@ def test_bad_fsync_policy_rejected(tmp_path):
             fsync_policy="sometimes",
         )
     with pytest.raises(DeviceError):
-        EngineConfig(backend="file", fsync_policy="sometimes").validate()
+        EngineConfig(backend="file", fsync_policy="sometimes")
 
 
 def test_grow_and_free_keep_regions_consistent(tmp_path):
@@ -277,6 +277,5 @@ def test_file_backend_is_registered():
 
 
 def test_unknown_backend_error_lists_names():
-    config = EngineConfig(backend="floppy")
     with pytest.raises(DeviceError, match="file.*inmemory.*reference.*simulated"):
-        ExecutionContext(config).device_for(10)
+        EngineConfig(backend="floppy")
