@@ -10,9 +10,10 @@ Subcommands
   the binary ``.rgr`` CSR image — the paper's offline preprocessing step).
 * ``maintain`` — apply an update stream to a graph, reporting per-op
   maintenance cost.
-* ``ingest`` — pump an update stream through the pipelined ingestion
-  front end (bounded queue, micro-batches, backpressure), optionally
-  durable (group-commit WAL) and/or sliding-window.
+* ``ingest`` — pump an update stream through the ingestion front end
+  (micro-batches applied as the stream is read, flushed on size or, at
+  the next line, on age), optionally durable (group-commit WAL) and/or
+  sliding-window.
 * ``trace`` — summarize or diff recorded trace files (``compute`` and
   ``maintain`` record one with ``--trace FILE``).
 * ``serve`` — answer truss queries over TCP (newline-delimited JSON)
@@ -41,7 +42,6 @@ from .analysis.statistics import graph_stats
 from .core.api import available_methods, max_truss
 from .dynamic import DynamicMaxTruss
 from .engine import EngineConfig, ExecutionContext, list_backends
-from .dynamic.ingest import INGEST_BACKPRESSURE_POLICIES
 from .engine.config import CACHE_POLICIES, FSYNC_POLICIES
 from .errors import GraphFormatError, ReproError, ServeError
 from .graph.datasets import dataset_names, load_dataset
@@ -435,53 +435,48 @@ def _run_maintain(
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from .dynamic.ingest import IngestPipeline
-    from .graph.memgraph import Graph as _Graph
 
     config = _engine_config(args)
     graph = (
-        _Graph.empty(0) if args.graph is None
+        Graph.empty(0) if args.graph is None
         else _load_graph(args.graph, args.seed, backend=args.backend)
     )
     engine_context = ExecutionContext(config)
-    state = DynamicMaxTruss(graph, context=engine_context)
-    sink = state
-    if args.durable:
-        from .persistence.recovery import DurableMaintenance
-
-        sink = DurableMaintenance(state, args.durable)
     window = args.window is not None
+    durable = None
     try:
-        with IngestPipeline(
-            sink, window=args.window, **_given(
-                args, "batch_size", "queue_capacity", "backpressure",
-                "max_delay",
-            ),
-        ) as pipe:
+        state = DynamicMaxTruss(graph, context=engine_context)
+        # The pipeline checks its options before --durable writes DIR's
+        # first checkpoint, so a rejected option leaves DIR untouched.
+        pipe = IngestPipeline(
+            state, window=args.window,
+            **_given(args, "batch_size", "max_delay"),
+        )
+        if args.durable:
+            from .persistence.recovery import DurableMaintenance
+
+            durable = pipe.sink = DurableMaintenance(state, args.durable)
+        with pipe:
             print(f"engine: {config.summary()}")
             print(
-                f"ingest: batch_size={pipe.batch_size} "
-                f"queue={pipe.queue_capacity} "
-                f"backpressure={pipe.backpressure}"
+                f"ingest: batch_size={pipe.batch_size}"
                 + (f" max_delay={pipe.max_delay}s"
                    if pipe.max_delay is not None else "")
                 + (f" window={args.window}" if window else "")
                 + (" durable" if args.durable else "")
             )
-            if args.threaded:
-                pipe.start()
             for op, u, v in _read_updates(args.updates, deletes=not window):
                 if window:
                     pipe.submit(u, v)
                 else:
                     pipe.submit_op(op, u, v)
     finally:
-        if args.durable:
-            sink.close()
+        if durable is not None:
+            durable.close()
         engine_context.close()
     stats = pipe.stats
     print(
-        f"stream: {stats.submitted} submitted, {stats.accepted} accepted, "
-        f"{stats.dropped} dropped, {stats.rejected} rejected"
+        f"stream: {stats.submitted} submitted"
         + (f", {stats.duplicates_skipped} duplicates, "
            f"{stats.expirations} expired" if window else "")
     )
@@ -492,7 +487,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     print(
         f"applied: {stats.applied_ops} ops in {stats.batches} batches"
         + (f" ({triggers})" if triggers else "")
-        + f", peak queue depth {stats.max_queue_depth}"
     )
     print(
         f"throughput: {stats.edges_per_sec:.0f} edges/s "
@@ -732,26 +726,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batch flush threshold (and WAL group-commit size)",
     )
     ingest.add_argument(
-        "--queue-capacity", type=int,
-        help="bounded-queue capacity before backpressure engages",
-    )
-    ingest.add_argument(
-        "--backpressure", choices=INGEST_BACKPRESSURE_POLICIES,
-        help="full-queue policy",
-    )
-    ingest.add_argument(
         "--max-delay", type=float, default=None, metavar="SECONDS",
-        help="flush when the oldest queued event is this old",
+        help="flush when a line arrives and the oldest queued event is "
+             "this old (checked per line, not on a timer)",
     )
     ingest.add_argument(
         "--durable", default=None, metavar="DIR",
         help="run over a write-ahead log in DIR (one group-commit fsync "
              "per micro-batch)",
-    )
-    ingest.add_argument(
-        "--threaded", action="store_true",
-        help="drain on a background consumer thread (overlap producer "
-             "parsing with the apply path)",
     )
     ingest.add_argument("--seed", type=int, default=0)
     _add_engine_flags(ingest)

@@ -62,21 +62,27 @@ class BatchResult:
     gate_probes: int = 0    #: insertion gates evaluated (post-dedupe)
 
 
-def _coalesce(
+def check_batch(
     state: DynamicMaxTruss, ops: List[BatchOp]
 ) -> Tuple[List[BatchOp], int]:
-    """Validate *ops* against the current graph and cancel net-zero pairs.
+    """Check *ops* against the current graph and cancel net-zero pairs.
 
-    Walks the batch once, simulating per-pair membership: an operation
-    that conflicts with the evolving state (duplicate insert, absent
-    delete, unknown opcode) raises :class:`~repro.errors.GraphFormatError`
-    *before anything is applied* — a rejected batch leaves the graph
-    untouched. Pairs whose final membership equals their initial one
-    (insert+delete or delete+insert sequences) are dropped wholesale: the
-    final edge *set* is what the decomposition depends on, and an edge
-    that survives a delete+insert round trip keeps its stable id, class
-    membership and supports, so skipping the churn is exact. Surviving
-    pairs contribute exactly one net operation, in first-touch order.
+    This is the one check of a batch, run before anything is logged or
+    mutated: :meth:`~repro.dynamic.state.DynamicMaxTruss.apply_batch`
+    calls it, and :class:`~repro.persistence.recovery.DurableMaintenance`
+    calls it before the WAL append. It reads only the in-memory graph, so
+    it charges nothing. Walks the batch once, simulating per-pair
+    membership: a malformed operation (unknown opcode, self-loop,
+    negative vertex id) or one that conflicts with the evolving state
+    (duplicate insert, absent delete) raises
+    :class:`~repro.errors.GraphFormatError`, so a rejected batch leaves
+    the graph untouched. Pairs whose final membership equals their
+    initial one (insert+delete or delete+insert sequences) are dropped
+    wholesale: the final edge *set* is what the decomposition depends on,
+    and an edge that survives a delete+insert round trip keeps its stable
+    id, class membership and supports, so skipping the churn is exact.
+    Surviving pairs contribute exactly one net operation, in first-touch
+    order.
     """
     initial: Dict[Tuple[int, int], bool] = {}
     current: Dict[Tuple[int, int], bool] = {}
@@ -85,6 +91,10 @@ def _coalesce(
     for op, u, v in ops:
         if op not in ("insert", "delete"):
             raise GraphFormatError(f"unknown batch operation {op!r}")
+        if u == v:
+            raise GraphFormatError("self-loops are not allowed")
+        if u < 0 or v < 0:
+            raise GraphFormatError("vertex ids must be non-negative")
         pair = (u, v) if u <= v else (v, u)
         if pair not in initial:
             present = state.graph.has_edge(u, v)
@@ -115,12 +125,11 @@ def apply_batch(
     """Apply *ops* to *state* with at most one global recomputation.
 
     Returns ``(insertions, deletions, mode, cancelled_ops, gate_probes)``.
-    The batch is atomic with respect to validation: an operation that
-    conflicts with the graph state it would see (duplicate insert, absent
-    delete) raises :class:`~repro.errors.GraphFormatError` before any
-    mutation, leaving the graph exactly as it was.
+    The batch is atomic with respect to validation: :func:`check_batch`
+    raises :class:`~repro.errors.GraphFormatError` for any rejected
+    operation before any mutation, leaving the graph exactly as it was.
     """
-    net_ops, cancelled = _coalesce(state, ops)
+    net_ops, cancelled = check_batch(state, ops)
 
     insertions = 0
     deletions = 0

@@ -372,8 +372,9 @@ class DynamicMaxTruss:
         (see :func:`repro.dynamic.batch.apply_batch`), timed and billed
         under the ``maintain.batch`` span.
 
-        An operation that conflicts with the graph state it would see
-        raises :class:`~repro.errors.GraphFormatError` before any mutation.
+        A malformed operation, or one that conflicts with the graph state
+        it would see, raises :class:`~repro.errors.GraphFormatError`
+        before any mutation (:func:`~repro.dynamic.batch.check_batch`).
         """
         watch = Stopwatch()
         io_start = self.device.stats.snapshot()

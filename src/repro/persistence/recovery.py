@@ -3,7 +3,9 @@
 :class:`DurableMaintenance` wraps a :class:`~repro.dynamic.DynamicMaxTruss`
 with the standard database protocol:
 
-1. every update batch is appended to the write-ahead log *before* it is
+1. every update batch is checked against the state
+   (:func:`repro.dynamic.batch.check_batch`), so a rejected update is
+   never logged, and then appended to the write-ahead log *before* it is
    applied (:mod:`repro.persistence.wal`);
 2. periodically (every *checkpoint_every* operations, or on demand) the
    whole state is checkpointed atomically
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
+from ..dynamic.batch import check_batch
 from ..dynamic.checkpoint import load_checkpoint, save_checkpoint
 from ..dynamic.state import DynamicMaxTruss
 from ..engine.context import ContextLike
@@ -137,26 +140,29 @@ class DurableMaintenance:
     # ------------------------------------------------------------------ #
 
     def insert(self, u: int, v: int):
-        """Durably insert edge ``(u, v)``: log first, then apply."""
-        with trace_span("durable.insert", kind="op", u=u, v=v):
-            self.applied_seq = self.wal.append("insert", [(u, v)])
-            result = self.state.insert(u, v)
-            self._after_apply(1)
-        return result
+        """Durably insert edge ``(u, v)``: check, log, then apply."""
+        return self._update("insert", u, v)
 
     def delete(self, u: int, v: int):
-        """Durably delete edge ``(u, v)``: log first, then apply."""
-        with trace_span("durable.delete", kind="op", u=u, v=v):
-            self.applied_seq = self.wal.append("delete", [(u, v)])
-            result = self.state.delete(u, v)
+        """Durably delete edge ``(u, v)``: check, log, then apply."""
+        return self._update("delete", u, v)
+
+    def _update(self, op: str, u: int, v: int):
+        with trace_span("durable." + op, kind="op", u=u, v=v):
+            check_batch(self.state, [(op, u, v)])
+            self.applied_seq = self.wal.append(op, [(u, v)])
+            result = getattr(self.state, op)(u, v)
             self._after_apply(1)
         return result
 
-    def apply(self, operations: Sequence[BatchOp]):
+    def apply_batch(self, operations: Sequence[BatchOp]):
         """Durably apply a mixed batch of ``(op, u, v)`` operations.
 
-        Consecutive same-op runs are framed as one WAL record each (order
-        preserved) and the whole batch is group-committed through
+        The batch is checked first
+        (:func:`~repro.dynamic.batch.check_batch`), so a rejected batch
+        reaches neither the log nor the state. Consecutive same-op runs
+        are then framed as one WAL record each (order preserved) and the
+        whole batch is group-committed through
         :meth:`~repro.persistence.wal.WriteAheadLog.append_group` — one
         durability barrier per batch instead of one per record — and only
         then applied through
@@ -167,7 +173,8 @@ class DurableMaintenance:
         operations = list(operations)
         if not operations:
             return None
-        with trace_span("durable.apply", kind="op", ops=len(operations)):
+        with trace_span("durable.apply_batch", kind="op", ops=len(operations)):
+            check_batch(self.state, operations)
             self.applied_seq = self.wal.append_group(list(_runs(operations)))[-1]
             result = self.state.apply_batch(operations)
             self._after_apply(len(operations))
@@ -284,8 +291,6 @@ def _runs(operations: Iterable[BatchOp]):
     run_op: Optional[str] = None
     edges: list = []
     for op, u, v in operations:
-        if op not in ("insert", "delete"):
-            raise GraphFormatError(f"unknown batch operation {op!r}")
         if op != run_op and edges:
             yield run_op, edges
             edges = []

@@ -128,6 +128,31 @@ class TestCoalescing:
         assert not state.graph.has_edge(0, 4)
         assert state.k_max == k_before
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (("insert", 3, 3), "self-loops"),
+            (("insert", -1, 2), "non-negative"),
+            (("insert", 2, -1), "non-negative"),
+            (("delete", 3, 3), "self-loops"),
+        ],
+        ids=["self-loop", "negative-u", "negative-v", "delete-self-loop"],
+    )
+    def test_malformed_op_rejected_before_any_mutation(self, bad, message):
+        """A self-loop or a negative id later in the batch is caught by the
+        up-front check, not mid-apply after earlier inserts landed."""
+        state = DynamicMaxTruss(paper_example_graph())
+        n_before, m_before = state.graph.n, state.graph.m
+        k_before, class_before = state.k_max, state.truss_pairs()
+        io_before = state.device.stats.snapshot()
+        with pytest.raises(GraphFormatError, match=message):
+            state.apply_batch([("insert", 0, 9), bad])
+        assert (state.graph.n, state.graph.m) == (n_before, m_before)
+        assert not state.graph.has_edge(0, 9)
+        assert state.k_max == k_before
+        assert state.truss_pairs() == class_before
+        assert state.device.stats.since(io_before).total_ios == 0
+
     def test_double_delete_within_batch_raises(self):
         graph = paper_example_graph()
         u, v = map(int, graph.edges[0])

@@ -7,7 +7,6 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
-from repro.dynamic.ingest import INGEST_BACKPRESSURE_POLICIES
 from repro.engine.config import CACHE_POLICIES, FSYNC_POLICIES
 from repro.graph.edgelist import write_text_edgelist
 from repro.graph.generators import complete_graph, paper_example_graph
@@ -174,6 +173,46 @@ class TestUpdateGrammar:
         assert "final k_max: 5" in capsys.readouterr().out
 
 
+class TestIngestDurable:
+    @pytest.mark.parametrize(
+        "bad", [["--batch-size", "0"], ["--max-delay", "0"]],
+        ids=["batch-size-0", "max-delay-0"],
+    )
+    def test_rejected_option_leaves_directory_untouched(
+        self, example_file, tmp_path, capsys, bad
+    ):
+        """The pipeline checks its options before the durable sink writes
+        the directory's first checkpoint, so the corrected re-run works."""
+        updates = tmp_path / "updates.txt"
+        updates.write_text("0 4\n")
+        home = tmp_path / "home"
+        argv = ["ingest", example_file, "--updates", str(updates),
+                "--durable", str(home)]
+        assert main(argv + bad) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (home / "state.ckpt").exists()
+        assert not (home / "wal.log").exists()
+        assert main(argv) == 0
+        assert "final k_max: 5" in capsys.readouterr().out
+
+    def test_rejected_line_is_not_logged(self, example_file, tmp_path, capsys):
+        """A line the state rejects exits 1, and the directory recovers to
+        what was applied before it."""
+        from repro.persistence import recover
+
+        updates = tmp_path / "updates.txt"
+        updates.write_text("0 4\n0 1\n")  # (0, 1) is already an edge
+        home = tmp_path / "home"
+        argv = ["ingest", example_file, "--updates", str(updates),
+                "--durable", str(home), "--batch-size", "1"]
+        assert main(argv) == 1
+        assert "existing edge (0, 1)" in capsys.readouterr().err
+        recovered = recover(home)
+        assert recovered.state.k_max == 5
+        assert recovered.last_recovery.replayed_ops == 1
+        recovered.close()
+
+
 class TestGraphFiles:
     @pytest.mark.parametrize("suffix", [".txt", ".rgr", ".metis", ".graph", ".cgr"])
     def test_compute_reads_what_convert_writes(self, tmp_path, capsys, suffix):
@@ -269,12 +308,11 @@ class TestErrorPaths:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_engine_enum_choices_are_the_configs(self):
-        """Every subcommand's --cache-policy, --fsync and --backpressure
-        accept exactly what the config and the ingest pipeline accept."""
+        """Every subcommand's --cache-policy and --fsync accept exactly
+        what the config accepts."""
         expected = {
             "--cache-policy": tuple(CACHE_POLICIES),
             "--fsync": tuple(FSYNC_POLICIES),
-            "--backpressure": tuple(INGEST_BACKPRESSURE_POLICIES),
         }
         seen = {flag: set() for flag in expected}
 
@@ -418,13 +456,12 @@ class TestServe:
             ["serve", "GRAPH", "--host="],
             ["serve", "GRAPH", "--promote-interval", "0"],
             ["ingest", "--updates", "UPDATES", "--batch-size", "0"],
-            ["ingest", "--updates", "UPDATES", "--queue-capacity", "0"],
             ["ingest", "--updates", "UPDATES", "--max-delay", "0"],
             ["ingest", "--updates", "UPDATES", "--max-delay", "-1"],
         ],
         ids=[
             "port-70000", "port-negative", "empty-host", "promote-interval-0",
-            "batch-size-0", "queue-capacity-0", "max-delay-0", "max-delay-negative",
+            "batch-size-0", "max-delay-0", "max-delay-negative",
         ],
     )
     def test_out_of_range_options_are_one_line_errors(

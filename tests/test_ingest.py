@@ -1,18 +1,19 @@
-"""Pipelined ingestion: exactness sweep, backpressure, triggers, modes.
+"""Batch ingestion: exactness sweep, window rules, triggers, lifecycle.
 
 The acceptance bar for the ingestion front end is the same as for every
-other layer of the dynamic stack: whatever batching, queueing, dropping
-or threading happens between ``submit`` and the sink, the final
-decomposition must be bit-identical to per-op maintenance of exactly the
-events the pipeline *accepted* — which an in-memory oracle recomputes
-from scratch. The hypothesis sweep drives random edge streams across
-window sizes, batch sizes and backpressure policies; targeted tests pin
-down the window rules, each policy, the age/pressure flush triggers, the
-threaded consumer, and error propagation.
+other layer of the dynamic stack: whatever batching happens between
+``submit`` and the sink, the final decomposition must be bit-identical
+to per-op maintenance of exactly the submitted events — which an
+in-memory oracle recomputes from scratch. The hypothesis sweep drives
+random edge streams across window sizes and batch sizes; targeted tests
+pin down the window rules, the size and age flush triggers, and error
+propagation.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 from collections import deque
 
 import numpy as np
@@ -92,44 +93,6 @@ class TestWindowExactness:
         oracle_k, oracle_edges = _window_oracle(edges, window)
         assert state.k_max == oracle_k
         assert state.truss_pairs() == oracle_edges
-
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        policy=st.sampled_from(["block", "drop-oldest", "reject"]),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_backpressure_policies_stay_exact(self, seed, policy):
-        """Whatever a policy drops, the applied stream is still processed
-        exactly: replaying the pipeline's own accepted arrivals per-op
-        reproduces its answer."""
-        edges = _random_edges(seed, count=80)
-        window, batch_size, capacity = 10, 16, 4
-        state = DynamicMaxTruss(Graph.empty(0))
-        accepted = []
-        with IngestPipeline(
-            state, window=window, batch_size=batch_size,
-            queue_capacity=capacity, backpressure=policy,
-        ) as pipe:
-            # Mirror admission via the submit return + drop accounting:
-            # every event the pipeline keeps is replayed into the oracle.
-            # (capacity < batch_size keeps the queue saturated, so under
-            # drop-oldest nothing is applied before close and the evicted
-            # event is always the oldest surviving arrival.)
-            for edge in edges:
-                dropped_before = pipe.stats.dropped
-                if not pipe.submit(*edge):
-                    continue
-                if pipe.stats.dropped > dropped_before:
-                    accepted.pop(0)
-                accepted.append(edge)
-        stats = pipe.stats
-        if policy == "block":
-            assert stats.dropped == 0 and stats.rejected == 0
-            assert accepted == edges
-        reference = _per_op_window(accepted, window)
-        assert state.k_max == reference.k_max
-        assert state.truss_pairs() == reference.truss_pairs()
-        assert stats.accepted == len(accepted) + stats.dropped
 
 
 class TestWindowSemantics:
@@ -237,7 +200,7 @@ class TestRawOps:
         piped = DynamicMaxTruss(gnm_random(30, 90, seed=5))
         with IngestPipeline(piped, batch_size=batch_size) as pipe:
             for op, u, v in ops:
-                assert pipe.submit_op(op, u, v)
+                pipe.submit_op(op, u, v)
         sequential = DynamicMaxTruss(gnm_random(30, 90, seed=5))
         for op, u, v in ops:
             if op == "insert":
@@ -320,84 +283,67 @@ class TestTriggersAndModes:
         assert pipe.stats.flushes["age"] == 1
         pipe.close()
 
-    def test_pressure_trigger_under_block(self):
+    def test_age_trigger_waits_for_next_submit(self):
+        """Draining is inline: an aged batch is applied by the next
+        submit or by flush/close, never by a timer."""
+        now = [0.0]
         state = DynamicMaxTruss(Graph.empty(0))
         pipe = IngestPipeline(
-            state, window=50, batch_size=100, queue_capacity=4,
+            state, batch_size=100, max_delay=1.0, clock=lambda: now[0],
         )
-        for index in range(8):
-            pipe.submit(index, index + 1)
-        assert pipe.stats.flushes["pressure"] >= 1
-        assert pipe.stats.dropped == 0
+        pipe.submit(0, 1)
+        now[0] = 5.0
+        assert pipe.queue_depth() == 1
+        assert not state.graph.has_edge(0, 1)
         pipe.close()
-        assert pipe.stats.applied_ops == 8
+        assert state.graph.has_edge(0, 1)
+        assert pipe.stats.flushes == {"size": 0, "age": 0, "manual": 1}
 
-    def test_reject_returns_false(self):
+    def test_concurrent_producers_stay_exact(self):
+        """Producers on more threads than cores share one pipeline; every
+        submitted edge is applied exactly once (a lost update would
+        break the counts or the graph)."""
+        edges = sorted({
+            (min(u, v), max(u, v))
+            for u, v in _random_edges(29, count=800, n=200)
+        })
+        shares = [edges[index::8] for index in range(8)]
         state = DynamicMaxTruss(Graph.empty(0))
-        pipe = IngestPipeline(
-            state, window=50, batch_size=100, queue_capacity=2,
-            backpressure="reject",
-        )
-        assert pipe.submit(0, 1) and pipe.submit(1, 2)
-        assert not pipe.submit(2, 3)
-        assert pipe.stats.rejected == 1
-        pipe.close()
-        assert state.k_max == 2
-
-    def test_drop_oldest_keeps_newest(self):
-        state = DynamicMaxTruss(Graph.empty(0))
-        pipe = IngestPipeline(
-            state, window=50, batch_size=100, queue_capacity=2,
-            backpressure="drop-oldest",
-        )
-        for edge in [(0, 1), (1, 2), (0, 2), (5, 6)]:
-            assert pipe.submit(*edge)
-        pipe.close()
-        assert pipe.stats.dropped == 2
-        # Only the two newest arrivals survived the queue.
-        assert sorted(state.truss_pairs()) == [(0, 2), (5, 6)]
-
-    def test_threaded_consumer_matches_sync(self):
-        edges = _random_edges(17, count=120, n=15)
-        threaded_state = DynamicMaxTruss(Graph.empty(0))
-        pipe = IngestPipeline(threaded_state, window=25, batch_size=8).start()
-        pipe.submit_many(edges)
-        pipe.flush()
-        assert pipe.queue_depth() == 0
-        pipe.close()
-        sync_state = DynamicMaxTruss(Graph.empty(0))
-        with IngestPipeline(sync_state, window=25, batch_size=8) as sync:
-            sync.submit_many(edges)
-        assert threaded_state.k_max == sync_state.k_max
-        assert threaded_state.truss_pairs() == sync_state.truss_pairs()
-
-    def test_threaded_blocking_backpressure(self):
-        edges = _random_edges(23, count=100, n=12)
-        state = DynamicMaxTruss(Graph.empty(0))
-        pipe = IngestPipeline(
-            state, window=20, batch_size=4, queue_capacity=8,
-        ).start()
-        pipe.submit_many(edges)  # must block, never drop
-        pipe.close()
-        assert pipe.stats.dropped == 0 and pipe.stats.rejected == 0
-        reference = _per_op_window(edges, 20)
-        assert state.k_max == reference.k_max
-        assert state.truss_pairs() == reference.truss_pairs()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with IngestPipeline(state, batch_size=2) as pipe:
+                producers = [
+                    threading.Thread(target=pipe.submit_many, args=(share,))
+                    for share in shares
+                ]
+                for producer in producers:
+                    producer.start()
+                for producer in producers:
+                    producer.join(timeout=60)
+                    assert not producer.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert pipe.stats.submitted == pipe.stats.applied_ops == len(edges)
+        assert state.graph.m == len(edges)
+        expected_k, expected_edges = max_truss_edges(Graph.from_edges(edges))
+        assert state.k_max == expected_k
+        assert state.truss_pairs() == expected_edges
 
 
 class TestLifecycleAndErrors:
     def test_raising_block_still_closes(self):
-        """A ``with`` block that raises on a started pipeline re-raises its
-        own error, stops the consumer and closes the pipeline."""
-        pipe = IngestPipeline(DynamicMaxTruss(Graph.empty(0)), batch_size=64)
+        """A ``with`` block that raises re-raises its own error, applies
+        what it left queued and closes the pipeline."""
+        state = DynamicMaxTruss(Graph.empty(0))
+        pipe = IngestPipeline(state, batch_size=64)
         with pytest.raises(RuntimeError, match="producer failed"):
-            with pipe.start():
-                consumer = pipe._thread
+            with pipe:
                 pipe.submit(0, 1)
                 raise RuntimeError("producer failed")
-        assert consumer.name == "ingest-consumer"
-        assert not consumer.is_alive()
         assert pipe.queue_depth() == 0
+        assert state.graph.has_edge(0, 1)
+        assert pipe.stats.applied_ops == 1
         with pytest.raises(IngestError, match="closed"):
             pipe.submit(1, 2)
 
@@ -428,13 +374,24 @@ class TestLifecycleAndErrors:
         with pytest.raises(IngestError):
             IngestPipeline(state, batch_size=0)
         with pytest.raises(IngestError):
-            IngestPipeline(state, queue_capacity=0)
-        with pytest.raises(IngestError):
             IngestPipeline(state, window=0)
-        with pytest.raises(IngestError):
-            IngestPipeline(state, backpressure="spill")
-        with pytest.raises(IngestError):
+        with pytest.raises(IngestError, match="apply_batch"):
             IngestPipeline(object())
+
+    def test_pipeline_rejects_bad_knobs(self):
+        state = DynamicMaxTruss(Graph.empty(0))
+        for bad in (
+            {"batch_size": 0},
+            {"max_delay": 0.0},
+            {"max_delay": -1.0},
+        ):
+            with pytest.raises(IngestError):
+                IngestPipeline(state, **bad)
+        # The queue bound and its backpressure policies are gone: the
+        # queue drains inline, so neither knob is accepted any more.
+        for gone in ({"queue_capacity": 4}, {"backpressure": "block"}):
+            with pytest.raises(TypeError):
+                IngestPipeline(state, **gone)
 
     def test_sink_error_propagates_in_sync_mode(self):
         graph = paper_example_graph()
@@ -442,26 +399,6 @@ class TestLifecycleAndErrors:
         pipe = IngestPipeline(DynamicMaxTruss(graph), batch_size=1)
         with pytest.raises(Exception, match="existing edge"):
             pipe.submit_op("insert", u, v)  # edge already present
-
-    def test_consumer_error_surfaces_on_producer(self):
-        graph = paper_example_graph()
-        u, v = map(int, graph.edges[0])
-        pipe = IngestPipeline(DynamicMaxTruss(graph), batch_size=1).start()
-        pipe.submit_op("insert", u, v)  # duplicate: consumer will fail
-        with pytest.raises(IngestError, match="consumer failed"):
-            pipe.flush()
-
-    def test_pipeline_rejects_bad_knobs(self):
-        state = DynamicMaxTruss(Graph.empty(0))
-        for bad in (
-            {"batch_size": 0},
-            {"queue_capacity": 0},
-            {"backpressure": "spill"},
-            {"max_delay": 0.0},
-            {"max_delay": -1.0},
-        ):
-            with pytest.raises(IngestError):
-                IngestPipeline(state, **bad)
 
     def test_stats_throughput(self):
         now = [100.0]

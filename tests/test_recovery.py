@@ -25,6 +25,7 @@ from repro.persistence import (
     FaultInjector,
     SimulatedCrash,
     durable_from_graph,
+    read_wal,
     recover,
 )
 
@@ -198,7 +199,7 @@ class TestGroupCommitCrashes:
         injector = FaultInjector(torn_write_at=2, torn_fraction=fraction)
         durable = durable_from_graph(_graph(), tmp_path, file_ops=injector)
         with pytest.raises(SimulatedCrash):
-            durable.apply(updates)
+            durable.apply_batch(updates)
         survived = self._check_recovery(tmp_path, updates)
         assert survived < len(updates)  # the tear lost at least the tail
 
@@ -212,7 +213,7 @@ class TestGroupCommitCrashes:
         injector = FaultInjector(fail_after_ops=3)
         durable = durable_from_graph(_graph(), tmp_path, file_ops=injector)
         with pytest.raises(SimulatedCrash):
-            durable.apply(updates)
+            durable.apply_batch(updates)
         survived = self._check_recovery(tmp_path, updates)
         assert survived <= len(updates)
 
@@ -223,9 +224,9 @@ class TestGroupCommitCrashes:
         first, second = updates[:5], updates[5:]
         injector = FaultInjector(torn_write_at=3, torn_fraction=0.4)
         durable = durable_from_graph(_graph(), tmp_path, file_ops=injector)
-        durable.apply(first)
+        durable.apply_batch(first)
         with pytest.raises(SimulatedCrash):
-            durable.apply(second)
+            durable.apply_batch(second)
         recovered = recover(tmp_path)
         survived_second = self._surviving_ops(
             recovered, first, second
@@ -242,7 +243,7 @@ class TestGroupCommitCrashes:
         injector = FaultInjector(fail_after_ops=2)  # header only
         durable = durable_from_graph(_graph(), tmp_path, file_ops=injector)
         with pytest.raises(SimulatedCrash):
-            durable.apply(updates)
+            durable.apply_batch(updates)
         survived = self._check_recovery(tmp_path, updates)
         assert survived == 0
 
@@ -288,7 +289,7 @@ class TestLifecycle:
         delete = next(op for op in stream if op[0] == "delete")
         batch = inserts + [delete]
         durable = durable_from_graph(graph, tmp_path)
-        durable.apply(batch)
+        durable.apply_batch(batch)
         durable.close()
         recovered = recover(tmp_path)
         assert recovered.last_recovery.replayed_records == 2  # two runs
@@ -320,4 +321,48 @@ class TestLifecycle:
             durable.insert(0, 4)
         recovered = recover(tmp_path)
         assert recovered.state.k_max == 5
+        recovered.close()
+
+
+class TestRejectedUpdates:
+    """An update the state rejects is checked before it is logged: it
+    never reaches ``wal.log``, and the directory still recovers to the
+    live state (a logged rejection would fail every later recovery)."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda d: d.insert(0, 1), "existing edge"),
+            (lambda d: d.delete(0, 7), "absent edge"),
+            (lambda d: d.insert(3, 3), "self-loops"),
+            (lambda d: d.delete(3, 3), "self-loops"),
+            (lambda d: d.apply_batch([("insert", 0, 9), ("insert", 0, 1)]),
+             "existing edge"),
+            (lambda d: d.apply_batch([("insert", 0, 9), ("delete", 0, 7)]),
+             "absent edge"),
+            (lambda d: d.apply_batch([("insert", 0, 9), ("insert", 3, 3)]),
+             "self-loops"),
+        ],
+        ids=[
+            "insert-present", "delete-absent", "insert-self-loop",
+            "delete-self-loop", "batch-insert-present", "batch-delete-absent",
+            "batch-self-loop",
+        ],
+    )
+    def test_rejected_update_is_never_logged(self, tmp_path, call, message):
+        durable = durable_from_graph(paper_example_graph(), tmp_path)
+        durable.insert(0, 4)
+        wal_path = os.path.join(tmp_path, WAL_NAME)
+        logged, _, _ = read_wal(wal_path)
+        with pytest.raises(GraphFormatError, match=message):
+            call(durable)
+        assert read_wal(wal_path)[0] == logged
+        assert not durable.state.graph.has_edge(0, 9)
+        durable.apply_batch([("insert", 2, 7), ("delete", 4, 5)])
+        live_k, live_pairs = durable.state.k_max, durable.state.truss_pairs()
+        durable.close()
+        recovered = recover(tmp_path)
+        assert recovered.last_recovery.replayed_ops == 3
+        assert recovered.state.k_max == live_k
+        assert recovered.state.truss_pairs() == live_pairs
         recovered.close()
