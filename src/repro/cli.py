@@ -17,9 +17,8 @@ Subcommands
 * ``trace`` — summarize or diff recorded trace files (``compute`` and
   ``maintain`` record one with ``--trace FILE``).
 * ``serve`` — answer truss queries over TCP (newline-delimited JSON)
-  against a graph, a durable state directory (with background snapshot
-  promotion), or a sharded partition directory.
-* ``partition`` — cut a graph into vertex-range shards for ``serve``.
+  against a graph or a durable state directory (with background snapshot
+  promotion).
 
 Graph operands accept dataset names and every file ``convert`` writes
 (:data:`repro.graph.formats.GRAPH_FORMATS`) everywhere; ``--backend
@@ -498,14 +497,14 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import Promoter, QueryEngine, ShardedRouter
+    from .serve import Promoter, QueryEngine
     from .serve.server import run_server
     from .serve.snapshot import SnapshotManager, bootstrap_manager
 
-    sources = [s for s in (args.graph, args.durable, args.partition) if s]
+    sources = [s for s in (args.graph, args.durable) if s]
     if len(sources) != 1:
-        print("error: give exactly one of GRAPH, --durable DIR, or "
-              "--partition DIR", file=sys.stderr)
+        print("error: give exactly one of GRAPH or --durable DIR",
+              file=sys.stderr)
         return 2
     if args.interval is not None and args.interval <= 0:
         # Checked even without --durable, where no promoter would see it.
@@ -516,15 +515,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server_options["query_timeout"] = None
 
     promoter = None
-    router = None
-    if args.partition:
-        router = ShardedRouter(args.partition, config)
-        executor = router
-        described = (
-            f"partition {args.partition} ({len(router.engines)} shards, "
-            f"n={router.manifest.n}, m={router.manifest.m})"
-        )
-    elif args.durable:
+    if args.durable:
         manager = bootstrap_manager(args.durable)
         promoter = Promoter(manager, args.durable, **_given(args, "interval"))
         promoter.start()
@@ -549,24 +540,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if promoter is not None:
             promoter.stop()
-        if router is not None:
-            router.close()
     print(f"drained; served {server.requests_served} requests")
-    return 0
-
-
-def _cmd_partition(args: argparse.Namespace) -> int:
-    from .serve.partition import write_partition
-
-    graph = _load_graph(args.graph, args.seed)
-    manifest = write_partition(graph, args.output, shards=args.shards)
-    print(f"partitioned {args.graph} (n={graph.n}, m={graph.m}, "
-          f"k_max={manifest.k_max}) into {args.shards} shards: {args.output}")
-    for shard in manifest.shards:
-        print(f"  shard {shard.shard_id}: vertices [{shard.lo}, {shard.hi}) "
-              f"edges={shard.edges} cut={shard.cut_edges}")
-    share = manifest.cut_edges / manifest.m if manifest.m else 0.0
-    print(f"cut edges: {manifest.cut_edges} ({share:.1%} of m)")
     return 0
 
 
@@ -800,18 +774,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "graph", nargs="?", default=None,
         help="graph to serve (edge-list/.rgr file or dataset name); "
-             "or use --durable / --partition",
+             "or use --durable",
     )
     serve.add_argument(
         "--durable", default=None, metavar="DIR",
         help="serve a durable maintenance directory (checkpoint + WAL); "
              "a background promoter publishes fresh snapshots as the WAL "
              "grows",
-    )
-    serve.add_argument(
-        "--partition", default=None, metavar="DIR",
-        help="serve a sharded partition directory (see 'repro partition') "
-             "through the scatter/gather router",
     )
     serve.add_argument("--host", help="bind address")
     serve.add_argument(
@@ -831,18 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(serve)
     serve.set_defaults(func=_cmd_serve)
 
-    partition = sub.add_parser(
-        "partition",
-        help="cut a graph into vertex-range shards for sharded serving",
-    )
-    partition.add_argument("graph", help="edge-list/.rgr file or dataset name")
-    partition.add_argument("output", help="partition directory to write")
-    partition.add_argument(
-        "--shards", type=int, default=4,
-        help="number of degree-balanced vertex-range shards",
-    )
-    partition.add_argument("--seed", type=int, default=0)
-    partition.set_defaults(func=_cmd_partition)
     return parser
 
 

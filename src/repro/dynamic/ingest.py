@@ -30,7 +30,9 @@ arrival of an edge that is already live is skipped (counted in
 ``stats.duplicates_skipped``), and once more than ``N`` edges are live the
 oldest one expires as a delete in the same batch. Per-event streaming is
 ``batch_size=1``; larger batches give the same exact answers with fewer
-global recomputes.
+global recomputes. A batch the sink rejects (an arrival of an edge the
+sink's graph already holds, say) is dropped whole: the window and the
+stats stay as they were before it.
 """
 
 from __future__ import annotations
@@ -272,31 +274,62 @@ class IngestPipeline:
             return "age"
         return None
 
-    def _transform(self, events: List[_Event]) -> List[BatchOp]:
+    def _transform(self, events: List[_Event]) -> Tuple[List[BatchOp], int]:
+        """The batch's operations and how many arrivals were already live.
+
+        Window mode moves the window over the batch as it goes; the ops are
+        the journal :meth:`_undo_window` replays backwards."""
         if self.window is None:
-            return [(kind, u, v) for kind, u, v, _t in events]
+            return [(kind, u, v) for kind, u, v, _t in events], 0
         ops: List[BatchOp] = []
+        skipped = 0
         for _kind, u, v, _t in events:
             pair = (u, v) if u < v else (v, u)
             if pair in self._live_set:
-                self.stats.duplicates_skipped += 1
+                skipped += 1
                 continue
             self._live.append(pair)
             self._live_set.add(pair)
             ops.append(("insert", pair[0], pair[1]))
-            self.stats.arrivals += 1
             if len(self._live) > self.window:
                 old = self._live.popleft()
                 self._live_set.discard(old)
                 ops.append(("delete", old[0], old[1]))
-                self.stats.expirations += 1
-        return ops
+        return ops, skipped
+
+    def _undo_window(self, ops: List[BatchOp]) -> None:
+        """Move the window back over a rejected batch's *ops*, newest
+        first: an insert was an append, a delete a pop from the left."""
+        for kind, u, v in reversed(ops):
+            if kind == "insert":
+                self._live.pop()
+                self._live_set.discard((u, v))
+            else:
+                self._live.appendleft((u, v))
+                self._live_set.add((u, v))
 
     def _drain_one_locked(self, trigger: str) -> None:
         """Take one micro-batch off the queue and apply it to the sink."""
         count = min(self.batch_size, len(self._queue))
-        ops = self._transform([self._queue.popleft() for _ in range(count)])
+        ops, skipped = self._transform(
+            [self._queue.popleft() for _ in range(count)]
+        )
+        seconds = 0.0
+        if ops:
+            start = self._clock()
+            try:
+                self.sink.apply_batch(ops)
+            except BaseException:
+                if self.window is not None:
+                    self._undo_window(ops)
+                raise
+            seconds = self._clock() - start
         self.stats.flushes[trigger] += 1
+        if self.window is not None:
+            arrivals = count - skipped
+            self.stats.duplicates_skipped += skipped
+            self.stats.arrivals += arrivals
+            self.stats.expirations += len(ops) - arrivals
         if not ops:
             return
         self.stats.batches += 1
@@ -304,9 +337,6 @@ class IngestPipeline:
         metrics.histogram(
             "ingest.batch_size", buckets=BATCH_SIZE_BUCKETS
         ).observe(len(ops))
-        start = self._clock()
-        self.sink.apply_batch(ops)
-        seconds = self._clock() - start
         self.stats.apply_seconds += seconds
         self.stats.applied_ops += len(ops)
         metrics.counter("ingest.ops_applied").inc(len(ops))

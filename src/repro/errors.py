@@ -85,7 +85,3 @@ class IngestError(ReproError):
 class ServeError(ReproError):
     """A query-service request could not be answered (bad request, unknown
     operation, query timeout, server shutting down)."""
-
-
-class PartitionError(ReproError):
-    """A partition manifest or shard image is invalid or inconsistent."""

@@ -389,12 +389,6 @@ class MutableGraph:
     # mutation
     # ------------------------------------------------------------------ #
 
-    def _ensure_vertex(self, v: int) -> None:
-        if v < 0:
-            raise GraphFormatError("vertex ids must be non-negative")
-        if v >= self.n:
-            self.n = v + 1
-
     def _insert_with_eid(self, u: int, v: int, eid: int) -> None:
         self._adj.setdefault(u, {})[v] = eid
         self._adj.setdefault(v, {})[u] = eid
@@ -403,11 +397,14 @@ class MutableGraph:
 
     def insert_edge(self, u: int, v: int) -> int:
         """Insert edge ``(u, v)``; returns its edge id. Re-inserting an
-        existing edge returns the existing id. Self-loops are rejected."""
+        existing edge returns the existing id. Self-loops and negative ids
+        are rejected before ``n`` grows to cover both endpoints."""
         if u == v:
             raise GraphFormatError("self-loops are not allowed")
-        self._ensure_vertex(u)
-        self._ensure_vertex(v)
+        if u < 0 or v < 0:
+            raise GraphFormatError("vertex ids must be non-negative")
+        if u >= self.n or v >= self.n:
+            self.n = max(u, v) + 1
         existing = self._adj.get(u, {}).get(v)
         if existing is not None:
             return existing

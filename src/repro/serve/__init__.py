@@ -16,42 +16,28 @@ queries against it while ingestion keeps writing:
   TCP server behind ``repro serve`` (newline-delimited JSON; exact point
   queries run on its event loop, the rest on worker threads) and the
   blocking client used by tests and CI;
-* :mod:`~repro.serve.partition` / :mod:`~repro.serve.router` — the
-  vertex-range shard manifest behind ``repro partition`` and the
-  scatter/gather router that fans queries over shards (tolerating
-  partial shard failure on scatter/gather ops);
 * :mod:`~repro.serve.cache` — the per-snapshot :class:`ResultCache`
   (answers are immutable per snapshot, so memoisation is exact; evicted
   on snapshot retire).
 
-``membership`` / ``trussness`` / ``stats`` accept ``precision="approx"``
-(single-image engines only): answers come from per-snapshot
-:class:`~repro.approx.ApproxEngine` state and carry
-``{estimate, ci, confidence, samples}`` with a sublinear I/O bill.
+``membership`` / ``trussness`` / ``stats`` accept ``precision="approx"``:
+answers come from per-snapshot :class:`~repro.approx.ApproxEngine` state
+and carry ``{estimate, ci, confidence, samples}`` with a sublinear I/O
+bill.
 """
 
 from .cache import ResultCache
 from .engine import QueryAnswer, QueryEngine
-from .partition import (
-    PartitionManifest,
-    ShardInfo,
-    load_manifest,
-    write_partition,
-)
 from .protocol import decode_line, encode_envelope, error_envelope
-from .router import ShardedRouter
 from .server import TrussServer
 from .client import TrussClient
 from .snapshot import Promoter, Snapshot, SnapshotManager
 
 __all__ = [
     "Promoter",
-    "PartitionManifest",
     "QueryAnswer",
     "QueryEngine",
     "ResultCache",
-    "ShardInfo",
-    "ShardedRouter",
     "Snapshot",
     "SnapshotManager",
     "TrussClient",
@@ -59,6 +45,4 @@ __all__ = [
     "decode_line",
     "encode_envelope",
     "error_envelope",
-    "load_manifest",
-    "write_partition",
 ]

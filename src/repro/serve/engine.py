@@ -483,9 +483,8 @@ class QueryEngine:
         }
 
     def _export(self, reader, k: Optional[int]) -> Dict[str, Any]:
-        """Charged dump of (edges, trussness) rows — the router's gather
-        primitive: per-shard exports union to the exact full answer set
-        because edge ownership is a partition."""
+        """Charged dump of (edges, trussness) rows: the whole snapshot, or
+        the edges of trussness at least *k*."""
         values = reader.scan_tau()
         if k is None:
             rows = reader.scan_edges()

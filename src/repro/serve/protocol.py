@@ -17,8 +17,6 @@ can match answers. Responses are *envelopes*::
 ``snapshot`` names the pinned version the answer is exact for, and ``io``
 is the request's charged-I/O bill (the Aggarwal–Vitter block counts the
 whole repo accounts in — queries are billed per request, not per server).
-Sharded answers replace ``snapshot`` with the set of per-shard snapshots
-consulted and sum the bills.
 
 Operations
 ----------
@@ -36,8 +34,7 @@ consult per query.
 ``hierarchy``   [k]            — trussness level profile, or one level's
                                  edge/community counts
 ``export``      [k]            — charged dump of (edges, trussness), the
-                                 whole snapshot or one trussness level;
-                                 the router's gather primitive
+                                 whole snapshot or one trussness level
 ``stats``                      — snapshot metadata (n, m, k_max, ...)
 ``metrics``                    — the server process's metrics registry
                                  snapshot (``serve.*`` instruments and

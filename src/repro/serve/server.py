@@ -15,11 +15,10 @@ call, through one duck-typed method the server looks up once:
 * **on the default thread pool** (`run_in_executor`) under the
   per-query timeout — everything else: ``community`` / ``hierarchy`` /
   ``export``, ``precision: "approx"`` requests (the first one builds the
-  estimator), and every request of an engine without the method
-  (:class:`~repro.serve.router.ShardedRouter`, test doubles). The event
-  loop stays free to accept and read other connections meanwhile, and
-  the engine's per-request pin/context design makes concurrent execution
-  safe.
+  estimator), and every request of an engine without the method (a
+  test double, say). The event loop stays free to accept and read other
+  connections meanwhile, and the engine's per-request pin/context design
+  makes concurrent execution safe.
 
 ``serve.dispatch{path=loop|executor}`` counts the two paths, each
 request once its answer is written.
@@ -85,10 +84,10 @@ async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
 
 
 class TrussServer:
-    """The asyncio TCP server wrapping a :class:`QueryEngine`-compatible
-    executor (:class:`~repro.serve.router.ShardedRouter` fits too). An
-    engine with an ``answers_on_loop(request)`` method has the requests it
-    accepts run on the event loop; the rest run on the thread pool.
+    """The asyncio TCP server wrapping a :class:`QueryEngine` (or any
+    object with its ``execute(request)`` method). An engine with an
+    ``answers_on_loop(request)`` method has the requests it accepts run
+    on the event loop; the rest run on the thread pool.
 
     *host* and *port* name the listener (port ``0`` asks the OS for an
     ephemeral one); *query_timeout* is the executor path's per-query

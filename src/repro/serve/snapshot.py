@@ -139,15 +139,10 @@ class SnapshotManager:
                 listener(snapshot_id)
 
     @classmethod
-    def initial(
-        cls,
-        graph: Graph,
-        trussness: Optional[np.ndarray] = None,
-        wal_seq: int = 0,
-    ) -> "SnapshotManager":
+    def initial(cls, graph: Graph) -> "SnapshotManager":
         """A manager already holding the first published snapshot."""
         manager = cls()
-        manager.publish(graph, trussness=trussness, wal_seq=wal_seq)
+        manager.publish(graph)
         return manager
 
     # ------------------------------------------------------------------ #

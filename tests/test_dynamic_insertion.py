@@ -1,7 +1,10 @@
 """Tests for edge-insertion maintenance (Algorithms 6/7)."""
 
+import pytest
+
 from repro.baselines import max_truss_edges
-from repro.dynamic import DynamicMaxTruss
+from repro.dynamic import DynamicMaxTruss, YLJMaintenance
+from repro.errors import GraphFormatError
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
@@ -100,6 +103,24 @@ class TestGrowthFallback:
         state.insert(0, 3)  # chord, still triangle-free
         assert state.k_max == 2
         assert state.truss_edge_count() == 7
+
+
+@pytest.mark.parametrize("u, v", [(20, -1), (-1, 20)])
+@pytest.mark.parametrize("maintainer", [DynamicMaxTruss, YLJMaintenance])
+def test_negative_endpoint_leaves_the_graph_as_it_was(maintainer, u, v):
+    """A negative id is rejected before the other endpoint grows ``n``,
+    which global phases, coreness refreshes and the truss file size from."""
+    state = maintainer(paper_example_graph())
+    n_before = state.graph.n
+    with pytest.raises(GraphFormatError, match="non-negative"):
+        state.insert(u, v)
+    assert state.graph.n == n_before
+    fresh = maintainer(paper_example_graph())
+    for target in (state, fresh):
+        target.insert(0, 4)  # closes K5 over vertices 0..4
+    assert state.graph.n == fresh.graph.n == n_before
+    assert state.k_max == fresh.k_max == 5
+    assert state.truss_pairs() == fresh.truss_pairs()
 
 
 class TestSequences:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import sys
 import threading
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from repro.baselines import max_truss_edges
 from repro.dynamic import DynamicMaxTruss, IngestPipeline
 from repro.dynamic.workload import mixed_churn
-from repro.errors import IngestError
+from repro.errors import GraphFormatError, IngestError
 from repro.graph.generators import gnm_random, paper_example_graph
 from repro.graph.memgraph import Graph
 from repro.observability.metrics import global_metrics, pop_metrics, push_metrics
@@ -399,6 +400,44 @@ class TestLifecycleAndErrors:
         pipe = IngestPipeline(DynamicMaxTruss(graph), batch_size=1)
         with pytest.raises(Exception, match="existing edge"):
             pipe.submit_op("insert", u, v)  # edge already present
+
+    @pytest.mark.parametrize(
+        "window, landed, first, after",
+        [
+            (3, [], (0, 9), [(2, 9), (3, 9), (4, 9), (5, 9)]),
+            (2, [(0, 9), (2, 9)], (3, 9), [(4, 9), (5, 9)]),
+        ],
+        ids=["inserts-only", "expiring-live-pairs"],
+    )
+    def test_rejected_window_batch_leaves_window_and_stats(
+        self, window, landed, first, after
+    ):
+        """A batch the sink rejects moves neither the window nor a stat,
+        so later arrivals and their expirations apply cleanly."""
+        base = paper_example_graph()
+        state = DynamicMaxTruss(base)
+        pipe = IngestPipeline(state, window=window, batch_size=2)
+        pipe.submit_many(landed)
+        pipe.submit(*first)
+        live = list(pipe._live)
+        before = replace(pipe.stats, flushes=dict(pipe.stats.flushes))
+        with pytest.raises(GraphFormatError, match=r"existing edge \(0, 1\)"):
+            pipe.submit(0, 1)  # an edge of the base graph
+        assert list(pipe._live) == live and pipe._live_set == set(live)
+        assert pipe.stats == replace(before, submitted=before.submitted + 1)
+        assert not state.graph.has_edge(*first)
+        pipe.submit_many(after)
+        pipe.close()
+        arrivals = landed + after
+        assert list(pipe._live) == arrivals[-window:]
+        assert pipe.stats.arrivals == len(arrivals)
+        assert pipe.stats.expirations == len(arrivals) - window
+        expected = base.edge_pairs() + arrivals[-window:]
+        frozen, _ = state.graph.to_graph()
+        assert sorted(frozen.edge_pairs()) == sorted(expected)
+        oracle_k, oracle_edges = max_truss_edges(Graph.from_edges(expected))
+        assert pipe.k_max == oracle_k
+        assert pipe.truss_pairs() == oracle_edges
 
     def test_stats_throughput(self):
         now = [100.0]

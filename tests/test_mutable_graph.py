@@ -31,6 +31,14 @@ class TestMutation:
         with pytest.raises(GraphFormatError):
             g.insert_edge(2, 2)
 
+    @pytest.mark.parametrize("u, v", [(30, -2), (-2, 30)])
+    def test_negative_id_rejected_before_growing(self, u, v):
+        g = MutableGraph(4)
+        with pytest.raises(GraphFormatError, match="non-negative"):
+            g.insert_edge(u, v)
+        assert g.n == 4
+        assert g.m == 0
+
     def test_delete(self):
         g = MutableGraph()
         eid = g.insert_edge(0, 1)

@@ -14,6 +14,7 @@ import threading
 import time
 from queue import Queue
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -25,14 +26,7 @@ from repro.graph.generators import gnm_random, paper_example_graph
 from repro.graph.memgraph import Graph
 from repro.observability.metrics import pop_metrics, push_metrics
 from repro.persistence.recovery import DurableMaintenance, durable_from_graph
-from repro.serve import (
-    Promoter,
-    QueryEngine,
-    ShardedRouter,
-    SnapshotManager,
-    TrussClient,
-    write_partition,
-)
+from repro.serve import Promoter, QueryEngine, SnapshotManager, TrussClient
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     decode_line,
@@ -307,11 +301,29 @@ class TestProtocol:
 # --------------------------------------------------------------------- #
 
 
-@pytest.fixture(scope="module")
-def served():
-    graph = paper_example_graph()
+def _served(graph: Graph):
     manager = SnapshotManager.initial(graph)
     return graph, truss_decomposition(graph), QueryEngine(manager)
+
+
+@pytest.fixture(scope="module")
+def served():
+    return _served(paper_example_graph())
+
+
+@pytest.fixture(scope="module")
+def served_random():
+    """900 random draws over 120 vertices (duplicates and loops dropped):
+    k_max 4, with every level holding edges."""
+    rng = np.random.default_rng(3)
+    pairs = np.unique(np.sort(rng.integers(0, 120, size=(900, 2)), axis=1), axis=0)
+    return _served(Graph(120, pairs[pairs[:, 0] != pairs[:, 1]]))
+
+
+def level_components(graph: Graph, oracle: np.ndarray, k: int):
+    """networkx's connected components of the trussness >= k subgraph."""
+    level = nx.Graph(graph.edges[oracle >= k].tolist())
+    return list(nx.connected_components(level)), level
 
 
 class TestQueryEngine:
@@ -352,14 +364,18 @@ class TestQueryEngine:
         }
         assert result["levels"] == expected
 
-    def test_hierarchy_level_counts_components(self, served):
-        graph, oracle, engine = served
-        k = int(oracle.max())
-        result = engine.execute({"op": "hierarchy", "k": k})["result"]
-        assert result["edges"] == int((oracle >= k).sum())
-        assert result["communities"] >= 1
+    def test_hierarchy_level_counts_components(self, served, served_random):
+        for graph, oracle, engine in (served, served_random):
+            for k in range(2, int(oracle.max()) + 2):
+                result = engine.execute({"op": "hierarchy", "k": k})["result"]
+                components, _level = level_components(graph, oracle, k)
+                assert result == {
+                    "k": k,
+                    "edges": int((oracle >= k).sum()),
+                    "communities": len(components),
+                }, k
 
-    def test_community_matches_direct_search(self, served):
+    def test_community_matches_direct_search(self, served, served_random):
         from repro.applications import truss_community
 
         graph, oracle, engine = served
@@ -374,6 +390,29 @@ class TestQueryEngine:
         assert result["edges"] == [
             [int(a), int(b)] for a, b in sorted(direct.edges)
         ]
+        # Fixed k: the component holding q of the trussness >= k subgraph.
+        graph, oracle, engine = served_random
+        for k in range(2, int(oracle.max()) + 2):
+            components, level = level_components(graph, oracle, k)
+            for q in range(0, graph.n, 11):
+                result = engine.execute(
+                    {"op": "community", "q": q, "k": k, "include_edges": True}
+                )["result"]
+                holding = [c for c in components if q in c]
+                if not holding:
+                    assert result == {"found": False}, (q, k)
+                    continue
+                edges = sorted(
+                    sorted(edge) for edge in level.subgraph(holding[0]).edges
+                )
+                assert result == {
+                    "found": True,
+                    "k": k,
+                    "size": len(holding[0]),
+                    "edge_count": len(edges),
+                    "vertices": sorted(holding[0]),
+                    "edges": edges,
+                }, (q, k)
 
     def test_export_roundtrips_snapshot(self, served):
         graph, oracle, engine = served
@@ -783,26 +822,6 @@ class TestServer:
             thread.join(timeout=10)
         finally:
             pop_metrics()
-
-    def test_sharded_server_counts_only_executor_dispatch(self, tmp_path):
-        graph = gnm_random(40, 160, seed=2)
-        write_partition(graph, tmp_path, shards=3)
-        push_metrics()
-        try:
-            with ShardedRouter(str(tmp_path)) as router:
-                thread, host, port = _serve_in_thread(router)
-                u, v = (int(x) for x in graph.edges[0])
-                with TrussClient(host, port) as client:
-                    client.membership(u, v, k=3)
-                    client.stats()
-                    client.hierarchy()
-                    counters = client.metrics().result["counters"]
-                    client.shutdown()
-                thread.join(timeout=10)
-        finally:
-            pop_metrics()
-        assert counters["serve.dispatch{path=executor}"] == 3
-        assert "serve.dispatch{path=loop}" not in counters
 
 
 class TestLineCap:

@@ -1,16 +1,13 @@
-"""Serve-tier approximate answers, the result cache, and partial failure.
+"""Serve-tier approximate answers and the result cache.
 
-Covers the three serve integrations this subsystem adds:
+Covers the two serve integrations this subsystem adds:
 
 * ``precision: "approx"`` on point/stats queries — envelopes carry the
   full estimate payload (``{estimate, ci, confidence, samples}``) plus
   the usual snapshot stamp and per-request I/O bill;
 * the per-snapshot result cache — hit/miss accounting, replayed
   envelopes flagged ``cached``, eviction the moment a snapshot retires,
-  and the ``cache.hit_ratio{extent=serve}`` gauge;
-* :class:`~repro.serve.router.ShardedRouter` partial failure — a failing
-  shard degrades scatter/gather answers to a typed ``partial`` envelope
-  instead of erroring, while point ops and all-shards-down still fail.
+  and the ``cache.hit_ratio{extent=serve}`` gauge.
 """
 
 from __future__ import annotations
@@ -23,9 +20,8 @@ from repro.errors import ServeError
 from repro.graph.generators import gnm_random, paper_example_graph
 from repro.graph.memgraph import Graph
 from repro.observability.metrics import global_metrics
-from repro.serve import QueryEngine, ShardedRouter, SnapshotManager
+from repro.serve import QueryEngine, SnapshotManager
 from repro.serve.cache import ResultCache, canonical_params
-from repro.serve.partition import load_manifest, write_partition
 from repro.serve.protocol import validate_request
 
 
@@ -201,67 +197,3 @@ class TestResultCache:
         request = {"op": "stats"}
         assert "cached" not in engine.execute(request)
         assert "cached" not in engine.execute(request)
-
-
-# --------------------------------------------------------------------- #
-# sharded partial failure
-# --------------------------------------------------------------------- #
-
-
-@pytest.fixture
-def router(tmp_path):
-    graph = gnm_random(120, 600, seed=7)
-    write_partition(graph, tmp_path, shards=3)
-    router = ShardedRouter(load_manifest(tmp_path))
-    yield router
-    router.close()
-
-
-def _break_shard(router: ShardedRouter, shard_id: int) -> None:
-    def boom(_request):
-        raise RuntimeError(f"shard {shard_id} down")
-
-    router.engines[shard_id].execute = boom
-
-
-class TestShardedPartialFailure:
-    def test_scatter_survives_one_failed_shard(self, router):
-        healthy = router.execute({"op": "stats"})
-        _break_shard(router, 1)
-        envelope = router.execute({"op": "stats"})
-        assert envelope["ok"]
-        assert envelope["partial"] is True
-        assert envelope["failed_shards"] == [1]
-        assert envelope["result"]["shards"] == 2
-        assert envelope["result"]["m"] < healthy["result"]["m"]
-        shards_in_parts = {p["shard"] for p in envelope["snapshot"]["parts"]}
-        assert shards_in_parts == {0, 2}
-
-    def test_gather_union_is_partial_not_error(self, router):
-        _break_shard(router, 0)
-        envelope = router.execute({"op": "export"})
-        assert envelope["partial"] is True
-        assert envelope["failed_shards"] == [0]
-        assert len(envelope["result"]["edges"]) > 0
-
-    def test_healthy_scatter_has_no_partial_stamp(self, router):
-        envelope = router.execute({"op": "stats"})
-        assert "partial" not in envelope
-        assert "failed_shards" not in envelope
-
-    def test_point_op_still_hard_fails(self, router):
-        u = router.manifest.shards[1].lo
-        v = u + 1
-        _break_shard(router, 1)
-        with pytest.raises(RuntimeError, match="shard 1 down"):
-            router.execute({"op": "trussness", "u": u, "v": v})
-
-    def test_all_shards_failed_raises(self, router):
-        for shard_id in range(len(router.engines)):
-            _break_shard(router, shard_id)
-        with pytest.raises(ServeError, match="all shards failed"):
-            router.execute({"op": "stats"})
-
-    def test_approx_rejected_on_sharded_deployment(self, router):
-        with pytest.raises(ServeError, match="approx"):
-            router.execute({"op": "stats", "precision": "approx"})
