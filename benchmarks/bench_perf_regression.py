@@ -38,13 +38,6 @@ Sections
     section records the wall-clock overhead factor plus the physical
     bytes moved, so a change that silently inflates the real-I/O cost of
     the file backend shows up as a diff.
-``mmap_backend``
-    The zero-copy dividend. The same trace replayed through
-    ``MmapBlockDevice`` vs ``FileBlockDevice``: all three backends must
-    charge the identical bill (asserted, totals and per-extent), and full
-    mode demands the mmap path be >= 3x faster than the file path while
-    moving >= 5x fewer physical bytes (page faults into the tiered
-    hot/cold cache vs a syscall per charged block).
 ``ingest``
     The group-commit criterion. The same churn stream runs twice against
     a durable (WAL + real fsync) deployment: once per-op (one durability
@@ -102,13 +95,6 @@ SPEEDUP_THRESHOLD = 3.0
 #: path: one fsync per 64-op batch must beat one fsync per op by >= 3x.
 INGEST_SPEEDUP_THRESHOLD = 3.0
 INGEST_BATCH_SIZE = 64
-
-#: Full-mode acceptance bars for the mmap backend vs the file backend on
-#: the same trace: dropping the per-block syscall mirror must buy >= 3x
-#: wall-clock, and the tiered page model must move >= 5x fewer physical
-#: bytes than the syscall path — while the charged bill stays identical.
-MMAP_SPEEDUP_THRESHOLD = 3.0
-MMAP_PHYSICAL_REDUCTION_THRESHOLD = 5.0
 
 #: Default dataset scale for the support-scan microbenchmark: dense enough
 #: that batches amortise the vectorization overhead (average degree ~600),
@@ -277,90 +263,6 @@ def bench_file_backend(graph, reps: int) -> dict:
         "overhead_x": round(file_s / sim_s, 2) if sim_s > 0 else None,
         "total_ios": total_ios,
         "physical": physical_row,
-    }
-
-
-def bench_mmap_backend(graph, reps: int, smoke: bool) -> dict:
-    """Replay the support-scan trace on the mmap backend vs the file one.
-
-    Both mirror the simulator's charged bill exactly (asserted three ways:
-    mmap == file == simulated, totals and per-extent). The difference is
-    how the bill is honoured physically: the file backend pays a syscall
-    per charged block, the mmap backend only faults pages into the tiered
-    hot/cold cache. Full mode gates on both dividends — wall-clock
-    (>= ``MMAP_SPEEDUP_THRESHOLD`` vs file) and physical byte volume
-    (>= ``MMAP_PHYSICAL_REDUCTION_THRESHOLD`` reduction vs file).
-    """
-    file_times, mmap_times = [], []
-    total_ios = file_bytes = mmap_bytes = physical_row = None
-    for _ in range(reps):
-        sim_device = _semi_external_device("simulated", graph.n)
-        _replay_support_trace(graph, sim_device, batched=True)
-        sim_device.flush()
-        file_device = _semi_external_device("file", graph.n, fsync_policy="never")
-        try:
-            file_times.append(
-                _replay_support_trace(graph, file_device, batched=True)
-            )
-            file_device.flush()
-            file_physical = file_device.stats.physical.snapshot()
-            file_charged = file_device.stats.snapshot()
-            file_extents = file_device.io_by_extent()
-        finally:
-            file_device.close()
-        mmap_device = _semi_external_device("mmap", graph.n)
-        mmap_times.append(
-            _replay_support_trace(graph, mmap_device, batched=True)
-        )
-        mmap_device.flush()
-        if (
-            mmap_device.stats != sim_device.stats
-            or mmap_device.stats != file_charged
-            or mmap_device.io_by_extent() != sim_device.io_by_extent()
-            or mmap_device.io_by_extent() != file_extents
-        ):
-            raise AssertionError(
-                "mmap backend charged a different bill: "
-                f"mmap={mmap_device.stats} file={file_charged} "
-                f"simulated={sim_device.stats}"
-            )
-        total_ios = mmap_device.stats.total_ios
-        mmap_physical = mmap_device.stats.physical
-        file_bytes = file_physical.bytes_read + file_physical.bytes_written
-        mmap_bytes = mmap_physical.bytes_read + mmap_physical.bytes_written
-        physical_row = {
-            "file_bytes": file_bytes,
-            "mmap_bytes": mmap_bytes,
-            "page_faults_est": mmap_physical.page_faults_est,
-            "hit_ratios": {
-                name: round(ratio, 4)
-                for name, ratio in mmap_device.physical_hit_ratios().items()
-            },
-        }
-    file_s, mmap_s = min(file_times), min(mmap_times)
-    speedup = round(file_s / mmap_s, 2) if mmap_s > 0 else None
-    reduction = round(file_bytes / mmap_bytes, 2) if mmap_bytes else None
-    return {
-        "graph": {"n": graph.n, "m": graph.m},
-        "reps": reps,
-        "file_s": round(file_s, 4),
-        "mmap_s": round(mmap_s, 4),
-        "speedup_vs_file": speedup,
-        "physical_reduction_x": reduction,
-        "total_ios": total_ios,
-        "physical": physical_row,
-        "charged_identical": True,  # asserted above, recorded for the diff
-        "speedup_threshold": MMAP_SPEEDUP_THRESHOLD,
-        "reduction_threshold": MMAP_PHYSICAL_REDUCTION_THRESHOLD,
-        "passed": bool(
-            smoke
-            or (
-                speedup is not None
-                and reduction is not None
-                and speedup >= MMAP_SPEEDUP_THRESHOLD
-                and reduction >= MMAP_PHYSICAL_REDUCTION_THRESHOLD
-            )
-        ),
     }
 
 
@@ -760,7 +662,6 @@ def run(smoke: bool) -> dict:
     e2e = bench_support_scan_e2e(scan_graph, reps)
 
     file_backend = bench_file_backend(scan_graph, reps)
-    mmap_backend = bench_mmap_backend(scan_graph, reps, smoke)
 
     decomp_graph = gnm_random(n=60, m=900, seed=7) if smoke else gnm_random(
         n=300, m=20_000, seed=7
@@ -807,7 +708,6 @@ def run(smoke: bool) -> dict:
             "support_scan_accounting": accounting,
             "support_scan_e2e": e2e,
             "file_backend": file_backend,
-            "mmap_backend": mmap_backend,
             "decomposition": decomposition,
             "maintenance": maintenance,
             "observability": observability,
@@ -855,19 +755,6 @@ def main(argv=None) -> int:
         f"overhead ({physical['bytes_read']} B read, "
         f"{physical['bytes_written']} B written)"
     )
-    mmap_backend = report["benchmarks"]["mmap_backend"]
-    mmap_physical = mmap_backend["physical"]
-    print(
-        f"mmap backend: file {mmap_backend['file_s']}s, "
-        f"mmap {mmap_backend['mmap_s']}s -> "
-        f"{mmap_backend['speedup_vs_file']}x faster, "
-        f"{mmap_physical['file_bytes']} B -> {mmap_physical['mmap_bytes']} B "
-        f"physical ({mmap_backend['physical_reduction_x']}x reduction; "
-        f"thresholds {mmap_backend['speedup_threshold']}x / "
-        f"{mmap_backend['reduction_threshold']}x, "
-        f"{'pass' if mmap_backend['passed'] else 'FAIL'}; "
-        "charged bill identical)"
-    )
     observability = report["benchmarks"]["observability"]
     print(
         f"observability: untraced {observability['untraced_s']}s, "
@@ -908,7 +795,6 @@ def main(argv=None) -> int:
     return (
         0 if accounting["passed"]
         and ingest["passed"] and serve["passed"] and approx["passed"]
-        and mmap_backend["passed"]
         else 1
     )
 

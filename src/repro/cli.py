@@ -45,29 +45,15 @@ from .engine.config import CACHE_POLICIES, FSYNC_POLICIES
 from .errors import GraphFormatError, ReproError, ServeError
 from .graph.datasets import dataset_names, load_dataset
 from .graph.edgelist import write_text_edgelist
-from .graph.formats import (
-    GRAPH_FORMATS,
-    format_for_suffix,
-    graph_format,
-    read_graph,
-    read_rgr_mapped,
-)
+from .graph.formats import GRAPH_FORMATS, format_for_suffix, read_graph
 from .graph.memgraph import Graph
 
 
-def _load_graph(source: str, seed: int, backend: str = None) -> Graph:
-    """Interpret *source* as a dataset name or a file path.
-
-    Under ``--backend mmap`` an ``.rgr`` source is loaded zero-copy
-    (:func:`read_rgr_mapped`): the CSR arrays stay read-only views over
-    one shared file mapping, which the mmap device then adopts instead of
-    materialising copies.
-    """
+def _load_graph(source: str, seed: int) -> Graph:
+    """Interpret *source* as a dataset name or a file path."""
     if source in dataset_names():
         return load_dataset(source, seed=seed)
     try:
-        if backend == "mmap" and graph_format(source) == "rgr":
-            return read_rgr_mapped(source)
         return read_graph(source)
     except (UnicodeDecodeError, ValueError) as exc:
         # Binary garbage fed to the text parser (or vice versa) must be a
@@ -130,84 +116,58 @@ def _maybe_trace(context: ExecutionContext, path: Optional[str]):
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """Storage-engine flags shared by compute / compare / maintain."""
+    """Storage-engine flags shared by compute / compare / maintain.
+
+    Each flag's ``dest`` is its :class:`EngineConfig` field, and a flag
+    left out is ``None``, so the config's own default applies.
+    """
     group = parser.add_argument_group("storage engine")
     group.add_argument(
-        "--backend", default="simulated", choices=list_backends(),
+        "--backend", choices=list_backends(),
         help="storage backend charged for edge-file I/O "
              "('file' mirrors every charged block as a real pread/pwrite)",
     )
     group.add_argument(
-        "--block-size", type=int, default=EngineConfig().block_size,
-        help="block size B in bytes",
+        "--block-size", type=int, help="block size B in bytes",
     )
     group.add_argument(
-        "--cache-blocks", type=int, default=None,
+        "--cache-blocks", type=int,
         help="cache pool size in blocks (default: semi-external auto-sizing)",
     )
     group.add_argument(
-        "--cache-policy", default="lru", choices=CACHE_POLICIES,
-        help="cache eviction policy",
+        "--cache-policy", choices=CACHE_POLICIES, help="cache eviction policy",
     )
     group.add_argument(
-        "--data-dir", default=None, metavar="DIR",
+        "--data-dir", metavar="DIR",
         help="spill-file directory for --backend file "
              "(default: private tmpdir, removed on close)",
     )
     group.add_argument(
-        "--fsync", default="close", choices=FSYNC_POLICIES,
+        "--fsync", dest="fsync_policy", choices=FSYNC_POLICIES,
         help="fsync policy for --backend file",
-    )
-    group.add_argument(
-        "--hot-extents", default=None, metavar="PATTERNS",
-        help="comma-separated extent-name substrings pinned in the mmap "
-             "backend's hot tier (default: truss,tau,heap,offsets)",
-    )
-    group.add_argument(
-        "--cold-cache-mb", type=float, default=EngineConfig().cold_cache_mb,
-        metavar="MB",
-        help="mmap backend cold-tier (LRU) page-cache budget in MiB",
     )
     approx = parser.add_argument_group("approximate tier")
     approx.add_argument(
-        "--approx-epsilon", type=float,
-        default=EngineConfig().approx_epsilon, metavar="EPS",
+        "--approx-epsilon", type=float, metavar="EPS",
         help="target CI half-width of the sampling estimators",
     )
     approx.add_argument(
-        "--approx-confidence", type=float,
-        default=EngineConfig().approx_confidence, metavar="CONF",
+        "--approx-confidence", type=float, metavar="CONF",
         help="nominal CI coverage of approximate answers",
     )
     approx.add_argument(
-        "--approx-seed", type=int,
-        default=EngineConfig().approx_seed, metavar="SEED",
+        "--approx-seed", type=int, metavar="SEED",
         help="base seed of every estimator RNG (runs are replayable)",
     )
 
 
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
-    """Build the run's :class:`EngineConfig` from the parsed flags."""
-    kwargs = {}
-    if getattr(args, "hot_extents", None):
-        kwargs["hot_extents"] = tuple(
-            pattern.strip() for pattern in args.hot_extents.split(",")
-            if pattern.strip()
-        )
-    if getattr(args, "cold_cache_mb", None) is not None:
-        kwargs["cold_cache_mb"] = args.cold_cache_mb
-    return EngineConfig(
-        backend=args.backend,
-        block_size=args.block_size,
-        cache_blocks=args.cache_blocks,
-        cache_policy=args.cache_policy,
-        data_dir=args.data_dir,
-        fsync_policy=args.fsync,
-        approx_epsilon=args.approx_epsilon,
-        approx_confidence=args.approx_confidence,
-        approx_seed=args.approx_seed,
-        **kwargs,
-    )
+    """Build the run's :class:`EngineConfig` from the engine flags given."""
+    return EngineConfig(**_given(
+        args, "backend", "block_size", "cache_blocks", "cache_policy",
+        "data_dir", "fsync_policy", "approx_epsilon", "approx_confidence",
+        "approx_seed",
+    ))
 
 
 def _given(args: argparse.Namespace, *names: str) -> dict:
@@ -221,7 +181,7 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph, args.seed, backend=args.backend)
+    graph = _load_graph(args.graph, args.seed)
     config = _engine_config(args)
     kwargs = {}
     if getattr(args, "estimate_bounds", False):
@@ -274,7 +234,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .reporting import render_comparison
 
-    graph = _load_graph(args.graph, args.seed, backend=args.backend)
+    graph = _load_graph(args.graph, args.seed)
     config = _engine_config(args)
     # One fresh context per method: same recipe, no warm-cache bleed
     # between competitors.
@@ -294,7 +254,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     from .approx import build_approx_engine
 
-    graph = _load_graph(args.graph, args.seed, backend=args.backend)
+    graph = _load_graph(args.graph, args.seed)
     config = _engine_config(args)
     with ExecutionContext(config) as context:
         engine = build_approx_engine(graph, context=context)
@@ -386,7 +346,7 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
 
 
 def _cmd_maintain(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph, args.seed, backend=args.backend)
+    graph = _load_graph(args.graph, args.seed)
     config = _engine_config(args)
     engine_context = ExecutionContext(config)
     with _maybe_trace(engine_context, args.trace):
@@ -438,7 +398,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     config = _engine_config(args)
     graph = (
         Graph.empty(0) if args.graph is None
-        else _load_graph(args.graph, args.seed, backend=args.backend)
+        else _load_graph(args.graph, args.seed)
     )
     engine_context = ExecutionContext(config)
     window = args.window is not None
@@ -527,7 +487,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"promoting every {promoter.interval}s)"
         )
     else:
-        graph = _load_graph(args.graph, args.seed, backend=args.backend)
+        graph = _load_graph(args.graph, args.seed)
         executor = QueryEngine(SnapshotManager.initial(graph), config)
         described = f"{args.graph} (n={graph.n}, m={graph.m})"
 

@@ -30,9 +30,13 @@ arrival of an edge that is already live is skipped (counted in
 ``stats.duplicates_skipped``), and once more than ``N`` edges are live the
 oldest one expires as a delete in the same batch. Per-event streaming is
 ``batch_size=1``; larger batches give the same exact answers with fewer
-global recomputes. A batch the sink rejects (an arrival of an edge the
-sink's graph already holds, say) is dropped whole: the window and the
-stats stay as they were before it.
+global recomputes.
+
+A batch the sink rejects with :class:`~repro.errors.GraphFormatError`
+(an arrival of an edge the sink's graph already holds, say) is dropped
+whole: the window and the stats stay as they were before it, and the
+pipeline raises :class:`~repro.errors.IngestError` whose ``dropped``
+lists the batch's submitted events.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from ..errors import IngestError
+from ..errors import GraphFormatError, IngestError
 from ..observability.metrics import global_metrics
 
 #: ("insert" | "delete", u, v)
@@ -311,18 +315,21 @@ class IngestPipeline:
     def _drain_one_locked(self, trigger: str) -> None:
         """Take one micro-batch off the queue and apply it to the sink."""
         count = min(self.batch_size, len(self._queue))
-        ops, skipped = self._transform(
-            [self._queue.popleft() for _ in range(count)]
-        )
+        events = [self._queue.popleft() for _ in range(count)]
+        ops, skipped = self._transform(events)
         seconds = 0.0
         if ops:
             start = self._clock()
             try:
                 self.sink.apply_batch(ops)
-            except BaseException:
+            except BaseException as exc:
                 if self.window is not None:
                     self._undo_window(ops)
-                raise
+                if not isinstance(exc, GraphFormatError):
+                    raise
+                error = IngestError(f"{exc}; dropped {count} submitted event(s)")
+                error.dropped = [event[:3] for event in events]
+                raise error from exc
             seconds = self._clock() - start
         self.stats.flushes[trigger] += 1
         if self.window is not None:

@@ -8,7 +8,7 @@ The one way algorithms choose and share storage:
   I/O + memory aggregation, tracing);
 * :func:`make_device` — builds a backend's device from the config
   (:data:`~repro.engine.config.BACKENDS` names them: ``simulated`` /
-  ``reference`` / ``inmemory``, and ``file`` / ``mmap`` from
+  ``reference`` / ``inmemory``, and ``file`` from
   :mod:`repro.persistence`).
 
 Typical use::

@@ -14,9 +14,9 @@ takes (the table's second column):
   no fast path);
 * ``inmemory`` — :class:`~repro.storage.InMemoryBlockDevice`, null
   charging;
-* ``file`` / ``mmap`` — :mod:`repro.persistence`'s real spill file and
-  tiered page-cache model, each with a charged bill identical to
-  ``simulated``.
+* ``file`` — :class:`~repro.persistence.FileBlockDevice`, which moves
+  every charged block through a real spill file, with a charged bill
+  identical to ``simulated``.
 
 :data:`~repro.engine.config.BACKENDS` names the rows; config validation
 rejects any other name before a device is built.
@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..persistence.file_device import FileBlockDevice
-from ..persistence.mmap_device import MmapBlockDevice
 from ..storage import (
     BlockDevice,
     InMemoryBlockDevice,
@@ -43,7 +42,6 @@ _DEVICES = {
     "reference": (ReferenceBlockDevice, ()),
     "inmemory": (InMemoryBlockDevice, ()),
     "file": (FileBlockDevice, ("data_dir", "fsync_policy")),
-    "mmap": (MmapBlockDevice, ("hot_extents", "cold_cache_mb")),
 }
 
 

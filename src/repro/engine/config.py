@@ -18,7 +18,7 @@ their own settings as constructor arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..errors import DeviceError
 from ..storage import DEFAULT_BLOCK_SIZE
@@ -26,23 +26,13 @@ from ..storage.cache_policies import POLICY_CLASSES
 
 #: Storage backends, sorted by name; ``engine/backends.py`` maps each to
 #: its device class.
-BACKENDS = ("file", "inmemory", "mmap", "reference", "simulated")
+BACKENDS = ("file", "inmemory", "reference", "simulated")
 
 #: Block replacement policies, in the order of the cache-policy registry.
 CACHE_POLICIES = tuple(POLICY_CLASSES)
 
 #: When the ``file`` backend fsyncs its spill file.
 FSYNC_POLICIES = ("never", "close", "always")
-
-#: Default pinned-extent name patterns of the ``mmap`` backend's tiered
-#: cache (substring match): trussness/tau arrays, heap link fields and
-#: offset tables stay resident; adjacency/edge extents ride the LRU cold
-#: tier. Defined here (not in the persistence package) so config
-#: validation needs no import of the storage backends.
-DEFAULT_HOT_EXTENTS = ("truss", "tau", "heap", "offsets")
-
-#: Default cold-tier capacity of the ``mmap`` backend in MiB.
-DEFAULT_COLD_CACHE_MB = 64.0
 
 
 @dataclass(frozen=True)
@@ -54,8 +44,8 @@ class EngineConfig:
     backend:
         Storage backend name, one of :data:`BACKENDS`: ``simulated``
         (the block-device simulator, default), ``reference`` (the scalar
-        accounting spec), ``inmemory`` (null charging), ``file`` or
-        ``mmap``.
+        accounting spec), ``inmemory`` (null charging) or ``file``
+        (a real spill file).
     block_size:
         Bytes per block (``B`` in the I/O model).
     cache_blocks:
@@ -78,16 +68,6 @@ class EngineConfig:
         ``close`` (default: once, when the device closes) or ``always``
         (after every physical block write). Ignored by the simulated
         backends.
-    hot_extents:
-        Extent-name patterns (substring match) the ``mmap`` backend pins
-        in its hot tier — pages of matching extents are faulted once and
-        never evicted. Defaults to :data:`DEFAULT_HOT_EXTENTS`
-        (trussness/tau, heap fields, offset tables). Ignored by the
-        other backends; never affects the charged bill.
-    cold_cache_mb:
-        Capacity in MiB of the ``mmap`` backend's LRU cold tier (the
-        physical-residency model for adjacency/edge pages). Ignored by
-        the other backends; never affects the charged bill.
     serve_cache_entries:
         Capacity of the serve tier's per-snapshot result cache (answers
         are immutable per snapshot, so memoisation is exact). ``0``
@@ -122,8 +102,6 @@ class EngineConfig:
     work_limit: Optional[int] = None
     data_dir: Optional[str] = None
     fsync_policy: str = "close"
-    hot_extents: Tuple[str, ...] = DEFAULT_HOT_EXTENTS
-    cold_cache_mb: float = DEFAULT_COLD_CACHE_MB
     serve_cache_entries: int = 1024
     approx_epsilon: float = 0.1
     approx_confidence: float = 0.95
@@ -158,17 +136,6 @@ class EngineConfig:
                 f"unknown fsync policy {self.fsync_policy!r}; "
                 f"known: {', '.join(FSYNC_POLICIES)}"
             )
-        if not isinstance(self.hot_extents, (tuple, list)) or not all(
-            isinstance(pattern, str) and pattern for pattern in self.hot_extents
-        ):
-            raise DeviceError(
-                f"hot_extents must be a sequence of non-empty name patterns, "
-                f"got {self.hot_extents!r}"
-            )
-        if self.cold_cache_mb <= 0:
-            raise DeviceError(
-                f"cold_cache_mb must be positive, got {self.cold_cache_mb}"
-            )
         if self.serve_cache_entries < 0:
             raise DeviceError(
                 f"serve_cache_entries must be non-negative, "
@@ -186,9 +153,7 @@ class EngineConfig:
 
     def describe(self) -> Dict[str, Any]:
         """JSON-serialisable summary (stamped into benchmark reports)."""
-        summary = {field.name: getattr(self, field.name) for field in fields(self)}
-        summary["hot_extents"] = list(self.hot_extents)
-        return summary
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     def summary(self) -> str:
         """One-line human-readable form (echoed by the CLI)."""
@@ -205,7 +170,4 @@ class EngineConfig:
             parts.append(f"fsync={self.fsync_policy}")
             if self.data_dir is not None:
                 parts.append(f"data_dir={self.data_dir}")
-        if self.backend == "mmap":
-            parts.append(f"hot={','.join(self.hot_extents)}")
-            parts.append(f"cold_cache_mb={self.cold_cache_mb:g}")
         return " ".join(parts)

@@ -183,19 +183,6 @@ class ExecutionContext:
                         metrics.gauge("cache.hit_ratio", extent=name).set(
                             max(0, touched - reads) / touched
                         )
-            physical_ratios = getattr(self._device, "physical_hit_ratios", None)
-            if physical_ratios is not None:
-                # Tiered backends (mmap) model a physical page cache too;
-                # publish its per-extent hit ratios under the same gauge
-                # family, tier-tagged so charged and physical attribution
-                # stay distinguishable.
-                from ..observability.metrics import global_metrics
-
-                metrics = global_metrics()
-                for name, ratio in physical_ratios().items():
-                    metrics.gauge(
-                        "cache.hit_ratio", extent=name, tier="physical"
-                    ).set(ratio)
         if self.tracer is not None:
             self.tracer.finish()
 

@@ -16,18 +16,6 @@ class GraphFormatError(ReproError):
     """An edge-list file or binary graph image could not be parsed."""
 
 
-class GraphFileError(GraphFormatError):
-    """A graph image file could not be opened, mapped, or validated.
-
-    Raised by the mmap-validated ``.rgr`` load path
-    (:func:`repro.persistence.read_rgr_mapped`): the checksum and
-    structural validation run *before* any mapped view is trusted, and
-    the mapping is released before this error propagates so the caller
-    can unlink the file. Subclasses :class:`GraphFormatError` so callers
-    catching the format error handle the mapped path identically.
-    """
-
-
 class DeviceError(ReproError):
     """Invalid operation on a :class:`repro.storage.BlockDevice`."""
 
@@ -79,7 +67,13 @@ class TraceFormatError(ReproError):
 
 class IngestError(ReproError):
     """Invalid operation on an :class:`repro.dynamic.ingest.IngestPipeline`
-    (submit after close, misuse of window mode, consumer failure)."""
+    (submit after close, misuse of window mode, a batch the sink rejected).
+
+    For a rejected batch, ``dropped`` lists the batch's submitted events
+    as ``(kind, u, v)``, in submission order; it is empty otherwise.
+    """
+
+    dropped = ()
 
 
 class ServeError(ReproError):

@@ -36,7 +36,6 @@ from ..persistence.graph_file import (  # noqa: F401
     RGR_MAGIC,
     is_rgr,
     read_rgr,
-    read_rgr_mapped,
     write_rgr,
 )
 from .edgelist import read_text_edgelist, write_text_edgelist

@@ -112,15 +112,9 @@ class Graph:
         CSR adjacency: neighbours of ``v`` are
         ``adj[offsets[v]:offsets[v+1]]`` (sorted ascending) and the edge id at
         each position is ``adj_eids[...]``.
-    rgr_mapping:
-        Set only by :func:`repro.persistence.read_rgr_mapped`: the
-        ``mmap`` object backing the CSR arrays (which are then read-only
-        views over the file). Unset on every other construction path.
     """
 
-    __slots__ = (
-        "n", "m", "edges", "offsets", "adj", "adj_eids", "degrees", "rgr_mapping",
-    )
+    __slots__ = ("n", "m", "edges", "offsets", "adj", "adj_eids", "degrees")
 
     def __init__(self, n: int, edges: np.ndarray) -> None:
         edges = canonical_edge_array(edges)

@@ -250,14 +250,8 @@ def format_summary(summary: Dict[str, Any], fmt: str = "text") -> str:
             line += (
                 f" (physical: {physical['bytes_read']}B read, "
                 f"{physical['bytes_written']}B written, "
-                f"{physical['fsyncs']} fsyncs"
+                f"{physical['fsyncs']} fsyncs)"
             )
-            if physical.get("bytes_mapped"):
-                line += (
-                    f", {physical['bytes_mapped']}B mapped, "
-                    f"~{physical.get('page_faults_est', 0)} page faults"
-                )
-            line += ")"
         blocks.append(line)
     else:
         blocks.append(

@@ -216,8 +216,6 @@ class Tracer:
                     "bytes_read": stats.physical.bytes_read,
                     "bytes_written": stats.physical.bytes_written,
                     "fsyncs": stats.physical.fsyncs,
-                    "bytes_mapped": stats.physical.bytes_mapped,
-                    "page_faults_est": stats.physical.page_faults_est,
                 }
         self._write({"type": "trace_end", "totals": totals})
         try:
@@ -263,8 +261,6 @@ class Tracer:
                     "bytes_read": delta.physical.bytes_read,
                     "bytes_written": delta.physical.bytes_written,
                     "fsyncs": delta.physical.fsyncs,
-                    "bytes_mapped": delta.physical.bytes_mapped,
-                    "page_faults_est": delta.physical.page_faults_est,
                 }
         self._write(record)
 

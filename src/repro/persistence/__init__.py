@@ -7,9 +7,6 @@ of the paper's I/O model; this package adds the physical counterpart:
   is mirrored as a real ``pread``/``pwrite`` against a spill file, with
   *identical* charged :class:`~repro.storage.IOStats` and new physical
   byte/fsync counters;
-* :class:`MmapBlockDevice` — backend ``"mmap"``: zero-copy reads over
-  mapped ``.rgr`` images (:func:`read_rgr_mapped`), a modelled tiered
-  hot/cold page cache, and the same bit-identical charged ledger;
 * :mod:`~repro.persistence.graph_file` — the ``.rgr`` binary CSR graph
   image (``repro convert``);
 * :mod:`~repro.persistence.wal` + :mod:`~repro.persistence.recovery` —
@@ -21,8 +18,7 @@ of the paper's I/O model; this package adds the physical counterpart:
 Recovery symbols are exposed lazily (PEP 562): :mod:`.recovery` imports
 the dynamic-maintenance stack, which would cycle back into the engine if
 pulled in while ``repro.engine`` itself is still initialising (its
-backend table imports the ``file`` and ``mmap`` devices from this
-package).
+backend table imports the ``file`` device from this package).
 """
 
 from .faults import FaultInjector, SimulatedCrash, corrupt_byte, tear_file
@@ -35,10 +31,8 @@ from .graph_file import (
     graph_to_rgr_bytes,
     is_rgr,
     read_rgr,
-    read_rgr_mapped,
     write_rgr,
 )
-from .mmap_device import MmapBlockDevice
 from .wal import (
     OP_DELETE,
     OP_INSERT,
@@ -67,9 +61,7 @@ __all__ = [
     "graph_to_rgr_bytes",
     "is_rgr",
     "read_rgr",
-    "read_rgr_mapped",
     "write_rgr",
-    "MmapBlockDevice",
     "OP_DELETE",
     "OP_INSERT",
     "WalRecord",

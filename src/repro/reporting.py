@@ -84,13 +84,6 @@ def render_result(result: MaxTrussResult, fmt: str = "text") -> str:
             ("physical bytes written", physical.bytes_written),
             ("fsyncs", physical.fsyncs),
         ]
-        if getattr(physical, "bytes_mapped", 0):
-            # The mmap backend serves reads from mapped pages: report the
-            # laid-over region and the tiered-cache fault estimate.
-            rows += [
-                ("physical bytes mapped", physical.bytes_mapped),
-                ("page faults (est)", physical.page_faults_est),
-            ]
     return render_table(("metric", "value"), rows, fmt)
 
 

@@ -163,8 +163,8 @@ class _SnapshotReader:
         if eids is None:
             return table.to_numpy().reshape(-1, 2)
         eids = np.asarray(eids, dtype=np.int64)
-        # One 16-byte row touch per selected edge: the request's bill and
-        # the mmap tier's page tallies count rows, not endpoint cells.
+        # One 16-byte row touch per selected edge: the request's bill
+        # counts rows, not endpoint cells.
         table.device.touch_read_batch(table.extent, 16 * eids, 16)
         return self.graph.edges[eids]
 

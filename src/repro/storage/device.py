@@ -589,7 +589,7 @@ class BlockDevice:
         }
 
     def drop_cache(self) -> None:
-        """Flush, then empty the cache (cold-cache experiment support)."""
+        """Flush, then empty the cache (experiments that start from a cold pool)."""
         self.flush()
         self._cache.clear()
 

@@ -95,9 +95,7 @@ class DiskArray:
         moves no block. The payload stays the caller's buffer; a later
         charged write through :meth:`set` / :meth:`scatter` / … first
         materialises a private copy (copy-on-write), so the caller's array
-        is never written through. A read-only *values* on a device exposing
-        ``adopt_mapping`` (the mmap tier) is reported as an adopted mapping,
-        so ``physical.bytes_mapped`` accounts it.
+        is never written through.
         """
         values = np.asarray(values)
         if values.ndim != 1:
@@ -106,9 +104,6 @@ class DiskArray:
             )
         array = cls.__new__(cls)
         array._bind(device, values, name, shared=True)
-        adopt = getattr(device, "adopt_mapping", None)
-        if adopt is not None and not values.flags.writeable:
-            adopt(array.extent, values)
         return array
 
     @property
@@ -298,11 +293,7 @@ class DiskArray:
         return self._data
 
     def free(self) -> None:
-        """Release the backing extent (models deleting a scratch file).
-
-        An attached payload's reference is dropped here, so freeing the
-        last array over a mapping lets the file be unlinked.
-        """
+        """Release the backing extent (models deleting a scratch file)."""
         self.device.free(self.extent)
         self._data = np.empty(0, dtype=self.dtype)
         self._mapped = False

@@ -31,54 +31,28 @@ class PhysicalIOStats:
     A simulated device has none (its :attr:`IOStats.physical` stays
     ``None``); on a :class:`~repro.persistence.FileBlockDevice` they are
     nonzero whenever the charged counters are.
-
-    The ``mmap`` backend adds the mapped-page pair: *bytes_mapped* is the
-    total size of the read-only regions laid over ``.rgr`` images (mapping
-    is free — no bytes move until a page is touched), and
-    *page_faults_est* is the tiered cache's estimate of page faults —
-    first touches of a page not resident in the pinned hot tier or the
-    LRU cold tier. On that backend ``bytes_read`` counts faulted bytes
-    (``page_faults_est * page_size``), not per-touch syscalls, which is
-    exactly why its physical volume undercuts the ``file`` backend while
-    the charged bill stays bit-identical.
     """
 
     bytes_read: int = 0
     bytes_written: int = 0
     fsyncs: int = 0
-    bytes_mapped: int = 0
-    page_faults_est: int = 0
 
     def reset(self) -> None:
         """Zero all counters."""
         self.bytes_read = 0
         self.bytes_written = 0
         self.fsyncs = 0
-        self.bytes_mapped = 0
-        self.page_faults_est = 0
 
     def snapshot(self) -> "PhysicalIOStats":
         """Return an independent copy of the current counters."""
-        return PhysicalIOStats(
-            self.bytes_read, self.bytes_written, self.fsyncs,
-            self.bytes_mapped, self.page_faults_est,
-        )
+        return PhysicalIOStats(self.bytes_read, self.bytes_written, self.fsyncs)
 
     def since(self, earlier: "PhysicalIOStats") -> "PhysicalIOStats":
-        """Return the delta between *earlier* (a snapshot) and now.
-
-        ``bytes_mapped`` is a gauge, not a flow: it measures how much
-        region is currently laid over files, so a delta window that opens
-        after graph load (every algorithm's ``result.io`` does) would
-        always report 0. Deltas therefore carry the *current* mapped
-        total.
-        """
+        """Return the delta between *earlier* (a snapshot) and now."""
         return PhysicalIOStats(
             self.bytes_read - earlier.bytes_read,
             self.bytes_written - earlier.bytes_written,
             self.fsyncs - earlier.fsyncs,
-            self.bytes_mapped,
-            self.page_faults_est - earlier.page_faults_est,
         )
 
     def merge(self, other: "PhysicalIOStats") -> None:
@@ -86,15 +60,11 @@ class PhysicalIOStats:
         self.bytes_read += other.bytes_read
         self.bytes_written += other.bytes_written
         self.fsyncs += other.fsyncs
-        self.bytes_mapped += other.bytes_mapped
-        self.page_faults_est += other.page_faults_est
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"PhysicalIOStats(MB_read={self.bytes_read / 2**20:.2f}, "
-            f"MB_written={self.bytes_written / 2**20:.2f}, fsyncs={self.fsyncs}, "
-            f"MB_mapped={self.bytes_mapped / 2**20:.2f}, "
-            f"faults_est={self.page_faults_est})"
+            f"MB_written={self.bytes_written / 2**20:.2f}, fsyncs={self.fsyncs})"
         )
 
 

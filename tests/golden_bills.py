@@ -1,7 +1,7 @@
 """Golden bill table: the charged I/O bill and the answers, pinned across commits.
 
 Every other equivalence guard compares two paths at the same commit (batch
-vs scalar device, ``file``/``mmap`` vs ``simulated``), so a rewrite that
+vs scalar device, ``file`` vs ``simulated``), so a rewrite that
 changes *which* cells an algorithm touches passes all of them. This table
 is the cross-commit check: it records, for a fixed set of small inputs on
 a tiny buffer pool (256-byte blocks, 8 frames, where every policy

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
-from repro.engine.config import CACHE_POLICIES, FSYNC_POLICIES
+from repro.engine.config import CACHE_POLICIES, FSYNC_POLICIES, EngineConfig
 from repro.graph.edgelist import write_text_edgelist
 from repro.graph.generators import complete_graph, paper_example_graph
 
@@ -43,6 +43,10 @@ class TestCompute:
     def test_missing_file(self, capsys):
         assert main(["compute", "/no/such/file"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_no_engine_flags_run_the_config_defaults(self, example_file, capsys):
+        assert main(["compute", example_file]) == 0
+        assert f"engine: {EngineConfig().summary()}\n" in capsys.readouterr().out
 
 
 class TestCompare:

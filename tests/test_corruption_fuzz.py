@@ -34,7 +34,6 @@ from repro.persistence import (
     corrupt_byte,
     is_rgr,
     read_rgr,
-    read_rgr_mapped,
     read_wal,
     repair_wal,
     tear_file,
@@ -101,69 +100,6 @@ class TestRgrFuzz:
         junk = tmp_path / "junk"
         junk.write_bytes(b"\x89PNG\r\n")
         assert not is_rgr(junk)
-
-
-class TestRgrMappedFuzz:
-    """The zero-copy loader honours the same contract as the copying one.
-
-    Extra obligations because the data stays a window over the file: the
-    CRC must be validated *before* any view is handed out, a failure must
-    never surface as ``BufferError`` (views pinning a half-closed map),
-    and the mapping must be released on error so the file can be
-    unlinked and rewritten immediately afterwards.
-    """
-
-    def test_every_flipped_byte_is_caught_or_harmless(self, rgr):
-        graph, path = rgr
-        pristine = path.read_bytes()
-        for offset in range(len(pristine)):
-            corrupt_byte(path, offset)
-            try:
-                loaded = read_rgr_mapped(path)
-            except TYPED:
-                pass
-            else:
-                assert graphs_equal(loaded, graph), f"silent corruption @ {offset}"
-                del loaded  # drop the views so the mapping can close
-            finally:
-                # release-on-error contract: the file must be replaceable
-                # right away, with no mapping still pinning it
-                path.unlink()
-                path.write_bytes(pristine)
-
-    def test_every_torn_prefix_is_caught(self, rgr):
-        graph, path = rgr
-        pristine = path.read_bytes()
-        for keep in range(len(pristine)):
-            tear_file(path, keep)
-            with pytest.raises(TYPED):
-                read_rgr_mapped(path)
-            path.unlink()
-            path.write_bytes(pristine)
-        assert graphs_equal(read_rgr_mapped(path), graph)  # pristine loads
-
-    def test_failures_are_typed_never_buffererror(self, rgr):
-        """Spot positions spanning header / offsets / payload / CRC: the
-        only exception type is the typed one — in particular never a
-        ``BufferError`` from closing a mapping with exported views."""
-        _graph, path = rgr
-        pristine = path.read_bytes()
-        size = len(pristine)
-        for offset in {0, 7, 8, size // 4, size // 2, size - 5, size - 1}:
-            corrupt_byte(path, offset)
-            try:
-                read_rgr_mapped(path)
-            except TYPED:
-                pass
-            except BaseException as error:  # pragma: no cover - the bug
-                raise AssertionError(
-                    f"untyped {type(error).__name__} @ {offset}: {error}"
-                ) from error
-            path.write_bytes(pristine)
-
-    def test_missing_file_is_typed(self, tmp_path):
-        with pytest.raises(TYPED):
-            read_rgr_mapped(tmp_path / "absent.rgr")
 
 
 # --------------------------------------------------------------------- #

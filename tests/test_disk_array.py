@@ -130,20 +130,25 @@ class TestAttach:
     @pytest.mark.parametrize("mutate", ["set", "write_slice", "fill", "scatter"])
     def test_attach_copies_on_first_write(self, dev, mutate):
         source = np.arange(64, dtype=np.int64)
-        shared = source.copy()
-        array = DiskArray.attach(dev, shared, name="cow")
-        assert array.mapped and array.peek() is shared
-        if mutate == "set":
-            array.set(3, 99)
-        elif mutate == "write_slice":
-            array.write_slice(0, np.array([99], dtype=np.int64))
-        elif mutate == "fill":
-            array.fill(99)
-        else:
-            array.scatter(np.array([3]), np.array([99]))
-        assert not array.mapped
-        assert 99 in array.peek()
-        np.testing.assert_array_equal(shared, source)  # caller's array untouched
+        frozen = source.copy()
+        frozen.setflags(write=False)
+        for shared in (source.copy(), frozen):
+            array = DiskArray.attach(dev, shared, name="cow")
+            # reads are served from the caller's buffer, not a copy
+            assert array.mapped and array.peek() is shared
+            assert array.get(5) == 5
+            np.testing.assert_array_equal(array.gather(np.array([1, 3])), [1, 3])
+            if mutate == "set":
+                array.set(3, 99)
+            elif mutate == "write_slice":
+                array.write_slice(0, np.array([99], dtype=np.int64))
+            elif mutate == "fill":
+                array.fill(99)
+            else:
+                array.scatter(np.array([3]), np.array([99]))
+            assert not array.mapped
+            assert 99 in array.peek()
+            np.testing.assert_array_equal(shared, source)  # caller's array untouched
 
     def test_attach_rejects_2d_views(self, dev):
         with pytest.raises(ArrayBoundsError, match="1-d"):

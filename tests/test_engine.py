@@ -7,8 +7,7 @@ Three families of guarantees:
   ``k_max`` and the truss edge set.
 * **Bit-identity** — the ``simulated`` backend driven through an
   :class:`ExecutionContext` charges exactly the ``IOStats`` and per-extent
-  breakdown of a caller-built device, and ``mmap`` charges exactly the
-  ``simulated`` bill.
+  breakdown of a caller-built device.
 * **Engine mechanics** — unknown-backend errors, context resolution,
   work budgets minted from the config, phase aggregation across a shared
   context, and the engine events an attached tracer records.
@@ -44,7 +43,7 @@ from repro.storage import (
 )
 from repro.structures.linear_heap import LinearHeap
 
-BACKENDS = ("simulated", "reference", "inmemory", "mmap")
+BACKENDS = ("simulated", "reference", "inmemory")
 POLICIES = ("lru", "fifo", "clock")
 SEMI_METHODS = ("semi-binary", "semi-greedy-core", "semi-lazy-update")
 
@@ -146,83 +145,6 @@ class TestSimulatedBitIdentity:
         assert context.stats.read_ios == device.stats.read_ios
         assert context.stats.write_ios == device.stats.write_ios
         assert context.device.io_by_extent() == device.io_by_extent()
-
-
-# --------------------------------------------------------------------- #
-# mmap backend: charged ledger bit-identical to simulated
-# --------------------------------------------------------------------- #
-
-
-def _billed_run(graph, backend, method, policy):
-    """One decomposition; returns (result, IOStats snapshot, io_by_extent)."""
-    context = ExecutionContext(EngineConfig(
-        backend=backend, block_size=64, cache_blocks=32, cache_policy=policy,
-    ))
-    with context:
-        result = max_truss(graph, method=method, context=context)
-    extents = (
-        context.device.io_by_extent() if context.device is not None else {}
-    )
-    return result, context.stats.snapshot(), extents
-
-
-class TestMmapBitIdentity:
-    """The mmap device inherits the simulator's charged accounting; these
-    pin that IOStats and the per-extent breakdown are *bit-identical* to
-    the ``simulated`` backend — the tiered physical model must never leak
-    into the bill — across methods, policies, and maintenance."""
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("method", SEMI_METHODS)
-    def test_methods_bill_identically_to_simulated(self, method, policy):
-        graph = barabasi_albert(120, attach=5, seed=7)
-        sim = _billed_run(graph, "simulated", method, policy)
-        mm = _billed_run(graph, "mmap", method, policy)
-        assert mm[0].k_max == sim[0].k_max
-        assert mm[1] == sim[1]  # IOStats equality excludes .physical
-        assert mm[1].bytes_read == sim[1].bytes_read
-        assert mm[1].bytes_written == sim[1].bytes_written
-        assert mm[2] == sim[2]
-
-    @pytest.mark.parametrize("method", sorted(available_methods()))
-    def test_every_method_bills_identically_to_simulated(self, example, method):
-        sim = _billed_run(example, "simulated", method, "lru")
-        mm = _billed_run(example, "mmap", method, "lru")
-        assert mm[0].k_max == sim[0].k_max
-        assert mm[1] == sim[1]
-        assert mm[2] == sim[2]
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_maintenance_bills_identically_to_simulated(self, example, policy):
-        bills = {}
-        for backend in ("simulated", "mmap"):
-            context = ExecutionContext(EngineConfig(
-                backend=backend, block_size=64, cache_blocks=32,
-                cache_policy=policy,
-            ))
-            state = DynamicMaxTruss(example, context=context)
-            state.insert(0, 4)
-            state.delete(0, 4)
-            k_max = state.k_max
-            context.close()
-            bills[backend] = (
-                k_max, context.stats.snapshot(), context.device.io_by_extent()
-            )
-        assert bills["mmap"] == bills["simulated"]
-
-    def test_physical_model_is_reads_only(self):
-        """The mmap tier never writes or fsyncs physically (read-mostly
-        zero-copy serving); it does estimate faults."""
-        graph = gnm_random(60, 700, seed=5)
-        context = ExecutionContext(EngineConfig(backend="mmap"))
-        with context:
-            max_truss(graph, method="semi-binary", context=context)
-        physical = context.stats.physical
-        assert physical is not None
-        assert physical.page_faults_est > 0
-        assert physical.bytes_read > 0
-        assert physical.bytes_written == 0
-        assert physical.fsyncs == 0
 
 
 # --------------------------------------------------------------------- #

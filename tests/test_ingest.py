@@ -413,7 +413,8 @@ class TestLifecycleAndErrors:
         self, window, landed, first, after
     ):
         """A batch the sink rejects moves neither the window nor a stat,
-        so later arrivals and their expirations apply cleanly."""
+        names the events it dropped, and later arrivals and their
+        expirations apply cleanly."""
         base = paper_example_graph()
         state = DynamicMaxTruss(base)
         pipe = IngestPipeline(state, window=window, batch_size=2)
@@ -421,8 +422,10 @@ class TestLifecycleAndErrors:
         pipe.submit(*first)
         live = list(pipe._live)
         before = replace(pipe.stats, flushes=dict(pipe.stats.flushes))
-        with pytest.raises(GraphFormatError, match=r"existing edge \(0, 1\)"):
+        with pytest.raises(IngestError, match=r"existing edge \(0, 1\)") as caught:
             pipe.submit(0, 1)  # an edge of the base graph
+        assert isinstance(caught.value.__cause__, GraphFormatError)
+        assert caught.value.dropped == [("arrival", *first), ("arrival", 0, 1)]
         assert list(pipe._live) == live and pipe._live_set == set(live)
         assert pipe.stats == replace(before, submitted=before.submitted + 1)
         assert not state.graph.has_edge(*first)

@@ -20,11 +20,11 @@ from hypothesis import given, settings
 
 from repro.core.api import available_methods, max_truss
 from repro.dynamic import DynamicMaxTruss
-from repro.engine import EngineConfig, ExecutionContext, list_backends
+from repro.engine import EngineConfig, ExecutionContext, list_backends, make_device
 from repro.errors import DeviceError
 from repro.graph.generators import barabasi_albert, gnm_random
 from repro.persistence import FSYNC_POLICIES, FileBlockDevice
-from repro.storage import BlockDevice
+from repro.storage import BlockDevice, semi_external_cache_blocks
 
 from test_batch_equivalence import _apply, workloads
 
@@ -274,6 +274,31 @@ def test_grow_and_free_keep_regions_consistent(tmp_path):
 
 def test_file_backend_is_registered():
     assert "file" in list_backends()
+
+
+def test_factory_dispatch_and_knob_forwarding(tmp_path):
+    spill = make_device(
+        EngineConfig(
+            backend="file", block_size=128, cache_blocks=16,
+            cache_policy="fifo", data_dir=str(tmp_path), fsync_policy="always",
+        ),
+        100,
+    )
+    try:
+        assert isinstance(spill, FileBlockDevice)
+        assert (spill.block_size, spill.cache_blocks) == (128, 16)
+        assert spill.policy == "fifo"
+        assert spill.fsync_policy == "always"
+        assert os.path.dirname(spill.path) == str(tmp_path)
+    finally:
+        spill.close()
+    auto = make_device(EngineConfig(backend="file", block_size=128), 10_000)
+    try:
+        # semi-external sizing: 32 bytes per vertex of pool
+        assert auto.cache_blocks == semi_external_cache_blocks(10_000, 128)
+        assert auto.cache_blocks == max(8, 32 * 10_000 // 128)
+    finally:
+        auto.close()
 
 
 def test_unknown_backend_error_lists_names():

@@ -497,7 +497,7 @@ class TestQueryEngine:
             thread.join()
         assert errors == []
 
-    @pytest.mark.parametrize("backend", ["simulated", "file", "mmap"])
+    @pytest.mark.parametrize("backend", ["simulated", "file"])
     def test_bills_match_the_closed_form(self, backend):
         # A point request reads the smaller-degree endpoint's adjacency
         # slice, plus one edge-id cell and one trussness cell when the edge
