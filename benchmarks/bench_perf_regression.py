@@ -550,10 +550,9 @@ def bench_serve(graph, queries: int, smoke: bool) -> dict:
 
 
 def bench_approx(make_graph, smoke: bool) -> dict:
-    """Approximate-tier section: estimator accuracy, I/O separation, and
-    the estimator-narrowed exact search.
+    """Approximate-tier section: estimator accuracy and I/O separation.
 
-    Three claims are measured (and the load-bearing ones asserted):
+    Two claims are measured (and the load-bearing one gated):
 
     * **accuracy curve** — triangle-estimate relative error and interval
       width shrink as the sample budget grows (reported, not gated: the
@@ -561,10 +560,7 @@ def bench_approx(make_graph, smoke: bool) -> dict:
     * **separation** — an ApproxEngine build plus one per-edge answer
       charges >= 10x fewer read I/Os than one exact max-truss run on the
       same graph (gated in full mode; smoke graphs are too small for the
-      gap to exist structurally);
-    * **narrowing** — ``estimate_bounds=True`` produces a bit-identical
-      decomposition with strictly fewer full support scans (asserted at
-      every scale: correctness, not a performance bar).
+      gap to exist structurally).
     """
     from repro.approx import ApproxEngine
     from repro.approx.estimators import estimate_triangle_count
@@ -604,19 +600,6 @@ def bench_approx(make_graph, smoke: bool) -> dict:
     engine.close()
     separation = exact.io.read_ios / max(approx_reads, 1)
 
-    narrowed = semi_binary(make_graph(), estimate_bounds=True)
-    if narrowed.k_max != exact.k_max or narrowed.truss_edges != exact.truss_edges:
-        raise AssertionError(
-            "estimate_bounds=True changed the decomposition "
-            f"(k_max {narrowed.k_max} vs {exact.k_max})"
-        )
-    scans_exact = exact.extras["support_scans"]
-    scans_narrowed = narrowed.extras["support_scans"]
-    if scans_narrowed >= scans_exact:
-        raise AssertionError(
-            f"narrowing saved no scans ({scans_narrowed} vs {scans_exact})"
-        )
-
     return {
         "graph": {"n": graph.n, "m": graph.m},
         "triangles_exact": true_triangles,
@@ -632,15 +615,7 @@ def bench_approx(make_graph, smoke: bool) -> dict:
             "approx_read_ios": approx_reads,
             "separation_x": round(separation, 1),
         },
-        "narrowing": {
-            "support_scans_exact": scans_exact,
-            "support_scans_narrowed": scans_narrowed,
-            "estimator_io": narrowed.extras["estimator_io"],
-            "bit_identical": True,
-        },
-        # The 10x separation bar only gates full mode; the bit-identical
-        # + fewer-scans narrowing contract is asserted above at every
-        # scale (an AssertionError, not a soft fail).
+        # The 10x separation bar only gates full mode.
         "passed": bool(smoke or (separation >= 10.0 and covered)),
     }
 
@@ -787,10 +762,8 @@ def main(argv=None) -> int:
     print(
         f"approx: {approx['io_separation']['approx_read_ios']} read I/Os vs "
         f"{approx['io_separation']['exact_read_ios']} exact "
-        f"({approx['io_separation']['separation_x']}x separation), "
-        f"narrowing {approx['narrowing']['support_scans_exact']} -> "
-        f"{approx['narrowing']['support_scans_narrowed']} support scans "
-        f"bit-identical ({'pass' if approx['passed'] else 'FAIL'})"
+        f"({approx['io_separation']['separation_x']}x separation, "
+        f"{'pass' if approx['passed'] else 'FAIL'})"
     )
     return (
         0 if accounting["passed"]

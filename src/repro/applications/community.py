@@ -6,14 +6,15 @@ nodes" (paper §I, citing Huang et al. SIGMOD'14). Given query vertices
 ``Q``, :func:`truss_community` returns the connected k-truss containing all
 of ``Q`` with the largest possible ``k``.
 
-Algorithm: compute the trussness of every edge (in memory, or
-semi-externally via ``method="semi-external"`` which routes through
-Bottom-Up's charged decomposition), then sweep edges in decreasing
-trussness into a union-find until the query vertices become connected; the
-minimum trussness on that merge path is the community's ``k``, and the
-community is the maximal connected subgraph of trussness-``>= k`` edges
-around the queries. Triangle connectivity (the stricter community model)
-is available via ``connectivity="triangle"``.
+Algorithm: compute the trussness of every edge in memory (a caller that
+wants it charged passes
+``trussness=truss_decomposition_semi_external(graph, context=ctx)``), then
+sweep edges in decreasing trussness into a union-find until the query
+vertices become connected; the minimum trussness on that merge path is
+the community's ``k``, and the community is the maximal connected
+subgraph of trussness-``>= k`` edges around the queries. Triangle
+connectivity (the stricter community model) is available via
+``connectivity="triangle"``.
 """
 
 from __future__ import annotations
@@ -29,24 +30,8 @@ from ..analysis.components import (
     vertex_connected_components,
 )
 from ..baselines.inmemory import truss_decomposition
-from ..engine.context import ContextLike, resolve_context
 from ..graph.memgraph import Graph
 from ..observability.tracer import trace_span
-
-
-def _trussness_values(
-    graph: Graph, method: str, context: Optional[ContextLike]
-) -> np.ndarray:
-    """Per-edge trussness via the requested decomposition route."""
-    if method == "in-memory":
-        return truss_decomposition(graph)
-    if method == "semi-external":
-        from ..baselines.bottom_up import truss_decomposition_semi_external
-
-        return truss_decomposition_semi_external(
-            graph, context=resolve_context(context)
-        )
-    raise ValueError(f"unknown trussness method {method!r}")
 
 EdgePair = Tuple[int, int]
 
@@ -81,8 +66,6 @@ def truss_community(
     query: Iterable[int],
     connectivity: str = "vertex",
     trussness: Optional[np.ndarray] = None,
-    method: str = "in-memory",
-    context: Optional[ContextLike] = None,
 ) -> Optional[CommunityResult]:
     """Find the maximum-trussness connected community containing *query*.
 
@@ -96,21 +79,12 @@ def truss_community(
         ``"vertex"`` (Definition-2 connectivity, default) or ``"triangle"``
         (the stricter truss-community model).
     trussness:
-        Optional precomputed per-edge trussness (else computed here).
-    method:
-        How to compute trussness when not supplied: ``"in-memory"``
-        (default, uncharged) or ``"semi-external"`` (Bottom-Up's charged
-        decomposition on the context's device).
-    context:
-        Engine context (an :class:`~repro.engine.ExecutionContext` or bare
-        :class:`~repro.engine.config.EngineConfig`) of the semi-external
-        route, resolved the way the ``max_truss`` methods resolve theirs:
-        that route charges the caller's device. The in-memory route
-        charges nothing and ignores it. Either way the search runs inside
-        a ``community`` span on the ambient tracer.
+        Optional precomputed per-edge trussness (else computed here, in
+        memory and uncharged).
 
     Returns ``None`` when no common community exists (e.g. queries in
-    different components, or a query vertex is isolated).
+    different components, or a query vertex is isolated). The search runs
+    inside a ``community`` span on the ambient tracer.
     """
     query = sorted(set(int(q) for q in query))
     if not query:
@@ -125,9 +99,7 @@ def truss_community(
         raise ValueError(f"unknown connectivity model {connectivity!r}")
     with trace_span("community", kind="phase", connectivity=connectivity):
         values = (
-            trussness
-            if trussness is not None
-            else _trussness_values(graph, method, context)
+            trussness if trussness is not None else truss_decomposition(graph)
         )
         if connectivity == "vertex":
             return _vertex_community(graph, query, values)

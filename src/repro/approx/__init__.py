@@ -6,14 +6,13 @@ estimators (:mod:`~repro.approx.estimators`), the
 :class:`~repro.approx.engine.ApproxEngine` that serves trussness /
 ``k_max`` / membership-likelihood queries from cached sampled state.
 
-Three integration points:
+Two integration points:
 
-* ``max_truss(method="semi-binary", estimate_bounds=True)`` — the
-  estimator's ``[k_lo, k_hi]`` envelope narrows the binary-search
-  interval (fewer full support scans, bit-identical decomposition);
 * the serve tier's ``precision: "approx"`` request parameter — sublinear
   per-query answers carrying ``{estimate, ci, confidence, samples}``;
 * the ``repro estimate`` CLI.
+
+Both read the estimator knobs from ``EngineConfig.approx_*``.
 """
 
 from .engine import ApproxEngine, build_approx_engine
@@ -21,7 +20,6 @@ from .estimate import Estimate, hoeffding_samples, normal_quantile, wilson_inter
 from .estimators import (
     SupportSample,
     estimate_edge_support,
-    estimate_kmax,
     estimate_triangle_count,
     kmax_from_sample,
     max_support_from_sample,
@@ -42,6 +40,5 @@ __all__ = [
     "sample_edge_supports",
     "max_support_from_sample",
     "kmax_from_sample",
-    "estimate_kmax",
     "estimate_edge_support",
 ]

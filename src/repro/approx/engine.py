@@ -51,13 +51,11 @@ class ApproxEngine:
     graph:
         The frozen graph image (a serve snapshot's, or any
         :class:`~repro.graph.Graph`).
-    epsilon / confidence / seed:
-        Estimator knobs; each defaults to the corresponding
-        ``EngineConfig.approx_*`` field of *config* (or the engine-wide
-        defaults when no config is given).
     config:
-        Optional :class:`~repro.engine.EngineConfig` supplying defaults
-        and the backend of the private build context.
+        Optional :class:`~repro.engine.EngineConfig`: its
+        ``approx_epsilon``, ``approx_confidence`` and ``approx_seed`` are
+        the estimator knobs, and its backend builds the private build
+        context. Without one the engine-wide defaults apply.
 
     Example
     -------
@@ -74,21 +72,14 @@ class ApproxEngine:
     """
 
     def __init__(
-        self,
-        graph: Graph,
-        epsilon: Optional[float] = None,
-        confidence: Optional[float] = None,
-        seed: Optional[int] = None,
-        config: Optional[EngineConfig] = None,
+        self, graph: Graph, config: Optional[EngineConfig] = None
     ) -> None:
-        defaults = config if config is not None else EngineConfig()
+        config = config if config is not None else EngineConfig()
         self.graph = graph
-        self.epsilon = epsilon if epsilon is not None else defaults.approx_epsilon
-        self.confidence = (
-            confidence if confidence is not None else defaults.approx_confidence
-        )
-        self.seed = seed if seed is not None else defaults.approx_seed
-        self._config = defaults
+        self.epsilon = config.approx_epsilon
+        self.confidence = config.approx_confidence
+        self.seed = config.approx_seed
+        self._config = config
         self._own_context: Optional[ExecutionContext] = None
         self._built = False
         self._build_io = 0
@@ -286,15 +277,12 @@ class ApproxEngine:
 
 
 def build_approx_engine(
-    graph: Graph,
-    context: Optional[ContextLike] = None,
-    **overrides,
+    graph: Graph, context: Optional[ContextLike] = None
 ) -> ApproxEngine:
     """Construct-and-build an :class:`ApproxEngine` from a context.
 
-    Convenience for CLI/benchmark callers: the estimator knobs come from
-    the context's config unless overridden, and the sampling is charged
-    to the *context's* device (one shared bill).
+    The estimator knobs come from the context's config, and the sampling
+    is charged to the *context's* device (one shared bill).
 
     >>> from repro.engine import EngineConfig, ExecutionContext
     >>> from repro.graph.generators import complete_graph
@@ -304,7 +292,7 @@ def build_approx_engine(
     True
     """
     ctx = resolve_context(context)
-    engine = ApproxEngine(graph, config=ctx.config, **overrides)
+    engine = ApproxEngine(graph, config=ctx.config)
     if graph.n == 0:
         raise ReproError("cannot estimate over an empty graph")
     return engine.build(

@@ -1,13 +1,13 @@
 """Charged sampling estimators: triangles, supports, ``k_max`` intervals.
 
 All estimators read adjacency through a
-:class:`~repro.graph.disk_graph.DiskGraph` — materialised for an exact
-run, or registered with :meth:`~repro.graph.disk_graph.DiskGraph.attach`
-on read-only paths, where the snapshot must never be written. Either way
-every sampled adjacency access is charged to the graph's
+:class:`~repro.graph.disk_graph.DiskGraph` view registered with
+:meth:`~repro.graph.disk_graph.DiskGraph.attach`, so the graph is never
+written. Every sampled adjacency access is charged to the view's
 :class:`~repro.storage.BlockDevice`, so an estimate's ``charged_io`` is a
 measured Aggarwal–Vitter bill, directly comparable to the exact
-algorithms' bills.
+algorithms' bills. :class:`~repro.approx.engine.ApproxEngine` builds its
+cached per-graph state from them.
 
 Estimator toolbox (Conte et al., "Efficient Estimation of Graph
 Trussness", adapted to the semi-external cost model):
@@ -48,7 +48,6 @@ __all__ = [
     "sample_edge_supports",
     "max_support_from_sample",
     "kmax_from_sample",
-    "estimate_kmax",
     "estimate_edge_support",
 ]
 
@@ -355,40 +354,6 @@ def kmax_from_sample(
         sample.size + triangles.samples,
         sample.charged_io + triangles.charged_io,
     )
-
-
-def estimate_kmax(
-    source,
-    epsilon: float = 0.1,
-    confidence: float = 0.95,
-    rng: Optional[np.random.Generator] = None,
-    samples: Optional[int] = None,
-) -> Estimate:
-    """One-call ``k_max`` estimate: wedge + edge sampling, then the tail
-    bound — the estimator behind ``estimate_bounds=True`` and the serve
-    tier's ``precision=approx`` answers.
-
-    >>> from repro.engine import EngineConfig, ExecutionContext
-    >>> from repro.graph import DiskGraph
-    >>> from repro.graph.generators import complete_graph
-    >>> import numpy as np
-    >>> graph = complete_graph(6)   # k_max = 6
-    >>> context = ExecutionContext(EngineConfig(backend="inmemory"))
-    >>> view = DiskGraph.attach(graph, context.device_for(graph.n))
-    >>> est = estimate_kmax(view, rng=np.random.default_rng(7))
-    >>> est.covers(6)
-    True
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    budget = samples if samples is not None else sample_budget(
-        max(source.m, source.n), epsilon, confidence
-    )
-    if budget <= 0:
-        return Estimate.exact(0.0)
-    triangles = estimate_triangle_count(source, budget, confidence, rng)
-    sample = sample_edge_supports(source, budget, rng)
-    return kmax_from_sample(sample, triangles, confidence)
 
 
 def estimate_edge_support(

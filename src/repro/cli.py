@@ -116,7 +116,7 @@ def _maybe_trace(context: ExecutionContext, path: Optional[str]):
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """Storage-engine flags shared by compute / compare / maintain.
+    """Storage-engine flags shared by every command that runs the engine.
 
     Each flag's ``dest`` is its :class:`EngineConfig` field, and a flag
     left out is ``None``, so the config's own default applies.
@@ -146,6 +146,11 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "--fsync", dest="fsync_policy", choices=FSYNC_POLICIES,
         help="fsync policy for --backend file",
     )
+
+
+def _add_approx_flags(parser: argparse.ArgumentParser) -> None:
+    """The approximate tier's knobs, on the commands that sample:
+    ``estimate`` and ``serve`` (its ``precision: "approx"`` requests)."""
     approx = parser.add_argument_group("approximate tier")
     approx.add_argument(
         "--approx-epsilon", type=float, metavar="EPS",
@@ -173,45 +178,30 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
 def _given(args: argparse.Namespace, *names: str) -> dict:
     """The named flags the command line set, as keyword arguments.
 
-    A flag left at ``None`` is omitted, so the component's own default
-    applies: each default lives in one signature, not in the parser too.
+    A flag left at ``None``, or one the command does not register, is
+    omitted, so the component's own default applies: each default lives
+    in one signature, not in the parser too.
     """
-    values = {name: getattr(args, name) for name in names}
+    values = {name: getattr(args, name, None) for name in names}
     return {name: value for name, value in values.items() if value is not None}
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph, args.seed)
     config = _engine_config(args)
-    kwargs = {}
-    if getattr(args, "estimate_bounds", False):
-        if args.method != "semi-binary":
-            print("error: --estimate-bounds requires --method semi-binary",
-                  file=sys.stderr)
-            return 2
-        kwargs["estimate_bounds"] = True
     context = ExecutionContext(config)
     with _maybe_trace(context, args.trace):
         with context:
-            result = max_truss(
-                graph, method=args.method, context=context, **kwargs
-            )
-    if kwargs.get("estimate_bounds"):
-        # Estimator diagnostics go to stderr: stdout stays byte-identical
-        # with the default path (the equivalence CI check diffs it).
-        interval = result.extras.get("estimate_interval")
-        print(
-            f"estimator interval: {interval} "
-            f"(samples={result.extras.get('estimator_samples')}, "
-            f"read I/Os={result.extras.get('estimator_io')}, "
-            f"support scans={result.extras.get('support_scans')})",
-            file=sys.stderr,
-        )
+            result = max_truss(graph, method=args.method, context=context)
     if args.trace:
         print(f"trace written to {args.trace}", file=sys.stderr)
     if args.format != "plain":
         from .reporting import render_result
 
+        # The physical rows (file backend only) are the closed device's
+        # whole life: the bill window misses writing G and the closing
+        # flush and fsync.
+        result.io.physical = context.stats.physical
         print(render_result(result, args.format))
         print(f"engine: {config.summary()}")
     else:
@@ -561,12 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record a structured trace (spans with exact I/O attribution) "
              "to FILE; inspect with 'repro trace summary FILE'",
     )
-    compute.add_argument(
-        "--estimate-bounds", action="store_true",
-        help="seed the semi-binary search interval from the sampling "
-             "estimators (fewer full support scans, bit-identical result; "
-             "semi-binary only)",
-    )
     _add_engine_flags(compute)
     compute.set_defaults(func=_cmd_compute)
 
@@ -592,6 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--seed", type=int, default=0,
                           help="seed for generated datasets")
     _add_engine_flags(estimate)
+    _add_approx_flags(estimate)
     estimate.set_defaults(func=_cmd_estimate)
 
     stats = sub.add_parser("stats", help="Table-I style statistics")
@@ -758,6 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--seed", type=int, default=0)
     _add_engine_flags(serve)
+    _add_approx_flags(serve)
     serve.set_defaults(func=_cmd_serve)
 
     return parser

@@ -61,7 +61,7 @@ class SearchOutcome:
     ``probes`` counts emptiness tests (the inner progressive loop's
     threshold bumps included); ``scans`` counts *full support scans* —
     subgraph materialisations with a fresh ``compute_supports`` pass, the
-    expensive I/O unit the estimator-narrowed interval exists to avoid.
+    search's expensive I/O unit.
     """
 
     k_max: Optional[int]
@@ -293,131 +293,10 @@ def verified_kmax(
     return outcome.k_max, outcome
 
 
-def exact_tail_upper_bound(edge_file: SortedEdgeFile, num_edges: int) -> int:
-    """Sound ``k_max`` cap from the exact support tail (free: in-memory).
-
-    A non-empty ``k``-truss contains at least ``k(k-1)/2`` edges (the
-    minimal witness is ``K_k``), each with support ``>= k - 2`` already
-    in ``G`` — so ``k_max <= 2 + max{s : tail(s) >= (s+1)(s+2)/2}`` where
-    ``tail(s)`` counts edges with support ``>= s``. The ``pre`` positions
-    of ``T_edge`` hold the tail counts, so the cap costs zero I/O.
-    """
-    best = 0
-    for s in range(1, edge_file.max_support + 1):
-        if (s + 1) * (s + 2) // 2 > num_edges:
-            break
-        if num_edges - int(edge_file.prefix[s]) >= (s + 1) * (s + 2) // 2:
-            best = s
-    return best + 2 if best else 3
-
-
-def _estimated_interval(
-    disk_graph: DiskGraph,
-    edge_file: SortedEdgeFile,
-    config,
-    lb: int,
-    ub: int,
-) -> Tuple[int, int, dict]:
-    """The estimator-narrowed search interval (estimate_bounds=True).
-
-    Intersects the sampled ``[k_lo, k_hi]`` confidence envelope with the
-    default ``[lb, ub]`` and the free exact tail cap. The result is a
-    *seed*, not a promise: the widen-and-retry loop plus the standard
-    verification nets restore exactness whenever the envelope missed.
-    """
-    from ..approx.estimators import estimate_kmax
-
-    rng = np.random.default_rng(config.approx_seed)
-    est = estimate_kmax(
-        disk_graph,
-        epsilon=config.approx_epsilon,
-        confidence=config.approx_confidence,
-        rng=rng,
-    )
-    tail_cap = exact_tail_upper_bound(edge_file, disk_graph.m)
-    lb_e = max(lb, int(np.ceil(est.ci_low)))
-    ub_e = min(ub, tail_cap, int(np.floor(est.ci_high)))
-    if ub_e < lb_e:
-        # The envelope contradicts the (heuristic) Lemma 1 seed; fall
-        # back to the sound floor and keep the sound caps.
-        lb_e, ub_e = 3, max(min(ub, tail_cap), 3)
-    lb_e, ub_e = bounds.clamp_bounds(lb_e, ub_e)
-    extras = {
-        "estimate_kmax": est.value,
-        "estimate_interval": [lb_e, ub_e],
-        "estimator_samples": est.samples,
-        "estimator_io": est.charged_io,
-    }
-    return lb_e, ub_e, extras
-
-
-def _widen_upward(
-    parent: DiskGraph,
-    edge_file: SortedEdgeFile,
-    outcome: SearchOutcome,
-    search_lb: int,
-    search_ub: int,
-    ub: int,
-    heap_factory: HeapFactory,
-    memory: MemoryMeter,
-    budget: Optional[WorkBudget] = None,
-) -> SearchOutcome:
-    """Widen-and-retry when the search maxed out a narrowed interval.
-
-    Finding ``k_max`` exactly at the estimator's ceiling (with nothing
-    above ever failing) means the envelope may have clipped the answer.
-    The common case is a *correct* ceiling, so one confirming probe at
-    ``k_max + 1`` runs first — when it fails, the whole widen costs a
-    single scan. Only when it succeeds (the envelope really clipped) does
-    the loop re-search geometrically growing intervals above, up to the
-    sound *ub*. Exactness never depended on this loop (the verification
-    sweep would find the same answer one probe at a time); it keeps the
-    probe count logarithmic when the estimator low-balls badly.
-    """
-    while (
-        outcome.k_max is not None
-        and outcome.k_max == search_ub
-        and search_ub < ub
-        and (outcome.failed_min is None or outcome.failed_min > search_ub)
-    ):
-        candidate = search_ub + 1
-        outcome.probes += 1
-        outcome.scans += 1
-        if not probe_truss_exists(
-            parent, edge_file, candidate, heap_factory, memory, budget,
-            tag=f"w{candidate}",
-        ):
-            outcome.failed_min = min(
-                outcome.failed_min or candidate, candidate
-            )
-            break
-        outcome.k_max = candidate
-        width = max(4, search_ub - search_lb + 1)
-        search_lb, search_ub = candidate, min(ub, search_ub + width)
-        if search_ub <= candidate:
-            continue
-        more = binary_search_kmax(
-            parent, edge_file, candidate + 1, search_ub, heap_factory,
-            memory, budget,
-        )
-        outcome.probes += more.probes
-        outcome.scans += more.scans
-        outcome.peel.merge(more.peel)
-        if more.failed_min is not None:
-            outcome.failed_min = min(
-                outcome.failed_min or more.failed_min, more.failed_min
-            )
-        if more.k_max is None:
-            break
-        outcome.k_max = max(outcome.k_max, more.k_max)
-    return outcome
-
-
 def semi_binary(
     graph: Graph,
     budget: Optional[WorkBudget] = None,
     context: Optional[ContextLike] = None,
-    estimate_bounds: bool = False,
 ) -> MaxTrussResult:
     """Compute the ``k_max``-truss of *graph* with SemiBinary (Algorithm 1).
 
@@ -433,15 +312,6 @@ def semi_binary(
         :class:`~repro.engine.ExecutionContext` (or bare
         :class:`~repro.engine.EngineConfig`) selecting the storage backend
         and aggregating I/O and memory across phases.
-    estimate_bounds:
-        Seed the binary search from the approximate tier's sampled
-        ``[k_lo, k_hi]`` confidence envelope (``config.approx_*`` knobs)
-        instead of the full ``[Lemma 1, Lemma 2]`` interval — fewer full
-        support scans on graphs with loose default bounds, **bit-identical
-        final decomposition** (a widen-and-retry loop plus the standard
-        verification nets restore exactness whenever the envelope
-        missed). The estimator's own probes are charged to the same
-        device, so the run's bill stays honest.
     """
     run = ChargedRun("SemiBinary", graph, context, budget)
     disk_graph, memory, budget = run.disk_graph, run.memory, run.budget
@@ -461,24 +331,11 @@ def semi_binary(
     lb, ub = bounds.clamp_bounds(lb, ub)
     edge_file = build_sorted_edge_file(scan)
 
-    search_lb, search_ub = lb, ub
-    estimate_extras: dict = {}
-    if estimate_bounds:
-        search_lb, search_ub, estimate_extras = _estimated_interval(
-            disk_graph, edge_file, run.context.config, lb, ub
-        )
     outcome = binary_search_kmax(
-        disk_graph, edge_file, search_lb, search_ub, PlainDiskHeap,
-        memory, budget,
+        disk_graph, edge_file, lb, ub, PlainDiskHeap, memory, budget
     )
-    if estimate_bounds:
-        outcome = _widen_upward(
-            disk_graph, edge_file, outcome, search_lb, search_ub, ub,
-            PlainDiskHeap, memory, budget,
-        )
     k_max, outcome = verified_kmax(
-        disk_graph, edge_file, outcome, search_lb, ub, PlainDiskHeap,
-        memory, budget,
+        disk_graph, edge_file, outcome, lb, ub, PlainDiskHeap, memory, budget
     )
     if k_max <= 2:
         truss_pairs = graph.edge_pairs()
@@ -493,13 +350,11 @@ def semi_binary(
         k_max,
         truss_pairs,
         triangles=scan.triangle_count,
-        initial_lb=search_lb,
-        initial_ub=search_ub,
+        initial_lb=lb,
+        initial_ub=ub,
         search_probes=outcome.probes,
         # +1 for the opening global scan, +1 for materialising the
-        # output truss — identical on both paths, so strictly-fewer
-        # comparisons reduce to the search scans.
+        # output truss.
         support_scans=1 + outcome.scans + (1 if k_max > 2 else 0),
         peeled_edges=outcome.peel.removed_edges,
-        **estimate_extras,
     )

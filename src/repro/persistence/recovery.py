@@ -76,9 +76,6 @@ class DurableMaintenance:
     checkpoint_every:
         Auto-checkpoint after this many applied edge operations
         (``None`` — manual :meth:`checkpoint` calls only).
-    sync:
-        Fsync the WAL on every append (the durability contract); pass
-        ``False`` only for measurement runs that accept losing the tail.
     file_ops:
         Optional syscall shim for the WAL (fault injection in tests).
 
@@ -101,7 +98,6 @@ class DurableMaintenance:
         state: DynamicMaxTruss,
         directory: PathLike,
         checkpoint_every: Optional[int] = None,
-        sync: bool = True,
         file_ops=None,
         _recovering: bool = False,
     ) -> None:
@@ -127,7 +123,7 @@ class DurableMaintenance:
                 )
             self.applied_seq = 0
             save_checkpoint(state, self.checkpoint_path, wal_seq=0)
-        self.wal = WriteAheadLog(self.wal_path, sync=sync, file_ops=file_ops)
+        self.wal = WriteAheadLog(self.wal_path, file_ops=file_ops)
         if self.wal.next_seq <= self.applied_seq:
             # The log was reset at the last checkpoint (or is empty after a
             # torn-tail truncation); keep sequences strictly increasing so
@@ -230,7 +226,6 @@ class DurableMaintenance:
         directory: PathLike,
         context: Optional[ContextLike] = None,
         checkpoint_every: Optional[int] = None,
-        sync: bool = True,
     ) -> "DurableMaintenance":
         """Resume a crashed (or cleanly closed) durable deployment.
 
@@ -266,7 +261,7 @@ class DurableMaintenance:
             checkpoint_seq, records[-1].seq if records else 0
         )
         manager = cls(
-            state, directory, checkpoint_every=checkpoint_every, sync=sync,
+            state, directory, checkpoint_every=checkpoint_every,
             _recovering=True,
         )
         manager.last_recovery = RecoveryInfo(
@@ -304,12 +299,10 @@ def recover(
     directory: PathLike,
     context: Optional[ContextLike] = None,
     checkpoint_every: Optional[int] = None,
-    sync: bool = True,
 ) -> DurableMaintenance:
     """Module-level alias for :meth:`DurableMaintenance.recover`."""
     return DurableMaintenance.recover(
-        directory, context=context,
-        checkpoint_every=checkpoint_every, sync=sync,
+        directory, context=context, checkpoint_every=checkpoint_every
     )
 
 
@@ -318,12 +311,10 @@ def durable_from_graph(
     directory: PathLike,
     context: Optional[ContextLike] = None,
     checkpoint_every: Optional[int] = None,
-    sync: bool = True,
     file_ops=None,
 ) -> DurableMaintenance:
     """Convenience: build the state and wrap it durably in one call."""
     state = DynamicMaxTruss(graph, context=context)
     return DurableMaintenance(
-        state, directory, checkpoint_every=checkpoint_every, sync=sync,
-        file_ops=file_ops,
+        state, directory, checkpoint_every=checkpoint_every, file_ops=file_ops
     )

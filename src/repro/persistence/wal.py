@@ -101,26 +101,23 @@ def _decode_payload(payload: bytes) -> WalRecord:
 class WriteAheadLog:
     """Appender for a WAL file.
 
+    Every append fsyncs before it returns: the durability contract "a
+    batch is applied only after it is on stable storage".
+
     Parameters
     ----------
     path:
         Log file; created (with header) if missing, validated and appended
         to if present — the next sequence number continues from the last
         valid record.
-    sync:
-        ``True`` (default) fsyncs after every append: the durability
-        contract "a batch is applied only after it is on stable storage".
     file_ops:
         Optional syscall shim (see :mod:`repro.persistence.faults`) with
         ``write(fd, data)`` / ``fsync(fd)``; tests inject torn writes and
         crashes through it.
     """
 
-    def __init__(
-        self, path: PathLike, sync: bool = True, file_ops=None
-    ) -> None:
+    def __init__(self, path: PathLike, file_ops=None) -> None:
         self.path = str(path)
-        self.sync = sync
         self._ops = file_ops if file_ops is not None else _OsFileOps()
         self.fsyncs = 0
         if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
@@ -132,7 +129,7 @@ class WriteAheadLog:
                 # The header write itself was torn — rebuild it.
                 os.lseek(self._fd, 0, os.SEEK_SET)
                 self._ops.write(self._fd, _FILE_HEADER.pack(_MAGIC, _VERSION))
-                self._maybe_sync()
+                self._sync()
             else:
                 os.lseek(self._fd, valid_bytes, os.SEEK_SET)
         else:
@@ -141,18 +138,17 @@ class WriteAheadLog:
                 self.path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600
             )
             self._ops.write(self._fd, _FILE_HEADER.pack(_MAGIC, _VERSION))
-            self._maybe_sync()
+            self._sync()
 
-    def _maybe_sync(self) -> None:
-        if self.sync:
-            start = time.perf_counter()
-            self._ops.fsync(self._fd)
-            self.fsyncs += 1
-            # fsync is the durability tax of the log-then-apply contract;
-            # its latency distribution is the metric a deployment watches.
-            global_metrics().histogram("wal.fsync_seconds").observe(
-                time.perf_counter() - start
-            )
+    def _sync(self) -> None:
+        start = time.perf_counter()
+        self._ops.fsync(self._fd)
+        self.fsyncs += 1
+        # fsync is the durability tax of the log-then-apply contract;
+        # its latency distribution is the metric a deployment watches.
+        global_metrics().histogram("wal.fsync_seconds").observe(
+            time.perf_counter() - start
+        )
 
     def append(self, op: str, edges: Iterable[EdgePair]) -> int:
         """Frame and append one batch; returns its sequence number.
@@ -167,7 +163,7 @@ class WriteAheadLog:
         payload = _encode_payload(seq, op, edges)
         frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
         self._ops.write(self._fd, frame)
-        self._maybe_sync()
+        self._sync()
         self.next_seq = seq + 1
         metrics = global_metrics()
         metrics.counter("wal.appends").inc()
@@ -209,7 +205,7 @@ class WriteAheadLog:
             seq += 1
         blob = b"".join(chunks)
         self._ops.write(self._fd, blob)
-        self._maybe_sync()
+        self._sync()
         self.next_seq = seq
         metrics = global_metrics()
         metrics.counter("wal.appends").inc(len(records))
@@ -227,17 +223,16 @@ class WriteAheadLog:
         os.lseek(self._fd, 0, os.SEEK_SET)
         os.ftruncate(self._fd, 0)
         self._ops.write(self._fd, _FILE_HEADER.pack(_MAGIC, _VERSION))
-        self._maybe_sync()
+        self._sync()
 
     def close(self) -> None:
-        """Sync (per policy) and close the file; idempotent."""
+        """Sync and close the file; idempotent."""
         fd, self._fd = self._fd, None
         if fd is None:
             return
         try:
-            if self.sync:
-                self._ops.fsync(fd)
-                self.fsyncs += 1
+            self._ops.fsync(fd)
+            self.fsyncs += 1
         finally:
             os.close(fd)
 

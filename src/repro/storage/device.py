@@ -225,11 +225,6 @@ class BlockDevice:
         """Snapshot of the per-extent touch tally (empty when disabled)."""
         return dict(self._touch_counts) if self._touch_counts is not None else {}
 
-    @property
-    def touch_counting_enabled(self) -> bool:
-        """Whether :meth:`enable_touch_counting` has run (ledger-merge audits)."""
-        return self._touch_counts is not None
-
     def _bump_touches(self, extent: int, count: int) -> None:
         name = self._extent_names.get(extent, "?")
         self._touch_counts[name] = self._touch_counts.get(name, 0) + count

@@ -11,8 +11,6 @@ difference shows), what each charged path answers and what it bills:
   ``fifo`` / ``clock`` × four graphs: ``k_max``, the truss-edge count,
   ``read_ios``, ``write_ios``, ``io_by_extent()`` (after the closing
   flush) and peak model memory;
-* ``estimate_bounds`` — semi-binary with ``estimate_bounds=True`` on the
-  same graphs and policies;
 * ``maintenance`` — per policy, on ``chung_lu``: one 80-update
   ``mixed_churn`` stream through ``DynamicMaxTruss.insert``/``delete``
   (each update's ``k_max`` and mode, and the stream's whole bill); a
@@ -29,8 +27,9 @@ difference shows), what each charged path answers and what it bills:
   ``k = 3``, ``k = k_max`` and a level above every support (edge count
   and bill).
 
-Regenerate after a change that alters a bill on purpose (and say why in
-the change log)::
+With the pool's two settings that makes 128 rows, the count ``--check``
+prints. Regenerate after a change that alters a bill on purpose (and say
+why in the change log)::
 
     PYTHONPATH=src python tests/golden_bills.py
 
@@ -91,12 +90,12 @@ def _extents(device) -> Dict[str, list]:
     return {name: [reads, writes] for name, (reads, writes) in device.io_by_extent().items()}
 
 
-def _method_row(graph, method: str, policy: str, **kwargs) -> Dict[str, Any]:
+def _method_row(graph, method: str, policy: str) -> Dict[str, Any]:
     from repro import ExecutionContext, max_truss
 
     context = ExecutionContext(_config(policy))
     try:
-        result = max_truss(graph, method=method, context=context, **kwargs)
+        result = max_truss(graph, method=method, context=context)
     finally:
         context.close()
     return {
@@ -246,15 +245,12 @@ def _serve_rows(graph) -> Dict[str, Any]:
 def compute_table() -> Dict[str, Any]:
     """Recompute every row of the table from the current code."""
     graphs = _graphs()
-    methods, estimated, maintenance, decompositions = {}, {}, {}, {}
+    methods, maintenance, decompositions = {}, {}, {}
     for graph_name, graph in graphs.items():
         for method in METHODS:
             for policy in POLICIES:
                 methods[f"{graph_name}/{method}/{policy}"] = _method_row(graph, method, policy)
         for policy in POLICIES:
-            estimated[f"{graph_name}/semi-binary/{policy}"] = _method_row(
-                graph, "semi-binary", policy, estimate_bounds=True
-            )
             h_index = decompositions[f"{graph_name}/h-index/{policy}"] = _h_index_row(
                 graph, policy
             )
@@ -269,7 +265,6 @@ def compute_table() -> Dict[str, Any]:
     return {
         "pool": {"block_size": BLOCK_SIZE, "cache_blocks": CACHE_BLOCKS},
         "methods": methods,
-        "estimate_bounds": estimated,
         "maintenance": maintenance,
         "serve": _serve_rows(graphs["planted"]),
         "decompositions": decompositions,

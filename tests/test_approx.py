@@ -1,9 +1,5 @@
-"""Approximate tier: interval helpers, estimators, the ApproxEngine, and
-the estimator-narrowed exact search (``estimate_bounds=True``).
-
-The bit-identical + strictly-fewer-scans assertions run over seeded
-equivalence families where the reduction was verified to hold; exactness
-itself (the widen-and-retry safety net) is asserted on every graph.
+"""Approximate tier: interval helpers, the charged estimators, and the
+ApproxEngine whose cached sampled state answers every approximate query.
 """
 
 import numpy as np
@@ -14,7 +10,6 @@ from repro.approx import (
     Estimate,
     build_approx_engine,
     estimate_edge_support,
-    estimate_kmax,
     estimate_triangle_count,
     hoeffding_samples,
     kmax_from_sample,
@@ -24,7 +19,6 @@ from repro.approx import (
     sample_edge_supports,
     wilson_interval,
 )
-from repro.core.semi_binary import semi_binary
 from repro.engine import EngineConfig, ExecutionContext
 from repro.errors import ReproError
 from repro.graph import DiskGraph
@@ -32,7 +26,6 @@ from repro.graph.generators import (
     complete_graph,
     cycle_graph,
     gnm_random,
-    paper_example_graph,
     planted_kmax_truss,
 )
 from repro.graph.memgraph import Graph
@@ -139,10 +132,10 @@ class TestEstimators:
         est = kmax_from_sample(sample, tri, 0.95)
         assert est.covers(7)
 
-    def test_estimate_kmax_covers_planted(self, context):
+    def test_engine_kmax_covers_planted(self):
         graph = planted_kmax_truss(8, periphery_n=40, seed=1)
-        probe = make_probe(graph, context)
-        est = estimate_kmax(probe, rng=np.random.default_rng(3))
+        with ApproxEngine(graph, config=EngineConfig(approx_seed=3)) as engine:
+            est = engine.kmax()
         assert est.covers(8)
         assert est.charged_io > 0
 
@@ -158,12 +151,12 @@ class TestEstimators:
             probe, 0, 1, 128, 0.95, np.random.default_rng(0))
         assert est.is_exact and est.value == 4.0
 
-    def test_estimator_io_is_charged_to_probe_device(self, context):
+    def test_build_io_is_charged_to_probe_device(self, context):
         graph = gnm_random(60, 240, seed=0)
         device = context.device_for(graph.n)
         before = device.stats.read_ios
         probe = DiskGraph.attach(graph, device)
-        estimate_kmax(probe, rng=np.random.default_rng(0))
+        ApproxEngine(graph, config=EngineConfig(approx_seed=0)).build(probe)
         assert device.stats.read_ios > before
 
 
@@ -181,8 +174,8 @@ class TestApproxEngine:
 
     def test_per_edge_determinism(self):
         engine = ApproxEngine(
-            gnm_random(50, 200, seed=2), seed=11,
-            config=EngineConfig(backend="inmemory"))
+            gnm_random(50, 200, seed=2),
+            config=EngineConfig(backend="inmemory", approx_seed=11))
         first = engine.trussness(0, 1)
         second = engine.trussness(1, 0)  # orientation-independent
         assert first == second
@@ -228,52 +221,3 @@ class TestApproxEngine:
         assert engine.confidence == 0.9
         assert engine.seed == 42
         engine.close()
-
-
-# Families where the estimator envelope strictly reduces full support
-# scans (verified per-seed; gnm(80,400,seed=1) yields equal counts and is
-# deliberately excluded).
-NARROWING_GRAPHS = [
-    ("gnm-80-400-s0", lambda: gnm_random(80, 400, seed=0)),
-    ("gnm-80-400-s2", lambda: gnm_random(80, 400, seed=2)),
-    ("gnm-80-400-s3", lambda: gnm_random(80, 400, seed=3)),
-    ("gnm-80-400-s4", lambda: gnm_random(80, 400, seed=4)),
-]
-
-
-class TestEstimateBounds:
-    @pytest.mark.parametrize(
-        "make", [m for _, m in NARROWING_GRAPHS],
-        ids=[n for n, _ in NARROWING_GRAPHS])
-    def test_bit_identical_with_fewer_scans(self, make):
-        graph = make()
-        exact = semi_binary(graph)
-        narrowed = semi_binary(make(), estimate_bounds=True)
-        assert narrowed.k_max == exact.k_max
-        assert narrowed.truss_edges == exact.truss_edges
-        assert (narrowed.extras["support_scans"]
-                < exact.extras["support_scans"])
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_exactness_never_compromised(self, seed):
-        # Every seed — including ones where the envelope clips and the
-        # widen-and-retry fallback must rescue the search.
-        graph = gnm_random(60, 260, seed=seed)
-        exact = semi_binary(graph)
-        narrowed = semi_binary(
-            gnm_random(60, 260, seed=seed), estimate_bounds=True)
-        assert narrowed.k_max == exact.k_max
-        assert narrowed.truss_edges == exact.truss_edges
-
-    def test_extras_report_estimator_state(self):
-        result = semi_binary(paper_example_graph(), estimate_bounds=True)
-        lb_e, ub_e = result.extras["estimate_interval"]
-        assert lb_e <= result.extras["estimate_kmax"] <= ub_e
-        assert result.extras["estimator_samples"] > 0
-        assert result.extras["estimator_io"] >= 0
-        assert result.k_max == 4
-        assert result.truss_edge_count == 15
-
-    def test_empty_graph_estimate_bounds(self):
-        result = semi_binary(Graph.empty(3), estimate_bounds=True)
-        assert result.k_max == 0

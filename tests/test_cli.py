@@ -80,7 +80,7 @@ class TestEstimate:
         assert "estimated k_max" in out
         assert "estimator read I/Os" in out
 
-    def test_estimate_interval_covers_exact(self, example_file, capsys):
+    def test_printed_kmax_ci_covers_exact(self, example_file, capsys):
         # Paper example: k_max = 4 — the served CI must cover it.
         assert main(["estimate", example_file]) == 0
         out = capsys.readouterr().out
@@ -88,11 +88,28 @@ class TestEstimate:
         low, high = (float(x) for x in match.groups())
         assert low <= 4 <= high
 
-    def test_estimate_bounds_flag_requires_semi_binary(self, example_file):
-        assert main(
-            ["compute", example_file, "--method", "in-memory",
-             "--estimate-bounds"]
-        ) == 2
+    def test_approx_flags_reach_the_estimator(self, example_file, capsys):
+        assert main(["estimate", example_file, "--approx-epsilon", "0.2",
+                     "--approx-seed", "3"]) == 0
+        assert ("estimator: epsilon=0.2 confidence=0.95 seed=3"
+                in capsys.readouterr().out)
+
+    def test_serve_accepts_the_approx_flags(self):
+        args = build_parser().parse_args(
+            ["serve", "g.txt", "--approx-epsilon", "0.2",
+             "--approx-confidence", "0.9", "--approx-seed", "3"])
+        assert (args.approx_epsilon, args.approx_confidence,
+                args.approx_seed) == (0.2, 0.9, 3)
+
+    @pytest.mark.parametrize(
+        "command", ["compute", "compare", "maintain", "ingest"])
+    def test_commands_that_never_sample_reject_approx_flags(
+        self, command, example_file, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, example_file, "--approx-seed", "1"])
+        assert exc.value.code == 2
+        assert "--approx-seed" in capsys.readouterr().err
 
 
 class TestStats:

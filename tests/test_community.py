@@ -111,7 +111,8 @@ class TestMaxTrussCommunities:
 
 
 class TestAmbientContext:
-    """truss_community resolves an ambient context like max_truss does."""
+    """truss_community runs inside the ambient tracer's span, and a caller
+    wanting charged trussness passes the semi-external decomposition."""
 
     def test_search_runs_inside_community_span(self):
         from repro.engine import ExecutionContext
@@ -120,7 +121,7 @@ class TestAmbientContext:
         records = []
         context = ExecutionContext()
         context.attach_tracer(Tracer(records.append))
-        result = truss_community(paper_example_graph(), [0], context=context)
+        result = truss_community(paper_example_graph(), [0])
         context.close()
         assert result.k == 4
         assert any(
@@ -129,33 +130,12 @@ class TestAmbientContext:
         )
 
     def test_semi_external_charges_callers_device(self):
-        from repro.engine import ExecutionContext
-
-        with ExecutionContext() as context:
-            result = truss_community(
-                paper_example_graph(), [0], method="semi-external",
-                context=context,
-            )
-            assert result.k == 4
-            assert context.stats.snapshot().read_ios > 0
-
-    def test_bare_config_accepted(self):
-        from repro.engine import EngineConfig
-
-        result = truss_community(
-            paper_example_graph(), [0], context=EngineConfig(block_size=512)
-        )
-        assert result.k == 4
-
-    def test_readonly_context_with_precomputed_trussness(self):
-        # A served community query: read-only context, trussness supplied —
-        # the search itself must never write.
+        from repro.baselines import truss_decomposition_semi_external
         from repro.engine import ExecutionContext
 
         graph = paper_example_graph()
-        values = truss_decomposition(graph)
-        context = ExecutionContext(readonly=True)
-        result = truss_community(graph, [0], trussness=values, context=context)
-        assert result.k == 4
-        assert context.stats.snapshot().write_ios == 0
-        context.close()
+        with ExecutionContext() as context:
+            values = truss_decomposition_semi_external(graph, context=context)
+            result = truss_community(graph, [0], trussness=values)
+            assert result.k == 4
+            assert context.stats.snapshot().read_ios > 0

@@ -9,6 +9,8 @@ rather than deserialising garbage.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -151,11 +153,13 @@ class TestCli:
         data_dir = tmp_path / "spill"
         data_dir.mkdir()
         assert main([
-            "compute", str(rgr), "--backend", "file",
+            "compute", str(rgr), "--backend", "file", "--fsync", "close",
             "--data-dir", str(data_dir), "--format", "text",
         ]) == 0
         out = capsys.readouterr().out
         assert "physical bytes read" in out
+        # The report's physical rows include the closing fsync.
+        assert re.search(r"^fsyncs +1 *$", out, re.MULTILINE)
         assert list(data_dir.iterdir()) == []  # spill removed at close
 
     def test_corrupt_rgr_fails_cleanly(self, tmp_path, capsys):
