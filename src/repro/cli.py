@@ -22,10 +22,11 @@ Subcommands
 
 Graph operands accept dataset names and every file ``convert`` writes
 (:data:`repro.graph.formats.GRAPH_FORMATS`) everywhere; ``--backend
-file`` runs any engine command against the real file-backed device
-(identical charged I/O, plus physical byte counters). ``maintain`` and
-``ingest`` read one update-line grammar, ``[+|-]u v`` (unsigned lines
-insert).
+file`` runs any engine command against the real file-backed device with
+identical charged I/O. Only ``compute`` with ``--format
+text|markdown|csv`` also prints the device's physical byte and fsync
+counters. ``maintain`` and ``ingest`` read one update-line grammar,
+``[+|-]u v`` (unsigned lines insert).
 """
 
 from __future__ import annotations

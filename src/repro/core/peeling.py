@@ -5,7 +5,7 @@ same primitive: *repeatedly delete the minimum-support edge while its support
 is below a threshold, decrementing the support of the two edges that close a
 triangle with it* (Alg 1 lines 11–18, Alg 2 lines 15–22, Alg 4).
 
-The kernel here is written once against a duck-typed **peel-heap protocol**:
+The scalar kernel is written against a duck-typed **peel-heap protocol**:
 
 ``__len__``, ``min_key()``, ``collect_min_class()``, ``pop_edge(eid)``,
 ``probe_keys(eids)``, ``decrement_edges(eids, keys, level)``,
@@ -17,14 +17,23 @@ decrement never moves a key at-or-below the wave's level, wave membership
 is fixed at collection time — which makes the peel order fully
 deterministic (independent of heap insertion history).
 
-Two implementations exist:
+Two implementations exist, each with its own kernel for the one wave
+order:
 
 * :class:`PlainDiskHeap` — a :class:`~repro.structures.LinearHeap`
   (the ``A_disk`` of SemiBinary / SemiGreedyCore): every support decrement
-  is a disk-resident remove+insert, every aliveness probe a disk read.
+  is a disk-resident remove+insert, every aliveness probe a disk read. It
+  runs the scalar kernel, :func:`delete_edge_kernel`, whose every touch is
+  a device call.
 * :class:`~repro.structures.LHDH` — the lazy composite used by
   SemiLazyUpdate: hot edges migrate into the in-memory dynamic heap, so
-  repeated decrements are free.
+  repeated decrements are free. It runs in two planes: values on Python
+  lists (its linear heap's records, the subgraph's in-memory CSR), and the
+  exact accesses the scalar kernel would issue appended to the heap's
+  charge trace and posted through :meth:`~repro.storage.BlockDevice.replay`
+  in bounded chunks — on every exit, inside the ``peel`` span.
+
+:func:`peel_below` picks the kernel from the heap's class.
 
 A *heap kind* is passed around as its class: ``PlainDiskHeap``, or
 ``functools.partial(LHDH, capacity=c)``. Either is called as
@@ -46,11 +55,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .._util import WorkBudget
-from ..errors import HeapEmptyError
+from ..errors import ArrayBoundsError, HeapEmptyError
 from ..graph.disk_graph import DiskGraph
 from ..observability.metrics import global_metrics
 from ..observability.tracer import trace_span
-from ..structures import LinearHeap
+from ..structures import LHDH, LinearHeap
 
 #: Peel-round widths are edge counts, not latencies — power-of-4 buckets.
 _PEEL_WIDTH_BUCKETS = (0, 4, 16, 64, 256, 1024, 4096, 16384, 65536)
@@ -165,7 +174,63 @@ def peel_below(
     never on heap insertion history.
     """
     stats = PeelStats()
+    kernel = _peel_lhdh if isinstance(heap, LHDH) else _peel_scalar
     with trace_span("peel", kind="kernel", threshold=support_threshold):
+        kernel(heap, subgraph, support_threshold, budget, stats)
+    # Round width (edges removed per threshold round) is the knob the
+    # paper's lazy variants optimise; always cheap, always recorded.
+    global_metrics().histogram(
+        "peel.round_width", buckets=_PEEL_WIDTH_BUCKETS
+    ).observe(stats.removed_edges)
+    return stats
+
+
+def _peel_scalar(heap, subgraph, support_threshold, budget, stats) -> None:
+    """The wave loop over :func:`delete_edge_kernel` (any protocol heap)."""
+    while len(heap):
+        current_min = heap.min_key()
+        if current_min is None or current_min >= support_threshold:
+            break
+        level, wave = heap.collect_min_class()
+        for eid in wave:
+            if budget is not None:
+                budget.spend()
+            heap.pop_edge(eid)
+            destroyed = delete_edge_kernel(heap, subgraph, eid, level)
+            stats.destroyed_triangles += destroyed
+            heap.after_kernel()
+            stats.removed_edges += 1
+            stats.kernel_calls += 1
+
+
+def _peel_lhdh(heap: LHDH, subgraph: DiskGraph, support_threshold, budget, stats) -> None:
+    """The same wave loop and kernel on LHDH, in two planes.
+
+    Per popped edge it appends what :func:`delete_edge_kernel` reads — the
+    endpoint pair, then ``N(u)`` and ``N(v)`` in the adjacency and edge-id
+    extents — and takes the values from the subgraph's in-memory CSR. The
+    common neighbours come ascending, as ``np.intersect1d`` returns them,
+    so the heap's probes and decrements append in the scalar order. The
+    heap holds its posts for the whole peel; full chunks are posted as
+    they fill, and the rest in the ``finally`` — on a budget stop or any
+    error too, so a stopped peel bills what the scalar peel bills.
+    """
+    graph = subgraph.graph
+    offsets = graph.offsets.tolist()
+    adj = graph.adj.tolist()
+    adj_eids = graph.adj_eids.tolist()
+    endpoints = graph.edges.tolist()
+    m = subgraph.m
+    # Trace codes (extent << 1, all reads) of the three graph extents.
+    edge_read = 2 * subgraph.edge_endpoints.extent
+    adj_read = 2 * subgraph.adj.extent
+    eid_read = 2 * subgraph.adj_eids.extent
+    lheap = heap.lheap
+    trace = lheap.trace
+    # N(v) as {neighbour: edge id}, built the first time v is an endpoint.
+    neighbours = {}
+    heap.held = True
+    try:
         while len(heap):
             current_min = heap.min_key()
             if current_min is None or current_min >= support_threshold:
@@ -175,17 +240,55 @@ def peel_below(
                 if budget is not None:
                     budget.spend()
                 heap.pop_edge(eid)
-                destroyed = delete_edge_kernel(heap, subgraph, eid, level)
-                stats.destroyed_triangles += destroyed
+                if eid >= m:
+                    raise ArrayBoundsError(
+                        f"edge {eid} out of bounds for {subgraph.name}'s {m} edges"
+                    )
+                u, v = endpoints[eid]
+                start_u, stop_u = offsets[u], offsets[u + 1]
+                start_v, stop_v = offsets[v], offsets[v + 1]
+                bytes_u, bytes_v = 8 * (stop_u - start_u), 8 * (stop_v - start_v)
+                trace += (
+                    edge_read, 16 * eid, 16,
+                    adj_read, 8 * start_u, bytes_u, eid_read, 8 * start_u, bytes_u,
+                    adj_read, 8 * start_v, bytes_v, eid_read, 8 * start_v, bytes_v,
+                )
+                n_u = neighbours.get(u)
+                if n_u is None:
+                    n_u = neighbours[u] = dict(
+                        zip(adj[start_u:stop_u], adj_eids[start_u:stop_u])
+                    )
+                n_v = neighbours.get(v)
+                if n_v is None:
+                    n_v = neighbours[v] = dict(
+                        zip(adj[start_v:stop_v], adj_eids[start_v:stop_v])
+                    )
+                common = n_u.keys() & n_v.keys()
+                if common:
+                    common = sorted(common)
+                    f_ids = list(map(n_u.__getitem__, common))
+                    g_ids = list(map(n_v.__getitem__, common))
+                    f_keys = heap.probe(f_ids)
+                    g_keys = heap.probe(g_ids)
+                    moved, moved_keys = [], []
+                    for f, f_key, g, g_key in zip(f_ids, f_keys, g_ids, g_keys):
+                        if f_key >= 0 and g_key >= 0:
+                            stats.destroyed_triangles += 1
+                            if f_key > level:
+                                moved.append(f)
+                                moved_keys.append(f_key)
+                            if g_key > level:
+                                moved.append(g)
+                                moved_keys.append(g_key)
+                    if moved:
+                        heap.decrement(moved, moved_keys, level)
                 heap.after_kernel()
                 stats.removed_edges += 1
                 stats.kernel_calls += 1
-    # Round width (edges removed per threshold round) is the knob the
-    # paper's lazy variants optimise; always cheap, always recorded.
-    global_metrics().histogram(
-        "peel.round_width", buckets=_PEEL_WIDTH_BUCKETS
-    ).observe(stats.removed_edges)
-    return stats
+                lheap.post(whole=False)
+    finally:
+        heap.held = False
+        lheap.post()
 
 
 def surviving_edge_ids(heap) -> List[int]:

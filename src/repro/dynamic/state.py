@@ -274,8 +274,12 @@ class DynamicMaxTruss:
 
     def refresh_coreness(self) -> np.ndarray:
         """Exact coreness recompute (charged as a full graph-file scan)."""
+        frozen, _ = self.graph.to_graph()
+        return self._refresh_coreness_from(frozen)
+
+    def _refresh_coreness_from(self, frozen: Graph) -> np.ndarray:
+        """:meth:`refresh_coreness` on *frozen*, the current graph frozen."""
         with trace_span("coreness_refresh", kind="kernel", n=self.graph.n):
-            frozen, _ = self.graph.to_graph()
             for v in range(frozen.n):
                 if frozen.degree(v):
                     self.adj_file.charge_load(v)
@@ -301,8 +305,9 @@ class DynamicMaxTruss:
             self._global_phase_impl(lower_bound)
 
     def _global_phase_impl(self, lower_bound: int) -> None:
-        coreness = self.refresh_coreness()
+        # One frozen graph serves the coreness refresh and the candidates.
         frozen, eid_map = self.graph.to_graph()
+        coreness = self._refresh_coreness_from(frozen)
         dense_to_stable = {dense: stable for stable, dense in eid_map.items()}
         if frozen.m == 0:
             self.set_class([], 0)

@@ -9,7 +9,7 @@ from repro.graph.generators import (
     paper_example_graph,
     planted_kmax_truss,
 )
-from repro.graph.memgraph import Graph
+from repro.graph.memgraph import Graph, MutableGraph
 
 
 class TestInitialisation:
@@ -85,6 +85,23 @@ class TestGlobalPhase:
         k, edges = max_truss_edges(g)
         assert state.k_max == k
         assert state.truss_pairs() == edges
+
+    def test_global_phase_freezes_the_graph_once(self, monkeypatch):
+        """The coreness refresh and the candidate subgraphs share one
+        frozen copy of the graph; the refresh still bills its scan."""
+        state = DynamicMaxTruss(planted_kmax_truss(7, periphery_n=30, seed=2))
+        frozen_copies = []
+        to_graph = MutableGraph.to_graph
+        monkeypatch.setattr(
+            MutableGraph, "to_graph",
+            lambda graph: frozen_copies.append(graph) or to_graph(graph),
+        )
+        before = state.device.stats.snapshot()
+        state.global_phase(3)
+        assert len(frozen_copies) == 1
+        assert state.device.stats.since(before).read_ios > 0
+        state.refresh_coreness()  # the insertion gate's refresh builds its own
+        assert len(frozen_copies) == 2
 
     def test_global_phase_on_triangle_free(self):
         state = DynamicMaxTruss(cycle_graph(6))

@@ -5,9 +5,12 @@ interleaved operation sequences and compare every observable against a
 trivially-correct model — the strongest structural guarantee in the suite.
 """
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from lhdh_reference import ReferenceLHDH
+from test_batch_equivalence import _pool_state
 
 from repro.graph.memgraph import Graph
 from repro.storage import BlockDevice, MemoryMeter
@@ -64,22 +67,43 @@ class LinearHeapMachine(RuleBasedStateMachine):
 
 
 class LHDHMachine(RuleBasedStateMachine):
-    """LHDH (decrement/pop protocol) vs a dict model."""
+    """LHDH (decrement/pop protocol) vs a dict model — and its device vs a
+    scalar :class:`ReferenceLHDH`'s, driven in lockstep: every call returns
+    what the spec returns and leaves the same ledger and pool behind."""
 
     def __init__(self):
         super().__init__()
-        device = BlockDevice(block_size=64, cache_blocks=8)
         keys = [(i * 7) % MAX_KEY + 1 for i in range(MAX_EDGES)]
-        self.heap = LHDH(device, range(MAX_EDGES), keys, capacity=4,
+        self.devices = [BlockDevice(block_size=64, cache_blocks=8) for _ in range(2)]
+        self.heap = LHDH(self.devices[0], range(MAX_EDGES), keys, capacity=4,
                          memory=MemoryMeter())
+        self.reference = ReferenceLHDH(self.devices[1], range(MAX_EDGES), keys,
+                                       capacity=4, memory=MemoryMeter())
         self.model = {i: keys[i] for i in range(MAX_EDGES)}
+
+    def _both(self, method, *args):
+        """Call *method* on the heap and the spec; they must agree."""
+        result = getattr(self.heap, method)(*args)
+        expected = getattr(self.reference, method)(*args)
+        if isinstance(result, np.ndarray):
+            result, expected = result.tolist(), expected.tolist()
+        assert result == expected, method
+        return result
 
     @precondition(lambda self: self.model)
     @rule()
     def pop_min(self):
-        eid, key = self.heap.pop_min()
+        eid, key = self._both("pop_min")
         assert key == min(self.model.values())
         assert self.model.pop(eid) == key
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def pop_wave_member(self, data):
+        key, wave = self._both("collect_min_class")
+        assert wave == sorted(eid for eid, k in self.model.items() if k == key)
+        eid = data.draw(st.sampled_from(wave))
+        assert self._both("pop_edge", eid) == self.model.pop(eid)
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())
@@ -87,18 +111,31 @@ class LHDHMachine(RuleBasedStateMachine):
         eid = data.draw(st.sampled_from(sorted(self.model)))
         level = min(self.model.values()) - 1
         if self.model[eid] > level and self.model[eid] > 1:
-            self.heap.decrement_edge(eid, level)
+            self._both("decrement_edge", eid, level)
             self.model[eid] -= 1
-        self.heap.after_kernel()
+        self._both("after_kernel")
 
     @rule(eid=st.integers(0, MAX_EDGES - 1))
     def probe(self, eid):
-        assert self.heap.key_if_alive(eid) == self.model.get(eid)
+        assert self._both("key_if_alive", eid) == self.model.get(eid)
+
+    @rule(eids=st.lists(st.integers(0, MAX_EDGES - 1), unique=True, max_size=10))
+    def probe_batch(self, eids):
+        keys = self._both("probe_keys", np.array(eids, dtype=np.int64))
+        assert keys == [self.model.get(eid, -1) for eid in eids]
 
     @invariant()
     def min_matches(self):
         expected = min(self.model.values()) if self.model else None
         assert self.heap.min_key() == expected
+
+    @invariant()
+    def ledgers_match(self):
+        fast, reference = self.devices
+        assert fast.stats == reference.stats
+        assert fast.io_by_extent() == reference.io_by_extent()
+        assert _pool_state(fast) == _pool_state(reference)
+        assert self.heap.memory.peak_bytes == self.reference.memory.peak_bytes
 
 
 class MaintenanceMachine(RuleBasedStateMachine):
